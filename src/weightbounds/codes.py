@@ -1,9 +1,17 @@
 """Linear codes as generator matrices over GF(q).
 
 Provides rank-checked construction, deterministic row reduction,
-exhaustive weight-spectrum enumeration, minimum distance, and the
-residual-code construction (puncture a code at the support of one of
-its codewords).
+exhaustive weight spectra, minimum distance, and the residual-code
+construction (puncture a code at the support of one of its codewords).
+
+The spectrum kernel meets in the middle, the same way for every q.  The
+first a rows span the low combinations L, each one-hot encoded as an
+integer of n*q bits; the other rows give the high parts H, taken only
+up to scalars.  One XOR and one popcount, both in C, give the weight of
+each L + H, so a spectrum costs about q^k/(q-1) + q^a such operations
+and q^(k-a)/(q-1) Python-level steps.  a is ceil(k/2), lowered until
+the q^a low integers fit in _LOW_BITS (down to a = 0) to bound memory
+for large q.  The enumeration limit still counts all q^k codewords.
 
 Codeword enumeration order is fixed: message integer m in [0, q^k)
 has base-q digits d_0 ... d_{k-1} (d_0 least significant), and the
@@ -14,8 +22,11 @@ of weight w" semantics refer to this order.
 from __future__ import annotations
 
 import functools
+import operator
 import warnings
+from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -190,22 +201,22 @@ def in_row_space(code: LinearCode, v: Sequence[int]) -> bool:
 
 def iter_codewords(code: LinearCode) -> Iterator[Vector]:
     """Yield all q^k codewords in message order (see module docstring)."""
-    gf = code.gf
-    q, n, k = gf.q, code.n, code.k
+    return _walk(code.gf, code.rows, (0,) * code.n)
+
+
+def _walk(gf: GF, rows: Sequence[Vector], start: Vector) -> Iterator[Vector]:
+    """Yield start + every combination of rows, in message order."""
+    q, k = gf.q, len(rows)
     add = gf.add
-    scaled = [
-        [[gf.mul(c, x) for x in row] for c in range(q)] for row in code.rows
-    ]
+    scaled = [[[gf.mul(c, x) for x in row] for c in range(q)] for row in rows]
     # diff[i][a][j]: change of coordinate j when digit i steps a -> (a+1) mod q.
     diff = [
-        [
-            [gf.sub(scaled[i][(a + 1) % q][j], scaled[i][a][j]) for j in range(n)]
-            for a in range(q)
-        ]
-        for i in range(k)
+        [[gf.sub(y, x) for x, y in zip(s[a], s[(a + 1) % q])] for a in range(q)]
+        for s in scaled
     ]
     digits = [0] * k
-    cw = [0] * n
+    cw = list(start)
+    n = len(cw)
     yield tuple(cw)
     for _ in range(q**k - 1):
         i = 0
@@ -232,38 +243,50 @@ def _check_limit(code: LinearCode, limit: int | None) -> None:
         )
 
 
-def _spectrum_generic(code: LinearCode) -> tuple[int, ...]:
-    counts = [0] * (code.n + 1)
-    for cw in iter_codewords(code):
-        counts[len(cw) - cw.count(0)] += 1
-    return tuple(counts)
-
-
-def _spectrum_gf2(code: LinearCode) -> tuple[int, ...]:
-    """Gray-code walk over bit-packed codewords; spectrum only (order-free)."""
-    masks = [sum(1 << j for j, x in enumerate(row) if x) for row in code.rows]
-    counts = [0] * (code.n + 1)
-    counts[0] = 1
-    cw = 0
-    prev = 0
-    for t in range(1, 1 << code.k):
-        gray = t ^ (t >> 1)
-        idx = (gray ^ prev).bit_length() - 1
-        cw ^= masks[idx]
-        prev = gray
-        counts[cw.bit_count()] += 1
-    return tuple(counts)
+_LOW_BITS = 1 << 24  # bits of low one-hot integers a spectrum may hold (2 MiB)
 
 
 @functools.lru_cache(maxsize=4096)
 def _spectrum_counts(code: LinearCode) -> tuple[int, ...]:
-    if code.q == 2:
-        return _spectrum_gf2(code)
-    return _spectrum_generic(code)
+    """Meet in the middle: low combinations L against projective high parts H.
+
+    A vector v is one-hot encoded as the integer with bit j*q + v[j] set
+    for each coordinate j, so weight(L - H) = popcount(oh(L) ^ oh(H)) / 2;
+    L -> -L permutes the low span, so over all L these are the weights of
+    L + H.  Nonzero H is taken only up to scalars (its last nonzero digit
+    is 1): L + cH ranges over c * (L' + H), so each such H stands for q-1.
+    """
+    gf, q, n = code.gf, code.q, code.n
+    a = (code.k + 1) // 2
+    while a and q**a * n * q > _LOW_BITS:
+        a -= 1
+    low, high = code.rows[:a], code.rows[a:]
+    zero = (0,) * n
+    offsets = range(0, n * q, q)
+
+    def onehot(v: Iterable[int]) -> int:
+        return sum(map(operator.lshift, repeat(1), map(operator.add, offsets, v)))
+
+    lows = [onehot(v) for v in _walk(gf, low, zero)]
+
+    def weights(h: Sequence[int]) -> Iterator[int]:
+        """2 * weight(L - h) for every low combination L."""
+        return map(int.bit_count, map(operator.xor, repeat(onehot(h)), lows))
+
+    tally: Counter[int] = Counter()
+    for t, row in enumerate(high):
+        for h in _walk(gf, high[:t], row):
+            tally.update(weights(h))
+    counts = [0] * (n + 1)
+    for bits, c in tally.items():
+        counts[bits // 2] = c * (q - 1)
+    for bits, c in Counter(weights(zero)).items():
+        counts[bits // 2] += c
+    return tuple(counts)
 
 
 def spectrum(code: LinearCode, limit: int | None = None) -> WeightSpectrum:
-    """Exact weight distribution by enumerating all q^k codewords."""
+    """Exact weight distribution over all q^k codewords (see module docstring)."""
     _check_limit(code, limit)
     return WeightSpectrum(_spectrum_counts(code))
 
@@ -343,30 +366,33 @@ def residual(
 #
 # Text, UTF-8.  First data line: "q n k"; then k lines of n integers in
 # [0, q) using the field element encoding.  '#' starts a comment line.
+# Every number is a run of ASCII digits 0-9: no sign, '_' or other script.
 
 
 def parse_generator_text(text: str) -> LinearCode:
     """Parse the generator-matrix exchange format."""
-    lines = [
-        line.strip()
-        for line in text.splitlines()
-        if line.strip() and not line.lstrip().startswith("#")
-    ]
+    lines = []
+    for number, line in enumerate(text.splitlines(), 1):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        for t in line.split():
+            if not (t.isascii() and t.isdigit()):
+                raise ValueError(f"line {number}: {t!r} is not an ASCII digit string")
+        lines.append((line.strip(), [int(t) for t in line.split()]))
     if not lines:
         raise ValueError("no data lines in generator file")
-    header = lines[0].split()
-    if len(header) != 3:
-        raise ValueError(f"header must be 'q n k', got {lines[0]!r}")
-    q, n, k = (int(t) for t in header)
+    header, numbers = lines[0]
+    if len(numbers) != 3:
+        raise ValueError(f"header must be 'q n k', got {header!r}")
+    q, n, k = numbers
     if len(lines) - 1 != k:
         raise ValueError(f"expected {k} rows, found {len(lines) - 1}")
     gf = make_field(q)
     rows = []
-    for line in lines[1:]:
-        row = tuple(int(t) for t in line.split())
+    for _, row in lines[1:]:
         if len(row) != n:
             raise ValueError(f"expected {n} entries per row, got {len(row)}")
-        rows.append(row)
+        rows.append(tuple(row))
     return code_from_matrix(gf, rows)
 
 

@@ -12,7 +12,8 @@ construction is deterministic: two `make_field(q)` calls always agree.
 Irreducibility is verified by exhaustive trial division (degrees up to
 m // 2), which is cheap under the q <= 2^16 cap.
 
-Extension-field multiplication is served from exp/log tables; the
+Extension-field multiplication is served from exp/log tables, built in
+one walk over the powers of the smallest primitive element; the
 polynomial-definition path is kept alongside (`GF.mul_definition`) as an
 independent cross-check.
 """
@@ -46,6 +47,21 @@ def _is_prime(n: int) -> bool:
             return False
         i += 1
     return True
+
+
+def _prime_factors(n: int) -> list[int]:
+    """Distinct prime factors of n >= 1, ascending."""
+    out = []
+    r = 2
+    while r * r <= n:
+        if n % r == 0:
+            out.append(r)
+            while n % r == 0:
+                n //= r
+        r += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 def _factor_prime_power(q: int) -> tuple[int, int]:
@@ -101,6 +117,19 @@ def _poly_mod(a: Sequence[int], den: Sequence[int], p: int) -> tuple[int, ...]:
         for i, dc in enumerate(den):
             rem[shift + i] = (rem[shift + i] - c * dc) % p
     return _poly_trim(rem)
+
+
+def _poly_powmod(
+    a: Sequence[int], e: int, den: Sequence[int], p: int
+) -> tuple[int, ...]:
+    """a^e mod den (den monic), by square and multiply."""
+    out: tuple[int, ...] = (1,)
+    while e:
+        if e & 1:
+            out = _poly_mod(_poly_mul(out, a, p), den, p)
+        a = _poly_mod(_poly_mul(a, a, p), den, p)
+        e >>= 1
+    return out
 
 
 def _is_irreducible(coeffs: Sequence[int], p: int) -> bool:
@@ -237,21 +266,31 @@ class GF:
     # -- exp/log tables (extension fields) ---------------------------
 
     def _build_tables(self) -> None:
+        """Tables from the smallest primitive element, found by its order.
+
+        g generates the multiplicative group iff g^((q-1)/r) != 1 for every
+        prime r dividing q-1; its powers are then walked once.
+        """
         order = self.q - 1
+        p, modulus = self.p, self.modulus
+        primes = _prime_factors(order)
         for g in range(2, self.q):
-            exp = [1]
-            x = g
-            while x != 1 and len(exp) <= order:
-                exp.append(x)
-                x = self.mul_definition(x, g)
-            if len(exp) == order:
-                log = [0] * self.q
-                for i, e in enumerate(exp):
-                    log[e] = i
-                object.__setattr__(self, "_exp", tuple(exp))
-                object.__setattr__(self, "_log", tuple(log))
-                return
-        raise AssertionError(f"no generator found for GF({self.q})")
+            factor = _poly_trim(self._digits(g))
+            if all(_poly_powmod(factor, order // r, modulus, p) != (1,)
+                   for r in primes):
+                break
+        else:
+            raise AssertionError(f"no generator found for GF({self.q})")
+        exp = [1]
+        x = factor
+        while x != (1,):
+            exp.append(self._undigits(x))
+            x = _poly_mod(_poly_mul(x, factor, p), modulus, p)
+        log = [0] * self.q
+        for i, e in enumerate(exp):
+            log[e] = i
+        object.__setattr__(self, "_exp", tuple(exp))
+        object.__setattr__(self, "_log", tuple(log))
 
 
 @functools.lru_cache(maxsize=None)

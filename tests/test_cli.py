@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,11 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(*args, env=None):
+    # The child process imports the package from this checkout's src/.
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
     return subprocess.run(
         [sys.executable, "-m", "weightbounds", *args],
         capture_output=True,
@@ -131,9 +137,17 @@ def test_usage_errors_exit_2():
     assert result.returncode == 2  # k > n
 
 
-def test_enumeration_limit_env_override():
-    import os
+@pytest.mark.parametrize("token", ["\u0661", "+1", "1_0"])
+def test_generator_file_with_non_ascii_or_signed_number_exits_2(token, tmp_path):
+    path = tmp_path / "bad.gen"
+    path.write_text(f"2 3 1\n1 {token} 1\n", encoding="utf-8")
+    result = run_cli("spectrum", str(path))
+    assert result.returncode == 2
+    assert "line 2" in result.stderr
+    assert result.stdout == ""
 
+
+def test_enumeration_limit_env_override():
     env = dict(os.environ)
     env["WEIGHTBOUNDS_ENUM_LIMIT"] = "100"
     result = run_cli("spectrum", "fixtures/hamming_13_10_3_ternary.gen", env=env)

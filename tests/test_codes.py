@@ -1,7 +1,11 @@
 import itertools
+import re
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
+from weightbounds import codes as codes_module
 from weightbounds.codes import (
     LinearCode,
     ResidualWindowWarning,
@@ -18,10 +22,8 @@ from weightbounds.codes import (
     residual,
     row_reduce,
     spectrum,
-    _spectrum_generic,
-    _spectrum_gf2,
 )
-from weightbounds.corpus import SplitMix64
+from weightbounds.corpus import EXTERNAL_SPECTRA, SplitMix64
 from weightbounds.errors import (
     DegenerateResidualError,
     EmptyMatrixError,
@@ -179,20 +181,143 @@ def test_spectrum_sum_invariant_small_random_codes():
         assert spec.counts[0] == 1
 
 
-def test_bitset_and_generic_spectrum_paths_agree():
+def oracle_counts(gf, rows):
+    """Weight distribution counted over brute_codewords."""
+    counts = [0] * (len(rows[0]) + 1)
+    for cw in brute_codewords(gf, rows):
+        counts[hamming_weight(cw)] += 1
+    return tuple(counts)
+
+
+def random_full_rank_rows(rng, gf, n, k):
+    rows = []
+    while len(rows) < k:
+        row = tuple(rng.below(gf.q) for _ in range(n))
+        _, rank = row_reduce(gf, rows + [row])
+        if rank == len(rows) + 1:
+            rows.append(row)
+    return tuple(rows)
+
+
+def test_spectrum_matches_brute_force_oracle_binary():
     # 200 random binary codes with n <= 20, k <= 10.
     rng = SplitMix64(7)
     for _ in range(200):
         k = 1 + rng.below(10)
         n = k + rng.below(21 - k)
-        rows = []
-        while len(rows) < k:
-            row = tuple(rng.below(2) for _ in range(n))
-            _, rank = row_reduce(GF2, rows + [row])
-            if rank == len(rows) + 1:
-                rows.append(row)
-        code = LinearCode(GF2, tuple(rows))
-        assert _spectrum_gf2(code) == _spectrum_generic(code)
+        rows = random_full_rank_rows(rng, GF2, n, k)
+        assert spectrum(LinearCode(GF2, rows)).counts == oracle_counts(GF2, rows)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 16, 25, 27])
+def test_spectrum_matches_brute_force_oracle_other_fields(q):
+    # Every q gets n = 1, k = 1 (no high part), and odd and even k.
+    gf = make_field(q)
+    rng = SplitMix64(1000 + q)
+    shapes = [(1, 1), (4, 1), (3, 2), (5, 2), (4, 3)]
+    if q <= 9:
+        shapes += [(6, 3), (6, 4)]
+    if q <= 5:
+        shapes += [(7, 5), (8, 6)]
+    for n, k in shapes:
+        for _ in range(2):
+            rows = random_full_rank_rows(rng, gf, n, k)
+            assert spectrum(LinearCode(gf, rows)).counts == oracle_counts(gf, rows)
+
+
+def test_spectrum_matches_brute_force_oracle_on_corpus(corpus1000):
+    for code in corpus1000:
+        assert spectrum(code).counts == oracle_counts(code.gf, code.rows)
+
+
+@pytest.mark.parametrize("low_bits", [0, 50, 150])
+def test_spectrum_with_a_smaller_low_block_matches_oracle(monkeypatch, low_bits):
+    # A small low-bit budget lowers the low block below ceil(k/2) rows,
+    # down to a = 0 (one low integer, every codeword a high part).
+    monkeypatch.setattr(codes_module, "_LOW_BITS", low_bits)
+    codes_module._spectrum_counts.cache_clear()
+    rng = SplitMix64(low_bits)
+    try:
+        for q, n, k in [(2, 10, 5), (3, 6, 4), (4, 5, 3), (5, 4, 2), (7, 3, 1)]:
+            gf = make_field(q)
+            rows = random_full_rank_rows(rng, gf, n, k)
+            assert spectrum(LinearCode(gf, rows)).counts == oracle_counts(gf, rows)
+    finally:
+        codes_module._spectrum_counts.cache_clear()
+
+
+def traced_spectrum(code):
+    """The spectrum and the peak bytes Python allocated while computing it."""
+    codes_module._spectrum_counts.cache_clear()
+    tracemalloc.start()
+    try:
+        result = spectrum(code).nonzero()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_spectrum_of_a_large_field_one_row_code():
+    # GF(65536) [8,1]: the nonzero codewords are the 65535 multiples of a
+    # weight-5 row.  q^ceil(k/2) low integers of n*q bits would be 4 GiB.
+    code = LinearCode(make_field(65536), ((1, 2, 3, 0, 0, 5, 0, 65535),))
+    counts, peak = traced_spectrum(code)
+    assert counts == {0: 1, 5: 65535}
+    assert peak < 1 << 20
+
+
+def test_spectrum_of_a_large_field_two_row_code():
+    # GF(4096) [20,2] with columns (1,0) x10, (0,1) x5, (1,1) x5.  Codeword
+    # c0*r0 + c1*r1 has weight 15 if c1 = 0 or c0 = c1 (characteristic 2),
+    # 10 if c0 = 0, and 20 otherwise.
+    r0 = (1,) * 10 + (0,) * 5 + (1,) * 5
+    r1 = (0,) * 10 + (1,) * 5 + (1,) * 5
+    code = LinearCode(make_field(4096), (r0, r1))
+    counts, peak = traced_spectrum(code)
+    assert counts == {0: 1, 10: 4095, 15: 2 * 4095, 20: 4094 * 4095}
+    assert peak < 4 << 20
+
+
+def poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def macwilliams(dual_counts, n, q):
+    """Weight distribution of a code from that of its dual, in exact integers.
+
+    W(z) = (1/|dual|) * sum_w B_w (1 + (q-1) z)^(n-w) (1 - z)^w.
+    """
+    total = [0] * (n + 1)
+    for w, b in dual_counts.items():
+        term = [1]
+        for factor in [[1, q - 1]] * (n - w) + [[1, -1]] * w:
+            term = poly_mul(term, factor)
+        for i, c in enumerate(term):
+            total[i] += b * c
+    size = sum(dual_counts.values())
+    assert all(c % size == 0 for c in total)
+    return {w: c // size for w, c in enumerate(total) if c}
+
+
+FIXTURE_SPECTRA = {
+    "example_11_3_6": {0: 1, 6: 6, 8: 1},
+    "rm_1_4": {0: 1, 8: 30, 16: 1},
+    "ratio_4": {0: 1, 4: 15},
+    # Dual of the ternary [13,3] simplex code: 26 nonzero words of weight 9.
+    "hamming_13_10_3_ternary": macwilliams({0: 1, 9: 26}, 13, 3),
+    "cyclic_15_10_4_binary": EXTERNAL_SPECTRA["cyclic_15_10_4_binary"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_SPECTRA))
+def test_fixture_spectra_match_known_distributions(name):
+    path = Path(__file__).resolve().parent.parent / "fixtures" / f"{name}.gen"
+    code = parse_generator_text(path.read_text(encoding="utf-8"))
+    assert spectrum(code).nonzero() == FIXTURE_SPECTRA[name]
 
 
 def test_min_distance_examples():
@@ -327,6 +452,17 @@ def test_generator_file_errors():
         parse_generator_text("2 3 1\n1 0\n")
     with pytest.raises(EntryOutOfRangeError):
         parse_generator_text("2 3 1\n1 0 5\n")
+
+
+NON_ASCII_OR_SIGNED = ["\u0661", "+1", "1_0"]  # ARABIC-INDIC DIGIT ONE, sign, separator
+
+
+@pytest.mark.parametrize("token", NON_ASCII_OR_SIGNED)
+def test_generator_file_rejects_tokens_int_would_accept(token):
+    with pytest.raises(ValueError, match=re.escape(f"line 3: {token!r}")):
+        parse_generator_text(f"# comment\n2 3 1\n1 {token} 1\n")
+    with pytest.raises(ValueError, match=re.escape(f"line 1: {token!r}")):
+        parse_generator_text(f"2 {token} 1\n1 1 1\n")
 
 
 def test_weight_spectrum_properties():

@@ -117,6 +117,28 @@ def test_table_mul_equals_polynomial_mul_exhaustive(q):
             assert gf.mul(a, b) == gf.mul_definition(a, b)
 
 
+EXTENSION_ORDERS_UP_TO_1024 = sorted(
+    p**m for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31) for m in range(2, 11) if p**m <= 1024
+)
+
+
+@pytest.mark.parametrize("q", EXTENSION_ORDERS_UP_TO_1024)
+def test_tables_are_powers_of_the_smallest_primitive_element(q):
+    # Oracle: walk the powers of g = 2, 3, ... through the polynomial
+    # definition until one has order q - 1.
+    gf = make_field(q)
+    for g in range(2, q):
+        powers = [1]
+        x = g
+        while x != 1:
+            powers.append(x)
+            x = gf.mul_definition(x, g)
+        if len(powers) == q - 1:
+            break
+    assert gf._exp == tuple(powers)
+    assert all(gf._log[e] == i for i, e in enumerate(powers))
+
+
 def test_inverse_of_zero():
     with pytest.raises(ZeroDivisionError):
         make_field(9).inv(0)
