@@ -8,9 +8,12 @@ contracts on parameter tuples; nothing here assumes a code exists.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .errors import ParamRangeError, WindowViolatedError
+
+_RELATIONS = {"<=": operator.le, ">=": operator.ge, "<": operator.lt}
 
 
 def ceil_div(a: int, b: int) -> int:
@@ -18,16 +21,41 @@ def ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
+def ceil_div_sum(a: int, q: int, terms: int) -> int:
+    """sum of ceil(a/q^i) for 0 <= i < terms, for a >= 1 and q >= 2.
+
+    Once q^i >= a every remaining term is 1, so at most about log_q(a)
+    terms are divided out and the rest are counted.
+    """
+    total, power = 0, 1
+    for i in range(terms):
+        if power >= a:
+            return total + terms - i
+        total += ceil_div(a, power)
+        power *= q
+    return total
+
+
 @dataclass(frozen=True)
 class BoundVerdict:
-    """One evaluated bound: `holds` iff `lhs relation rhs` is satisfied."""
+    """One evaluated bound, the comparison `lhs relation rhs`.
+
+    `holds` is that comparison and `tight` is lhs == rhs, both derived
+    from the stored fields.  `relation` is one of "<=", ">=", "<".
+    """
 
     name: str
-    holds: bool
     lhs: int
+    relation: str
     rhs: int
-    tight: bool
-    relation: str = "<="
+
+    @property
+    def holds(self) -> bool:
+        return _RELATIONS[self.relation](self.lhs, self.rhs)
+
+    @property
+    def tight(self) -> bool:
+        return self.lhs == self.rhs
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -44,7 +72,7 @@ def singleton_max_d(n: int, k: int) -> int:
 def griesmer_min_n(k: int, d: int, q: int) -> int:
     """Smallest length allowed by the Griesmer bound: sum of ceil(d/q^i)."""
     _require(k >= 1 and d >= 1 and q >= 2, f"bad parameters k={k} d={d} q={q}")
-    return sum(ceil_div(d, q**i) for i in range(k))
+    return ceil_div_sum(d, q, k)
 
 
 def weight_in_window(d: int, q: int, w: int) -> bool:
@@ -83,7 +111,7 @@ def residual_griesmer_min_n(k: int, d: int, q: int, w: int) -> int:
         raise WindowViolatedError(f"w={w} is not below q*d/(q-1) = {q}*{d}/{q - 1}")
     lead = ceil_div(w, q)
     rest = d - w + lead
-    return d + lead + sum(ceil_div(rest, q**i) for i in range(1, k - 1))
+    return d + lead + ceil_div_sum(rest, q, k - 1) - rest
 
 
 def global_weight_max(n: int, d: int, q: int) -> int:
@@ -95,15 +123,7 @@ def global_weight_max(n: int, d: int, q: int) -> int:
 def distance_ratio_holds(n: int, d: int, q: int) -> BoundVerdict:
     """The ratio bound (q+1)*d <= q*n, equivalent to d <= q*n/(q+1)."""
     _require(1 <= d <= n and q >= 2, f"bad parameters n={n} d={d} q={q}")
-    lhs = (q + 1) * d
-    rhs = q * n
-    return BoundVerdict(
-        name="distance-ratio",
-        holds=lhs <= rhs,
-        lhs=lhs,
-        rhs=rhs,
-        tight=lhs == rhs,
-    )
+    return BoundVerdict("distance-ratio", (q + 1) * d, "<=", q * n)
 
 
 def mds_weight_ok(q: int, d: int, w: int) -> bool:
@@ -131,80 +151,27 @@ def parameter_verdicts(
     only for k >= 2 and are omitted for one-dimensional parameters.
     """
     _require(1 <= k <= n and 1 <= d <= n and q >= 2, f"bad parameters n={n} k={k} d={d} q={q}")
+    d_max = singleton_max_d(n, k)
     out = [
-        BoundVerdict(
-            name="singleton",
-            holds=d <= singleton_max_d(n, k),
-            lhs=d,
-            rhs=singleton_max_d(n, k),
-            tight=d == singleton_max_d(n, k),
-        ),
-        BoundVerdict(
-            name="griesmer",
-            holds=n >= griesmer_min_n(k, d, q),
-            lhs=n,
-            rhs=griesmer_min_n(k, d, q),
-            tight=n == griesmer_min_n(k, d, q),
-            relation=">=",
-        ),
+        BoundVerdict("singleton", d, "<=", d_max),
+        BoundVerdict("griesmer", n, ">=", griesmer_min_n(k, d, q)),
     ]
     if k >= 2:
         out.append(distance_ratio_holds(n, d, q))
     if w is None:
         return out
     _require(w >= 1, f"bad weight w={w}")
-    in_window = weight_in_window(d, q, w)
-    out.append(
-        BoundVerdict(
-            name="weight-window",
-            holds=in_window,
-            lhs=w * (q - 1),
-            rhs=q * d,
-            tight=w * (q - 1) == q * d,
-            relation="<",
-        )
-    )
+    window = BoundVerdict("weight-window", w * (q - 1), "<", q * d)
+    out.append(window)
     if k < 2:
         return out
-    out.append(
-        BoundVerdict(
-            name="global-weight",
-            holds=w <= global_weight_max(n, d, q),
-            lhs=w,
-            rhs=global_weight_max(n, d, q),
-            tight=w == global_weight_max(n, d, q),
-        )
-    )
-    if in_window:
-        cap = residual_singleton_max_d(n, k, q, w)
-        out.append(
-            BoundVerdict(
-                name="residual-singleton",
-                holds=d <= cap,
-                lhs=d,
-                rhs=cap,
-                tight=d == cap,
-            )
-        )
-        floor_n = residual_griesmer_min_n(k, d, q, w)
-        out.append(
-            BoundVerdict(
-                name="residual-griesmer",
-                holds=n >= floor_n,
-                lhs=n,
-                rhs=floor_n,
-                tight=n == floor_n,
-                relation=">=",
-            )
-        )
-        if d == singleton_max_d(n, k) and d <= w:
-            out.append(
-                BoundVerdict(
-                    name="mds-weight",
-                    holds=mds_weight_ok(q, d, w),
-                    lhs=w,
-                    rhs=q,
-                    tight=w == q,
-                )
-            )
+    out.append(BoundVerdict("global-weight", w, "<=", global_weight_max(n, d, q)))
+    if window.holds:
+        out.append(BoundVerdict("residual-singleton", d, "<=",
+                                residual_singleton_max_d(n, k, q, w)))
+        out.append(BoundVerdict("residual-griesmer", n, ">=",
+                                residual_griesmer_min_n(k, d, q, w)))
+        # Under d = n-k+1, d <= w and the window, this is mds_weight_ok.
+        if d == d_max and d <= w:
+            out.append(BoundVerdict("mds-weight", w, "<=", q))
     return out

@@ -14,27 +14,24 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
 import sys
+import warnings
 
 from .bounds import BoundVerdict, parameter_verdicts
 from .codes import (
-    CodeParams,
-    DEFAULT_ENUMERATION_LIMIT,
-    LinearCode,
-    code_params,
-    find_codeword_of_weight,
-    generator_text,
-    min_distance,
-    read_generator_file,
-    residual,
-    spectrum,
+    CodeParams, DEFAULT_ENUMERATION_LIMIT, LinearCode, ResidualWindowWarning,
+    code_params, find_codeword_of_weight, generator_text, min_distance,
+    read_generator_file, residual, spectrum,
 )
 from .corpus import DEFAULT_SELFTEST_SEED, DEFAULT_SELFTEST_TRIALS, format_weights
 from .errors import WeightBoundsError
-from .exclusion import ExclusionReport, compare_methods
+from .exclusion import (
+    AuditViolation, ExclusionReport, audit_against_spectrum, compare_methods,
+)
 from .selfcheck import run_selftest
 from .tables import CLAMPED, EXACT, MISMATCH, compare_table
 
@@ -42,8 +39,22 @@ ENV_LIMIT = "WEIGHTBOUNDS_ENUM_LIMIT"
 FORMATS = ("text", "md", "csv", "json")
 
 
+# --- shared shapes ----------------------------------------------------
+
+
 def _params_label(p: CodeParams) -> str:
     return f"[{p.n},{p.k},{p.d}]_{p.q}"
+
+
+def _lines(lines) -> str:
+    return "\n".join(lines) + "\n"
+
+
+def _md_table(header, rows) -> list[str]:
+    return [
+        "| " + " | ".join(str(cell) for cell in row) + " |"
+        for row in (header, ["---"] * len(header), *rows)
+    ]
 
 
 def _csv_text(header, rows) -> str:
@@ -54,55 +65,58 @@ def _csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
+def _csv_bool(flag: bool) -> str:
+    return str(flag).lower()
+
+
 def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _cell_weights(weights, sep: str = ", ", ranges: bool = False) -> str:
-    if sep == ", ":
-        return format_weights(weights, ranges=ranges)
-    ws = sorted(weights, reverse=True)
-    return sep.join(str(w) for w in ws) if ws else "-"
+def _desc(weights) -> list[int]:
+    return sorted(weights, reverse=True)
+
+
+def _csv_weights(weights) -> str:
+    """A weight set as one CSV cell: descending, space-separated, '-' if empty."""
+    return " ".join(map(str, _desc(weights))) or "-"
+
+
+def _json_sets(sets: dict) -> dict:
+    return {name.replace("-", "_"): _desc(s) for name, s in sets.items()}
+
+
+def _set_lines(sets: dict) -> list[str]:
+    return [f"{name:<10}: {format_weights(s)}" for name, s in sets.items()]
+
+
+def _spectrum_line(counts: dict[int, int]) -> str:
+    return " ".join(f"A_{w}={c}" for w, c in sorted(counts.items()))
 
 
 # --- bounds -----------------------------------------------------------
 
 
-def _verdict_dict(v: BoundVerdict) -> dict:
-    return {
-        "name": v.name,
-        "holds": v.holds,
-        "lhs": v.lhs,
-        "relation": v.relation,
-        "rhs": v.rhs,
-        "tight": v.tight,
-    }
-
-
 def render_verdicts(verdicts: list[BoundVerdict], fmt: str) -> str:
     if fmt == "json":
-        return _json_text({"bounds": [_verdict_dict(v) for v in verdicts]})
+        return _json_text({"bounds": [
+            {**dataclasses.asdict(v), "holds": v.holds, "tight": v.tight} for v in verdicts
+        ]})
     if fmt == "csv":
-        rows = [
-            (v.name, str(v.holds).lower(), v.lhs, v.relation, v.rhs,
-             str(v.tight).lower())
-            for v in verdicts
-        ]
+        rows = [(v.name, _csv_bool(v.holds), v.lhs, v.relation, v.rhs,
+                 _csv_bool(v.tight)) for v in verdicts]
         return _csv_text(("bound", "holds", "lhs", "relation", "rhs", "tight"), rows)
     if fmt == "md":
-        lines = ["| bound | holds | check | tight |", "| --- | --- | --- | --- |"]
-        lines += [
-            f"| {v.name} | {'yes' if v.holds else 'no'} | "
-            f"{v.lhs} {v.relation} {v.rhs} | {'yes' if v.tight else 'no'} |"
+        return _lines(_md_table(("bound", "holds", "check", "tight"), [
+            (v.name, "yes" if v.holds else "no", f"{v.lhs} {v.relation} {v.rhs}",
+             "yes" if v.tight else "no")
             for v in verdicts
-        ]
-        return "\n".join(lines) + "\n"
-    lines = [
+        ]))
+    return _lines(
         f"{v.name:<19}{'ok' if v.holds else 'FAIL':<6}"
         f"{v.lhs} {v.relation} {v.rhs}" + ("  (tight)" if v.tight else "")
         for v in verdicts
-    ]
-    return "\n".join(lines) + "\n"
+    )
 
 
 def cmd_bounds(args) -> int:
@@ -114,97 +128,49 @@ def cmd_bounds(args) -> int:
 # --- exclude ----------------------------------------------------------
 
 
-def render_exclusion_report(report: ExclusionReport, fmt: str) -> str:
+def render_exclusion_report(
+    report: ExclusionReport, fmt: str, method: str = "all"
+) -> str:
+    """All sets with notes, or with `method` the one set of that criterion."""
     p = report.params
-    sets = {
-        "chen-xie": report.chen_xie,
-        "singleton": report.singleton,
-        "griesmer": report.griesmer,
-        "union": report.union,
-    }
+    if method != "all":
+        weights = report.sets[method]
+        if fmt == "json":
+            return _json_text({"params": dataclasses.asdict(p), "method": method,
+                               "weights": _desc(weights), "clamped": report.clamped})
+        if fmt == "csv":
+            return _csv_text(("method", "weights"), [(method, _csv_weights(weights))])
+        return f"{method}: {format_weights(weights)}\n"
+    sets = {**report.sets, "union": report.union}
     if fmt == "json":
-        return _json_text(
-            {
-                "params": {"n": p.n, "k": p.k, "d": p.d, "q": p.q},
-                "chen_xie": sorted(report.chen_xie, reverse=True),
-                "singleton": sorted(report.singleton, reverse=True),
-                "griesmer": sorted(report.griesmer, reverse=True),
-                "union": sorted(report.union, reverse=True),
-                "clamped": report.clamped,
-                "notes": list(report.notes),
-            }
-        )
+        return _json_text({"params": dataclasses.asdict(p), **_json_sets(sets),
+                           "clamped": report.clamped, "notes": list(report.notes)})
     if fmt == "csv":
-        row = (
-            p.n, p.k, p.d, p.q,
-            _cell_weights(report.chen_xie, sep=" "),
-            _cell_weights(report.singleton, sep=" "),
-            _cell_weights(report.griesmer, sep=" "),
-            _cell_weights(report.union, sep=" "),
-            str(report.clamped).lower(),
-        )
         return _csv_text(
-            ("n", "k", "d", "q", "chen_xie", "singleton", "griesmer", "union",
-             "clamped"),
-            [row],
+            ("n", "k", "d", "q", *(name.replace("-", "_") for name in sets), "clamped"),
+            [(*dataclasses.astuple(p), *map(_csv_weights, sets.values()),
+              _csv_bool(report.clamped))],
         )
+    raw = "" if report.clamped else " (raw intervals)"
+    title = f"excluded weights for {_params_label(p)}{raw}"
     if fmt == "md":
-        lines = [
-            f"excluded weights for {_params_label(p)}"
-            + ("" if report.clamped else " (raw intervals)"),
-            "",
-            "| method | weights | count |",
-            "| --- | --- | --- |",
-        ]
-        lines += [
-            f"| {name} | {_cell_weights(s)} | {len(s)} |" for name, s in sets.items()
-        ]
+        lines = [title, "", *_md_table(
+            ("method", "weights", "count"),
+            [(name, format_weights(s), len(s)) for name, s in sets.items()],
+        )]
         if report.notes:
             lines += ["", "notes:"] + [f"- {note}" for note in report.notes]
-        return "\n".join(lines) + "\n"
-    lines = [
-        f"excluded weights for {_params_label(p)}"
-        + ("" if report.clamped else " (raw intervals)")
-    ]
-    lines += [f"{name:<10}: {_cell_weights(s)}" for name, s in sets.items()]
+        return _lines(lines)
+    lines = [title, *_set_lines(sets)]
     if report.notes:
-        lines.append("notes:")
-        lines += [f"  - {note}" for note in report.notes]
-    return "\n".join(lines) + "\n"
+        lines += ["notes:"] + [f"  - {note}" for note in report.notes]
+    return _lines(lines)
 
 
 def cmd_exclude(args) -> int:
     params = CodeParams(n=args.n, k=args.k, d=args.d, q=args.q)
     report = compare_methods(params, clamp=not args.raw)
-    if args.method != "all":
-        weights = {
-            "chen-xie": report.chen_xie,
-            "singleton": report.singleton,
-            "griesmer": report.griesmer,
-        }[args.method]
-        if args.format == "json":
-            sys.stdout.write(
-                _json_text(
-                    {
-                        "params": {"n": params.n, "k": params.k, "d": params.d,
-                                   "q": params.q},
-                        "method": args.method,
-                        "weights": sorted(weights, reverse=True),
-                        "clamped": report.clamped,
-                    }
-                )
-            )
-        elif args.format == "csv":
-            sys.stdout.write(
-                _csv_text(
-                    ("method", "weights"),
-                    [(args.method, _cell_weights(weights, sep=" "))],
-                )
-            )
-        else:
-            sys.stdout.write(f"{args.method}: {_cell_weights(weights)}\n")
-        return 0
-    sys.stdout.write(render_exclusion_report(report, args.format))
+    sys.stdout.write(render_exclusion_report(report, args.format, args.method))
     return 0
 
 
@@ -213,22 +179,14 @@ def cmd_exclude(args) -> int:
 
 def render_spectrum(code: LinearCode, counts: dict[int, int], fmt: str) -> str:
     if fmt == "json":
-        return _json_text(
-            {
-                "n": code.n,
-                "k": code.k,
-                "q": code.q,
-                "d": min(w for w in counts if w > 0),
-                "counts": {str(w): c for w, c in counts.items()},
-            }
-        )
+        return _json_text({"n": code.n, "k": code.k, "q": code.q,
+                           "d": min(w for w in counts if w > 0),
+                           "counts": {str(w): c for w, c in counts.items()}})
     if fmt == "csv":
         return _csv_text(("weight", "count"), sorted(counts.items()))
     if fmt == "md":
-        lines = ["| weight | count |", "| --- | --- |"]
-        lines += [f"| {w} | {c} |" for w, c in sorted(counts.items())]
-        return "\n".join(lines) + "\n"
-    return " ".join(f"A_{w}={c}" for w, c in sorted(counts.items())) + "\n"
+        return _lines(_md_table(("weight", "count"), sorted(counts.items())))
+    return _spectrum_line(counts) + "\n"
 
 
 def cmd_spectrum(args) -> int:
@@ -249,7 +207,11 @@ def cmd_residual(args) -> int:
     except ValueError as exc:
         print(f"mismatch: {exc}", file=sys.stderr)
         return 1
-    res = residual(code, cw, limit)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResidualWindowWarning)
+        res = residual(code, cw, limit)
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
     d = min_distance(code, limit)
     res_d = min_distance(res, limit)
     punctured = " ".join(str(j) for j, x in enumerate(cw) if x)
@@ -267,62 +229,43 @@ def cmd_residual(args) -> int:
 
 
 def render_table_comparison(which: int, comps, fmt: str) -> str:
-    ranges = which == 3
     all_flags = [flag for comp in comps for flag in comp.flags]
-    tallies = {
-        EXACT: sum(1 for c in comps if c.verdict == EXACT),
-        CLAMPED: sum(1 for c in comps if c.verdict == CLAMPED),
-        MISMATCH: sum(1 for c in comps if c.verdict == MISMATCH),
-    }
+    tallies = {v: sum(c.verdict == v for c in comps) for v in (EXACT, CLAMPED, MISMATCH)}
 
     def shown(cell) -> str:
         # Display the variant the printed table used; raw when neither matches.
         s = cell.computed_clamped if cell.verdict == CLAMPED else cell.computed_raw
-        return _cell_weights(s, ranges=ranges)
+        return format_weights(s, ranges=which == 3)
 
     if fmt == "json":
-        payload = []
-        for comp in comps:
-            p = comp.row.params
-            payload.append(
-                {
-                    "params": {"n": p.n, "k": p.k, "d": p.d, "q": p.q},
-                    "source": comp.row.source,
-                    "verdict": comp.verdict,
-                    "flags": list(comp.flags),
-                    "cells": [
-                        {
-                            "method": c.method,
-                            "verdict": c.verdict,
-                            "printed": sorted(c.printed, reverse=True),
-                            "computed_raw": sorted(c.computed_raw, reverse=True),
-                            "computed_clamped": sorted(
-                                c.computed_clamped, reverse=True
-                            ),
-                            "printed_count": c.printed_count,
-                            "count_consistent": c.count_consistent,
-                        }
-                        for c in comp.cells
-                    ],
-                }
-            )
-        return _json_text({"table": which, "rows": payload, "tallies": tallies})
+        rows = [
+            {
+                "params": dataclasses.asdict(comp.row.params),
+                "source": comp.row.source,
+                "verdict": comp.verdict,
+                "flags": list(comp.flags),
+                "cells": [
+                    {"method": c.method, "verdict": c.verdict,
+                     "printed": _desc(c.printed),
+                     "computed_raw": _desc(c.computed_raw),
+                     "computed_clamped": _desc(c.computed_clamped),
+                     "printed_count": c.printed_count,
+                     "count_consistent": c.count_consistent}
+                    for c in comp.cells
+                ],
+            }
+            for comp in comps
+        ]
+        return _json_text({"table": which, "rows": rows, "tallies": tallies})
     if fmt == "csv":
-        rows = []
-        for comp in comps:
-            p = comp.row.params
-            for c in comp.cells:
-                rows.append(
-                    (
-                        which, comp.row.source, p.n, p.k, p.d, p.q, c.method,
-                        c.verdict,
-                        _cell_weights(c.printed, sep=" "),
-                        _cell_weights(c.computed_raw, sep=" "),
-                        _cell_weights(c.computed_clamped, sep=" "),
-                        c.printed_count,
-                        str(c.count_consistent).lower(),
-                    )
-                )
+        rows = [
+            (which, comp.row.source, *dataclasses.astuple(comp.row.params),
+             c.method, c.verdict, _csv_weights(c.printed),
+             _csv_weights(c.computed_raw), _csv_weights(c.computed_clamped),
+             c.printed_count, _csv_bool(c.count_consistent))
+            for comp in comps
+            for c in comp.cells
+        ]
         return _csv_text(
             ("table", "source", "n", "k", "d", "q", "method", "verdict",
              "printed", "computed_raw", "computed_clamped", "printed_count",
@@ -330,40 +273,30 @@ def render_table_comparison(which: int, comps, fmt: str) -> str:
             rows,
         )
     if fmt == "md":
-        methods = [c.method for c in comps[0].cells]
-        header = "| parameters | " + " | ".join(methods) + " | match |"
-        rule = "| --- |" + " --- |" * (len(methods) + 1)
-        lines = [header, rule]
-        for comp in comps:
-            p = comp.row.params
-            cells = " | ".join(
-                f"{shown(c)} ({len(c.printed)})" for c in comp.cells
-            )
-            lines.append(f"| {_params_label(p)} | {cells} | {comp.verdict} |")
+        lines = _md_table(
+            ("parameters", *(c.method for c in comps[0].cells), "match"),
+            [(_params_label(comp.row.params),
+              *(f"{shown(c)} ({len(c.printed)})" for c in comp.cells), comp.verdict)
+             for comp in comps],
+        )
         lines += ["", "discrepancies:"]
         lines += [f"- {flag}" for flag in all_flags] if all_flags else ["- none"]
-        lines.append("")
-        lines.append(
-            f"rows: {len(comps)}; exact: {tallies[EXACT]}; "
-            f"exact-after-clamp: {tallies[CLAMPED]}; mismatch: {tallies[MISMATCH]}"
-        )
-        return "\n".join(lines) + "\n"
+        lines += ["", f"rows: {len(comps)}; exact: {tallies[EXACT]}; "
+                  f"exact-after-clamp: {tallies[CLAMPED]}; mismatch: {tallies[MISMATCH]}"]
+        return _lines(lines)
     lines = [f"table {which}: excluded-weight reproduction ({len(comps)} rows)", ""]
     for comp in comps:
         label = _params_label(comp.row.params)
         for i, c in enumerate(comp.cells):
             prefix = f"{label:<16}" if i == 0 else " " * 16
-            lines.append(
-                f"{prefix}{c.method:<11}{c.verdict:<19}{shown(c)}"
-            )
-    lines.append("")
-    lines.append("flags:")
+            lines.append(f"{prefix}{c.method:<11}{c.verdict:<19}{shown(c)}")
+    lines += ["", "flags:"]
     lines += [f"  - {flag}" for flag in all_flags] if all_flags else ["  - none"]
     lines.append(
         f"summary: rows={len(comps)} exact={tallies[EXACT]} "
         f"exact-after-clamp={tallies[CLAMPED]} mismatch={tallies[MISMATCH]}"
     )
-    return "\n".join(lines) + "\n"
+    return _lines(lines)
 
 
 def cmd_tables(args) -> int:
@@ -375,67 +308,39 @@ def cmd_tables(args) -> int:
 # --- audit ------------------------------------------------------------
 
 
+def render_audit(
+    report: ExclusionReport, counts: dict[int, int],
+    violations: list[AuditViolation], fmt: str,
+) -> str:
+    """The code's spectrum and clamped sets next to the audit's violations."""
+    if fmt == "json":
+        return _json_text({
+            "params": dataclasses.asdict(report.params),
+            "counts": {str(w): c for w, c in counts.items()},
+            "excluded": _json_sets(report.sets),
+            "violations": [dataclasses.asdict(v) for v in violations],
+        })
+    if fmt == "csv":
+        return _csv_text(("criterion", "weight", "count"),
+                         [dataclasses.astuple(v) for v in violations])
+    lines = [f"audit of {_params_label(report.params)}",
+             f"spectrum: {_spectrum_line(counts)}", *_set_lines(report.sets)]
+    if violations:
+        lines.append("violations:")
+        lines += [f"  - {v.criterion} excludes attained weight {v.weight} (A_w = {v.count})"
+                  for v in violations]
+    else:
+        lines.append("no violations")
+    return _lines(lines)
+
+
 def cmd_audit(args) -> int:
     code = read_generator_file(args.file)
     limit = _enum_limit(args)
-    params = code_params(code, limit)
+    report = compare_methods(code_params(code, limit))
+    violations = audit_against_spectrum(code, limit)
     counts = spectrum(code, limit).nonzero()
-    report = compare_methods(params)
-    violations = []
-    for name, excluded in (
-        ("chen-xie", report.chen_xie),
-        ("singleton", report.singleton),
-        ("griesmer", report.griesmer),
-    ):
-        for w in sorted(excluded):
-            if counts.get(w):
-                violations.append((name, w, counts[w]))
-    if args.format == "json":
-        sys.stdout.write(
-            _json_text(
-                {
-                    "params": {"n": params.n, "k": params.k, "d": params.d,
-                               "q": params.q},
-                    "counts": {str(w): c for w, c in counts.items()},
-                    "excluded": {
-                        "chen_xie": sorted(report.chen_xie, reverse=True),
-                        "singleton": sorted(report.singleton, reverse=True),
-                        "griesmer": sorted(report.griesmer, reverse=True),
-                    },
-                    "violations": [
-                        {"criterion": name, "weight": w, "count": c}
-                        for name, w, c in violations
-                    ],
-                }
-            )
-        )
-    elif args.format == "csv":
-        sys.stdout.write(
-            _csv_text(
-                ("criterion", "weight", "count"),
-                [(name, w, c) for name, w, c in violations],
-            )
-        )
-    else:
-        lines = [f"audit of {_params_label(params)}"]
-        lines.append("spectrum: " + " ".join(f"A_{w}={c}" for w, c in sorted(counts.items())))
-        lines += [
-            f"{name:<10}: {_cell_weights(s)}"
-            for name, s in (
-                ("chen-xie", report.chen_xie),
-                ("singleton", report.singleton),
-                ("griesmer", report.griesmer),
-            )
-        ]
-        if violations:
-            lines.append("violations:")
-            lines += [
-                f"  - {name} excludes attained weight {w} (A_w = {c})"
-                for name, w, c in violations
-            ]
-        else:
-            lines.append("no violations")
-        sys.stdout.write("\n".join(lines) + "\n")
+    sys.stdout.write(render_audit(report, counts, violations, args.format))
     return 1 if violations else 0
 
 
@@ -480,16 +385,13 @@ def _enum_limit(args) -> int:
     return limit
 
 
-def _add_format(sub, default: str = "text") -> None:
-    sub.add_argument("--format", choices=FORMATS, default=default)
+def _add_format(sub) -> None:
+    sub.add_argument("--format", choices=FORMATS, default="text")
 
 
 def _add_limit(sub) -> None:
-    sub.add_argument(
-        "--limit",
-        type=int,
-        help=f"max enumerated codewords (default {ENV_LIMIT} or 2^26)",
-    )
+    sub.add_argument("--limit", type=int,
+                     help=f"max enumerated codewords (default {ENV_LIMIT} or 2^26)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -509,14 +411,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("exclude", help="excluded-weight sets for (n, k, d, q)")
     for flag in ("--n", "--k", "--d", "--q"):
         p.add_argument(flag, type=int, required=True)
-    p.add_argument(
-        "--method",
-        choices=("chen-xie", "singleton", "griesmer", "all"),
-        default="all",
-    )
-    p.add_argument(
-        "--raw", action="store_true", help="keep formula intervals even past n"
-    )
+    p.add_argument("--method", choices=("chen-xie", "singleton", "griesmer", "all"),
+                   default="all")
+    p.add_argument("--raw", action="store_true", help="keep formula intervals even past n")
     _add_format(p)
     p.set_defaults(func=cmd_exclude)
 
@@ -529,12 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("residual", help="puncture a code at one of its codewords")
     p.add_argument("file")
     p.add_argument("--weight", type=int, required=True)
-    p.add_argument(
-        "--index",
-        type=int,
-        default=0,
-        help="0-based position within the weight class (enumeration order)",
-    )
+    p.add_argument("--index", type=int, default=0,
+                   help="0-based position within the weight class (enumeration order)")
     _add_limit(p)
     p.set_defaults(func=cmd_residual)
 

@@ -305,6 +305,8 @@ def find_codeword_of_weight(
     code: LinearCode, w: int, index: int = 0, limit: int | None = None
 ) -> Vector:
     """The index-th codeword of weight w in enumeration order (0-based)."""
+    if w < 0 or index < 0:
+        raise ParamRangeError(f"need w >= 0 and index >= 0, got w={w} index={index}")
     _check_limit(code, limit)
     seen = 0
     for cw in iter_codewords(code):

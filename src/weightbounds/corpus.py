@@ -12,13 +12,12 @@ across platforms and Python versions.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterator
 
 from .codes import CodeParams, LinearCode, code_from_matrix, row_reduce
-from .errors import ParamRangeError, UnknownNameError
+from .errors import ParamRangeError
 from .gf import make_field
 
 DEFAULT_SELFTEST_SEED = 12345
@@ -158,25 +157,6 @@ def ternary_hamming_13_10() -> LinearCode:
             v[pc] = gf.neg(row[f])
         kernel.append(tuple(v))
     return code_from_matrix(gf, kernel)
-
-
-def named_code(name: str) -> LinearCode:
-    """Look up a built-in construction by name.
-
-    Accepted names: example_11_3_6, hamming_13_10_3_ternary, ratio_<q>
-    (e.g. ratio_4), rm_1_<m> (e.g. rm_1_4).
-    """
-    if name == "example_11_3_6":
-        return example_11_3_6()
-    if name == "hamming_13_10_3_ternary":
-        return ternary_hamming_13_10()
-    match = re.fullmatch(r"ratio_(\d+)", name)
-    if match:
-        return ratio_code(int(match.group(1)))
-    match = re.fullmatch(r"rm_1_(\d+)", name)
-    if match:
-        return reed_muller_1(int(match.group(1)))
-    raise UnknownNameError(f"no built-in code named {name!r}")
 
 
 # Published weight enumerators of codes referenced without printed
@@ -382,34 +362,3 @@ def table_rows(which: int) -> list[TableRow]:
             )
         )
     return rows
-
-
-def row_to_dict(row: TableRow) -> dict:
-    """JSON-ready form of a table row (weight sets listed descending)."""
-    out = {
-        "n": row.params.n,
-        "k": row.params.k,
-        "d": row.params.d,
-        "q": row.params.q,
-        "chen_xie": sorted(row.expected_chen_xie, reverse=True),
-        "singleton": sorted(row.expected_singleton, reverse=True),
-        "printed_counts": list(row.printed_counts),
-        "source": row.source,
-    }
-    if row.expected_griesmer is not None:
-        out["griesmer"] = sorted(row.expected_griesmer, reverse=True)
-    return out
-
-
-def row_from_dict(data: dict) -> TableRow:
-    """Inverse of row_to_dict."""
-    return TableRow(
-        params=CodeParams(n=data["n"], k=data["k"], d=data["d"], q=data["q"]),
-        expected_chen_xie=frozenset(data["chen_xie"]),
-        expected_singleton=frozenset(data["singleton"]),
-        expected_griesmer=(
-            frozenset(data["griesmer"]) if "griesmer" in data else None
-        ),
-        printed_counts=tuple(data["printed_counts"]),
-        source=data["source"],
-    )

@@ -15,10 +15,6 @@ class FieldTooLargeError(WeightBoundsError):
     """The requested field order exceeds the supported cap (2**16)."""
 
 
-class FieldMismatchError(WeightBoundsError):
-    """Operands belong to different field instances."""
-
-
 class LengthMismatchError(WeightBoundsError):
     """Vectors of different lengths were combined."""
 
@@ -57,7 +53,3 @@ class ParamRangeError(WeightBoundsError):
 
 class WindowViolatedError(WeightBoundsError):
     """A weight lies outside the window w*(q-1) < q*d required here."""
-
-
-class UnknownNameError(WeightBoundsError):
-    """No built-in code construction matches the requested name."""

@@ -37,6 +37,12 @@ class ExclusionReport:
     clamped: bool
     notes: tuple[str, ...]
 
+    @property
+    def sets(self) -> dict[str, frozenset[int]]:
+        """Method name to excluded set: chen-xie, singleton, griesmer."""
+        return {"chen-xie": self.chen_xie, "singleton": self.singleton,
+                "griesmer": self.griesmer}
+
 
 @dataclass(frozen=True)
 class AuditViolation:
@@ -61,25 +67,6 @@ def chen_xie_excluded(params: CodeParams, clamp: bool = True) -> set[int]:
     lo = params.n - params.k + 2
     hi = chen_xie_upper(params.d, params.q)
     return _clamped(set(range(lo, hi + 1)), params.n, clamp)
-
-
-def chen_xie_excluded_by_slack(params: CodeParams, clamp: bool = True) -> set[int]:
-    """Chen-Xie set built from the slack-parameter form (cross-check path).
-
-    Scans every slack v >= 0 with (n-k+2+v)*(q-1) < q*d and unions the
-    integer weights in [q*d/(q-1) - v - 1, q*d/(q-1) - 1].  Must agree
-    with the closed-form interval; kept to guard endpoint off-by-ones.
-    """
-    n, k, d, q = params.n, params.k, params.d, params.q
-    hi = chen_xie_upper(d, q)
-    out: set[int] = set()
-    v = 0
-    while (n - k + 2 + v) * (q - 1) < q * d:
-        # smallest integer >= q*d/(q-1) - v - 1
-        lo = -((-(q * d)) // (q - 1)) - v - 1
-        out.update(range(lo, hi + 1))
-        v += 1
-    return _clamped(out, n, clamp)
 
 
 def singleton_excluded(params: CodeParams, clamp: bool = True) -> set[int]:
@@ -167,20 +154,15 @@ def audit_against_spectrum(
     """Check every criterion against the code's true weight distribution.
 
     Computes (n, k, d) from the code itself, derives the clamped excluded
-    sets, and reports every weight that is both excluded and attained.
-    Sound criteria return an empty list.
+    sets from `compare_methods`, and reports every weight that is both
+    excluded and attained, in the order of `ExclusionReport.sets`.  Sound
+    criteria return an empty list.
     """
-    params = code_params(code, limit)
     counts = spectrum(code, limit).counts
-    sets = {"chen-xie": chen_xie_excluded(params)}
-    if params.k >= 2:
-        sets["singleton"] = singleton_excluded(params)
-        sets["griesmer"] = griesmer_excluded(params)
-    violations = []
-    for criterion in sorted(sets):
-        for w in sorted(sets[criterion]):
-            if counts[w]:
-                violations.append(
-                    AuditViolation(criterion=criterion, weight=w, count=counts[w])
-                )
-    return violations
+    sets = compare_methods(code_params(code, limit)).sets
+    return [
+        AuditViolation(criterion=name, weight=w, count=counts[w])
+        for name, excluded in sets.items()
+        for w in sorted(excluded)
+        if counts[w]
+    ]

@@ -23,15 +23,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .errors import (
-    EntryOutOfRangeError,
-    FieldMismatchError,
-    FieldTooLargeError,
-    LengthMismatchError,
-    NotAPrimePowerError,
-)
+from .errors import EntryOutOfRangeError, FieldTooLargeError, NotAPrimePowerError
 
 MAX_FIELD_ORDER = 1 << 16
 
@@ -212,9 +206,6 @@ class GF:
             out = out * self.p + c
         return out
 
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(self, self.check(value))
-
     # -- arithmetic on encoded integers ------------------------------
 
     def add(self, a: int, b: int) -> int:
@@ -303,57 +294,3 @@ def make_field(q: int) -> GF:
     p, m = _factor_prime_power(q)
     modulus = _smallest_irreducible(p, m) if m > 1 else ()
     return GF(q=q, p=p, m=m, modulus=modulus)
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """A single field element bound to its field; operators enforce the binding."""
-
-    gf: GF
-    value: int
-
-    def __post_init__(self) -> None:
-        self.gf.check(self.value)
-
-    def _peer(self, other: "FieldElement") -> int:
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"expected a FieldElement, got {type(other).__name__}")
-        if other.gf != self.gf:
-            raise FieldMismatchError(
-                f"elements of GF({self.gf.q}) and GF({other.gf.q}) do not mix"
-            )
-        return other.value
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        return FieldElement(self.gf, self.gf.add(self.value, self._peer(other)))
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        return FieldElement(self.gf, self.gf.sub(self.value, self._peer(other)))
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        return FieldElement(self.gf, self.gf.mul(self.value, self._peer(other)))
-
-    def __truediv__(self, other: "FieldElement") -> "FieldElement":
-        return FieldElement(self.gf, self.gf.div(self.value, self._peer(other)))
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(self.gf, self.gf.neg(self.value))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.gf, self.gf.inv(self.value))
-
-
-# --- vectors over one field, as integer tuples ----------------------
-
-
-def vec_add(gf: GF, u: Iterable[int], v: Iterable[int]) -> Vector:
-    """Componentwise sum of two equal-length vectors."""
-    u, v = tuple(u), tuple(v)
-    if len(u) != len(v):
-        raise LengthMismatchError(f"vector lengths differ: {len(u)} vs {len(v)}")
-    return tuple(gf.add(x, y) for x, y in zip(u, v))
-
-
-def vec_scale(gf: GF, c: int, u: Iterable[int]) -> Vector:
-    """Scalar multiple c*u."""
-    return tuple(gf.mul(c, x) for x in u)

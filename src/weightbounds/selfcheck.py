@@ -10,7 +10,7 @@ against true spectra.  Used both by the test suite and by the CLI
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .bounds import ceil_div
 from .codes import LinearCode, hamming_weight, iter_codewords, min_distance, residual, spectrum
@@ -134,8 +134,3 @@ def run_selftest(trials: int, seed: int) -> list[CheckResult]:
         check_distance_ratio(codes),
         check_exclusion_soundness(codes),
     ]
-
-
-def corpus_codes(trials: int, seed: int) -> Sequence[LinearCode]:
-    """Materialized seeded corpus (shared by tests)."""
-    return list(random_corpus(trials, seed))

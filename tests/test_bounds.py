@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from math import ceil
 
@@ -6,7 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from weightbounds.bounds import (
+    BoundVerdict,
     ceil_div,
+    ceil_div_sum,
     distance_ratio_holds,
     global_weight_max,
     griesmer_min_n,
@@ -28,6 +31,45 @@ ws = st.integers(min_value=1, max_value=600)
 @given(st.integers(min_value=1, max_value=10**9), st.integers(min_value=1, max_value=10**6))
 def test_ceil_div_matches_fraction_oracle(a, b):
     assert ceil_div(a, b) == ceil(Fraction(a, b))
+
+
+@given(
+    st.integers(min_value=1, max_value=10**12),
+    st.integers(min_value=2, max_value=70000),
+    st.integers(min_value=0, max_value=120),
+)
+def test_ceil_div_sum_matches_naive_sum(a, q, terms):
+    assert ceil_div_sum(a, q, terms) == sum(ceil_div(a, q**i) for i in range(terms))
+
+
+def test_griesmer_sums_are_linear_in_the_terms_they_divide():
+    start = time.perf_counter()
+    assert griesmer_min_n(80000, 1, 2) == 80000
+    verdicts = parameter_verdicts(80000, 80000, 1, 2, 1)
+    assert all(v.holds for v in verdicts[:2])
+    # d + ceil(w/q) + ceil(100/2^i) for 1 <= i <= 19998: six terms above 1.
+    assert residual_griesmer_min_n(20000, 200, 2, 200) == (
+        200 + 100 + (50 + 25 + 13 + 7 + 4 + 2) + (19998 - 6)
+    )
+    assert time.perf_counter() - start < 1.0
+
+
+def test_bound_verdict_derives_holds_and_tight():
+    assert BoundVerdict("b", 3, "<=", 3).holds and BoundVerdict("b", 3, "<=", 3).tight
+    assert BoundVerdict("b", 4, ">=", 3).holds and not BoundVerdict("b", 4, ">=", 3).tight
+    assert not BoundVerdict("b", 2, ">=", 3).holds
+    assert not BoundVerdict("b", 3, "<", 3).holds and BoundVerdict("b", 3, "<", 3).tight
+    assert BoundVerdict("b", 2, "<", 3).holds
+
+
+@given(qs, st.integers(min_value=2, max_value=8), ds, ws)
+def test_mds_weight_verdict_equals_mds_weight_ok(q, k, d, w):
+    n = d + k - 1  # MDS: d = n - k + 1
+    verdicts = {v.name: v for v in parameter_verdicts(n, k, d, q, w)}
+    applies = d <= w and weight_in_window(d, q, w)
+    assert ("mds-weight" in verdicts) == applies
+    if applies:
+        assert verdicts["mds-weight"].holds == mds_weight_ok(q, d, w)
 
 
 def test_singleton_max_d():

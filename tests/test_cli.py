@@ -104,6 +104,29 @@ def test_residual_missing_weight_is_a_mismatch_exit():
     assert "mismatch" in result.stderr
 
 
+@pytest.mark.parametrize("flag", ["--weight", "--index"])
+def test_residual_negative_weight_or_index_is_a_usage_error(flag):
+    args = {"--weight": "6", "--index": "0", flag: "-1"}
+    result = run_cli("residual", "fixtures/example_11_3_6.gen",
+                     *(part for item in args.items() for part in item))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: need w >= 0 and index >= 0")
+
+
+def test_residual_window_warning_is_one_stderr_line():
+    result = run_cli("residual", "fixtures/hamming_13_10_3_ternary.gen",
+                     "--weight", "5")
+    assert result.returncode == 0
+    assert result.stderr == (
+        "warning: weight 5 is outside the window (5*(q-1) >= q*3); "
+        "returned punctured code has rank 8\n"
+    )
+    assert result.stdout.startswith(
+        "# residual of [13,10,3]_3 at the codeword of weight 5 with class index 0\n"
+    )
+
+
 def test_audit_fixture_passes():
     result = run_cli("audit", "fixtures/rm_1_4.gen")
     assert result.returncode == 0

@@ -433,6 +433,18 @@ def test_find_codeword_of_weight():
         find_codeword_of_weight(code, 6, index=6)
 
 
+@pytest.mark.parametrize("w, index", [(-1, 0), (6, -1)])
+def test_find_codeword_rejects_negative_weight_or_index_before_enumerating(
+    w, index, monkeypatch
+):
+    def enumerate_nothing(code):
+        raise AssertionError("enumerated before checking the arguments")
+
+    monkeypatch.setattr(codes_module, "iter_codewords", enumerate_nothing)
+    with pytest.raises(ParamRangeError):
+        find_codeword_of_weight(LinearCode(GF2, G_11_3_6), w, index)
+
+
 def test_generator_file_round_trip():
     code = LinearCode(GF4, ((1, 2, 3, 0), (0, 1, 1, 2)))
     text = generator_text(code, comment="round trip\nsecond line")

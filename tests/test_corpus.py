@@ -1,4 +1,3 @@
-import json
 from pathlib import Path
 
 import pytest
@@ -9,19 +8,16 @@ from weightbounds.corpus import (
     EXTERNAL_SPECTRA,
     SplitMix64,
     example_11_3_6,
-    named_code,
     parse_weights,
     format_weights,
     random_code,
     random_corpus,
     ratio_code,
     reed_muller_1,
-    row_from_dict,
-    row_to_dict,
     table_rows,
     ternary_hamming_13_10,
 )
-from weightbounds.errors import ParamRangeError, UnknownNameError
+from weightbounds.errors import ParamRangeError
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -71,17 +67,6 @@ def test_ternary_hamming():
     assert spec.min_distance == 3
     assert spec.total() == 3**10
     assert spec.counts[4] > 0  # weight-4 codewords exist
-
-
-def test_named_code_dispatch():
-    assert named_code("example_11_3_6") == example_11_3_6()
-    assert named_code("hamming_13_10_3_ternary") == ternary_hamming_13_10()
-    assert named_code("ratio_3") == ratio_code(3)
-    assert named_code("rm_1_4") == reed_muller_1(4)
-    with pytest.raises(UnknownNameError):
-        named_code("golay_23_12_7")
-    with pytest.raises(UnknownNameError):
-        named_code("ratio_x")
 
 
 def test_random_code_is_deterministic_and_full_rank():
@@ -140,13 +125,6 @@ def test_table3_counts_as_printed():
     # Three published annotations disagree with their own printed sets.
     actual_sizes = [len(row.expected_griesmer) for row in rows]
     assert actual_sizes == [32, 33, 71, 34, 74, 75, 114]
-
-
-def test_table_rows_round_trip_through_serialization():
-    for which in (1, 2, 3):
-        for row in table_rows(which):
-            blob = json.dumps(row_to_dict(row), sort_keys=True)
-            assert row_from_dict(json.loads(blob)) == row
 
 
 def test_parse_and_format_weights():

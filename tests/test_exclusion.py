@@ -1,19 +1,42 @@
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from weightbounds.codes import CodeParams, LinearCode, spectrum
+from weightbounds import exclusion
+from weightbounds.codes import CodeParams, LinearCode, code_params, spectrum
 from weightbounds.corpus import example_11_3_6, parse_weights, reed_muller_1
 from weightbounds.errors import ParamRangeError
 from weightbounds.exclusion import (
+    ExclusionReport,
     audit_against_spectrum,
     chen_xie_excluded,
-    chen_xie_excluded_by_slack,
+    chen_xie_upper,
     compare_methods,
     griesmer_excluded,
     singleton_excluded,
 )
 from weightbounds.gf import make_field
+
+
+def chen_xie_excluded_by_slack(params: CodeParams, clamp: bool = True) -> set[int]:
+    """Chen-Xie set built from the slack-parameter form (cross-check path).
+
+    Scans every slack v >= 0 with (n-k+2+v)*(q-1) < q*d and unions the
+    integer weights in [q*d/(q-1) - v - 1, q*d/(q-1) - 1].  Must agree
+    with the closed-form interval; kept to guard endpoint off-by-ones.
+    """
+    n, k, d, q = params.n, params.k, params.d, params.q
+    hi = chen_xie_upper(d, q)
+    out: set[int] = set()
+    v = 0
+    while (n - k + 2 + v) * (q - 1) < q * d:
+        # smallest integer >= q*d/(q-1) - v - 1
+        lo = -((-(q * d)) // (q - 1)) - v - 1
+        out.update(range(lo, hi + 1))
+        v += 1
+    return {w for w in out if 1 <= w <= n} if clamp else out
 
 
 def params_strategy():
@@ -198,3 +221,31 @@ def test_audit_handles_k_equal_1():
 def test_audit_random_sample(corpus1000):
     for code in corpus1000[:200]:
         assert audit_against_spectrum(code) == []
+
+
+def test_compare_methods_on_a_long_griesmer_sum_is_fast():
+    # The Griesmer scan sums 19998 terms for each of 200 window weights.
+    start = time.perf_counter()
+    report = compare_methods(CodeParams(n=40000, k=20000, d=200, q=2))
+    assert time.perf_counter() - start < 1.0
+    assert report.sets == {"chen-xie": frozenset(), "singleton": frozenset(),
+                           "griesmer": frozenset()}
+
+
+def test_audit_lists_violations_in_the_order_of_the_sets(monkeypatch):
+    # An unsound stand-in for the criteria: every attained weight it names
+    # is reported, criterion by criterion, weights ascending.
+    code = example_11_3_6()  # A_6 = 6, A_8 = 1
+    fake = ExclusionReport(
+        params=code_params(code),
+        chen_xie=frozenset({8, 6}),
+        singleton=frozenset({8}),
+        griesmer=frozenset({7, 6}),
+        union=frozenset({6, 7, 8}),
+        clamped=True,
+        notes=(),
+    )
+    monkeypatch.setattr(exclusion, "compare_methods", lambda params: fake)
+    got = [(v.criterion, v.weight, v.count) for v in audit_against_spectrum(code)]
+    assert got == [("chen-xie", 6, 6), ("chen-xie", 8, 1), ("singleton", 8, 1),
+                   ("griesmer", 6, 6)]

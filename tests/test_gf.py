@@ -2,9 +2,7 @@ import pytest
 
 from weightbounds.errors import (
     EntryOutOfRangeError,
-    FieldMismatchError,
     FieldTooLargeError,
-    LengthMismatchError,
     NotAPrimePowerError,
 )
 from weightbounds.gf import (
@@ -12,8 +10,6 @@ from weightbounds.gf import (
     _is_irreducible,
     _smallest_irreducible,
     make_field,
-    vec_add,
-    vec_scale,
 )
 
 SMALL_FIELDS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
@@ -83,15 +79,6 @@ def test_arith_examples():
     assert gf4.mul(2, 3) == 1  # x * (x + 1) = x^2 + x = 1 mod x^2 + x + 1
 
 
-def test_vector_examples():
-    gf2, gf3, gf4 = make_field(2), make_field(3), make_field(4)
-    assert vec_add(gf2, (1, 0, 1), (1, 1, 0)) == (0, 1, 1)
-    assert vec_scale(gf3, 2, (1, 2, 0)) == (2, 1, 0)
-    assert vec_scale(gf4, 2, (2, 3)) == (3, 1)
-    with pytest.raises(LengthMismatchError):
-        vec_add(gf2, (1, 0), (1, 0, 1))
-
-
 @pytest.mark.parametrize("q", SMALL_FIELDS)
 def test_field_axioms_exhaustive(q):
     gf = make_field(q)
@@ -152,28 +139,6 @@ def test_element_range_check():
         gf.check(5)
     with pytest.raises(EntryOutOfRangeError):
         gf.check(-1)
-
-
-def test_field_elements_operators():
-    gf = make_field(9)
-    a, b = gf.element(5), gf.element(7)
-    assert (a + b).value == gf.add(5, 7)
-    assert (a - b).value == gf.sub(5, 7)
-    assert (a * b).value == gf.mul(5, 7)
-    assert (a / b).value == gf.div(5, 7)
-    assert (-a).value == gf.neg(5)
-    assert (a * a.inverse()).value == 1
-
-
-def test_field_elements_do_not_mix_across_fields():
-    a = make_field(2).element(1)
-    b = make_field(3).element(1)
-    with pytest.raises(FieldMismatchError):
-        a + b
-    # Same order, different modulus: still distinct fields.
-    alt = GF(q=8, p=2, m=3, modulus=(1, 1, 0, 1))
-    with pytest.raises(FieldMismatchError):
-        make_field(8).element(3) * alt.element(3)
 
 
 def test_larger_extension_field_sanity():
