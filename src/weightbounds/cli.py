@@ -24,8 +24,8 @@ import warnings
 from .bounds import BoundVerdict, parameter_verdicts
 from .codes import (
     CodeParams, DEFAULT_ENUMERATION_LIMIT, LinearCode, ResidualWindowWarning,
-    code_params, find_codeword_of_weight, generator_text, min_distance,
-    read_generator_file, residual, spectrum,
+    code_params, find_codeword_of_weight, generator_text, read_generator_file,
+    residual, spectrum,
 )
 from .corpus import DEFAULT_SELFTEST_SEED, DEFAULT_SELFTEST_TRIALS, format_weights
 from .errors import WeightBoundsError
@@ -40,10 +40,6 @@ FORMATS = ("text", "md", "csv", "json")
 
 
 # --- shared shapes ----------------------------------------------------
-
-
-def _params_label(p: CodeParams) -> str:
-    return f"[{p.n},{p.k},{p.d}]_{p.q}"
 
 
 def _lines(lines) -> str:
@@ -152,7 +148,7 @@ def render_exclusion_report(
               _csv_bool(report.clamped))],
         )
     raw = "" if report.clamped else " (raw intervals)"
-    title = f"excluded weights for {_params_label(p)}{raw}"
+    title = f"excluded weights for {p}{raw}"
     if fmt == "md":
         lines = [title, "", *_md_table(
             ("method", "weights", "count"),
@@ -212,14 +208,12 @@ def cmd_residual(args) -> int:
         res = residual(code, cw, limit)
     for warning in caught:
         print(f"warning: {warning.message}", file=sys.stderr)
-    d = min_distance(code, limit)
-    res_d = min_distance(res, limit)
     punctured = " ".join(str(j) for j, x in enumerate(cw) if x)
     comment = (
-        f"residual of [{code.n},{code.k},{d}]_{code.q} at the codeword of "
+        f"residual of {code_params(code, limit)} at the codeword of "
         f"weight {args.weight} with class index {args.index}\n"
         f"punctured columns: {punctured}\n"
-        f"residual parameters: [{res.n},{res.k},{res_d}]_{res.q}"
+        f"residual parameters: {code_params(res, limit)}"
     )
     sys.stdout.write(generator_text(res, comment=comment))
     return 0
@@ -275,7 +269,7 @@ def render_table_comparison(which: int, comps, fmt: str) -> str:
     if fmt == "md":
         lines = _md_table(
             ("parameters", *(c.method for c in comps[0].cells), "match"),
-            [(_params_label(comp.row.params),
+            [(str(comp.row.params),
               *(f"{shown(c)} ({len(c.printed)})" for c in comp.cells), comp.verdict)
              for comp in comps],
         )
@@ -286,7 +280,7 @@ def render_table_comparison(which: int, comps, fmt: str) -> str:
         return _lines(lines)
     lines = [f"table {which}: excluded-weight reproduction ({len(comps)} rows)", ""]
     for comp in comps:
-        label = _params_label(comp.row.params)
+        label = str(comp.row.params)
         for i, c in enumerate(comp.cells):
             prefix = f"{label:<16}" if i == 0 else " " * 16
             lines.append(f"{prefix}{c.method:<11}{c.verdict:<19}{shown(c)}")
@@ -323,7 +317,7 @@ def render_audit(
     if fmt == "csv":
         return _csv_text(("criterion", "weight", "count"),
                          [dataclasses.astuple(v) for v in violations])
-    lines = [f"audit of {_params_label(report.params)}",
+    lines = [f"audit of {report.params}",
              f"spectrum: {_spectrum_line(counts)}", *_set_lines(report.sets)]
     if violations:
         lines.append("violations:")

@@ -68,6 +68,9 @@ class CodeParams:
                 f"invalid parameters n={self.n} k={self.k} d={self.d} q={self.q}"
             )
 
+    def __str__(self) -> str:
+        return f"[{self.n},{self.k},{self.d}]_{self.q}"
+
 
 @dataclass(frozen=True)
 class WeightSpectrum:
@@ -304,19 +307,26 @@ def code_params(code: LinearCode, limit: int | None = None) -> CodeParams:
 def find_codeword_of_weight(
     code: LinearCode, w: int, index: int = 0, limit: int | None = None
 ) -> Vector:
-    """The index-th codeword of weight w in enumeration order (0-based)."""
+    """The index-th codeword of weight w in enumeration order (0-based).
+
+    The spectrum settles whether that codeword exists, so a missing one is
+    reported without walking the code.
+    """
     if w < 0 or index < 0:
         raise ParamRangeError(f"need w >= 0 and index >= 0, got w={w} index={index}")
-    _check_limit(code, limit)
+    counts = spectrum(code, limit).counts
+    present = counts[w] if w < len(counts) else 0
+    if present <= index:
+        raise ValueError(
+            f"code has {present} codeword(s) of weight {w}; index {index} not found"
+        )
     seen = 0
     for cw in iter_codewords(code):
         if len(cw) - cw.count(0) == w:
             if seen == index:
                 return cw
             seen += 1
-    raise ValueError(
-        f"code has {seen} codeword(s) of weight {w}; index {index} not found"
-    )
+    raise AssertionError(f"walk found {seen} codeword(s) of weight {w}, spectrum {present}")
 
 
 def residual(

@@ -180,16 +180,15 @@ EXTERNAL_SPECTRA: dict[str, dict[int, int]] = {
 class TableRow:
     """One comparison-table row: parameters plus the printed excluded sets.
 
-    `printed_counts` keeps the "(N weights)" annotations in cell order
-    (chen-xie, singleton[, griesmer]); a few of those annotations
-    disagree with their own printed sets and are preserved as printed so
-    the reproduction harness can flag them.
+    `printed` holds the printed cells and `printed_counts` their
+    "(N weights)" annotations, both in cell order (chen-xie, singleton[,
+    griesmer]).  A few annotations disagree with their own printed sets
+    and are preserved as printed so the reproduction harness can flag
+    them.
     """
 
     params: CodeParams
-    expected_chen_xie: frozenset[int]
-    expected_singleton: frozenset[int]
-    expected_griesmer: frozenset[int] | None
+    printed: tuple[frozenset[int], ...]
     printed_counts: tuple[int, ...]
     source: str
 
@@ -333,32 +332,15 @@ _TABLE3 = (
 
 def table_rows(which: int) -> list[TableRow]:
     """The embedded rows of comparison table 1, 2, or 3."""
-    if which == 1:
-        raw, q = _TABLE1, 2
-    elif which == 2:
-        raw, q = _TABLE2, 3
-    elif which == 3:
-        raw, q = _TABLE3, 2
-    else:
+    if which not in (1, 2, 3):
         raise ParamRangeError(f"table index must be 1, 2 or 3, got {which}")
-    rows = []
-    for i, entry in enumerate(raw):
-        if which == 3:
-            n, k, d, cx, ccx, si, csi, gr, cgr = entry
-            griesmer = parse_weights(gr)
-            counts = (ccx, csi, cgr)
-        else:
-            n, k, d, cx, ccx, si, csi = entry
-            griesmer = None
-            counts = (ccx, csi)
-        rows.append(
-            TableRow(
-                params=CodeParams(n=n, k=k, d=d, q=q),
-                expected_chen_xie=parse_weights(cx),
-                expected_singleton=parse_weights(si),
-                expected_griesmer=griesmer,
-                printed_counts=counts,
-                source=f"table{which}:{i:02d}",
-            )
+    raw, q = ((_TABLE1, 2), (_TABLE2, 3), (_TABLE3, 2))[which - 1]
+    return [
+        TableRow(
+            params=CodeParams(n=n, k=k, d=d, q=q),
+            printed=tuple(parse_weights(cell) for cell in cells[::2]),
+            printed_counts=tuple(cells[1::2]),
+            source=f"table{which}:{i:02d}",
         )
-    return rows
+        for i, (n, k, d, *cells) in enumerate(raw)
+    ]

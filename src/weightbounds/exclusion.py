@@ -12,8 +12,9 @@ Three methods are implemented:
 Endpoint logic is exact-integer throughout.  Both upper endpoints use
 the strict window w*(q-1) < q*d; the Chen-Xie endpoint additionally
 requires w <= q*d/(q-1) - 1, which is one lower when (q-1) does not
-divide q*d.  Clamped variants intersect with [1, n]; raw variants keep
-the formula intervals even past n (some published tables print those).
+divide q*d.  Clamped variants stop at n (every lower endpoint is >= 1);
+raw variants keep the formula intervals even past n (some published
+tables print those).
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ class ExclusionReport:
     chen_xie: frozenset[int]
     singleton: frozenset[int]
     griesmer: frozenset[int]
-    union: frozenset[int]
     clamped: bool
     notes: tuple[str, ...]
 
@@ -42,6 +42,10 @@ class ExclusionReport:
         """Method name to excluded set: chen-xie, singleton, griesmer."""
         return {"chen-xie": self.chen_xie, "singleton": self.singleton,
                 "griesmer": self.griesmer}
+
+    @property
+    def union(self) -> frozenset[int]:
+        return self.chen_xie | self.singleton | self.griesmer
 
 
 @dataclass(frozen=True)
@@ -53,10 +57,6 @@ class AuditViolation:
     count: int
 
 
-def _clamped(weights: set[int], n: int, clamp: bool) -> set[int]:
-    return {w for w in weights if 1 <= w <= n} if clamp else weights
-
-
 def chen_xie_upper(d: int, q: int) -> int:
     """Largest integer <= q*d/(q-1) - 1, i.e. floor(q*d/(q-1)) - 1."""
     return (q * d) // (q - 1) - 1
@@ -64,9 +64,8 @@ def chen_xie_upper(d: int, q: int) -> int:
 
 def chen_xie_excluded(params: CodeParams, clamp: bool = True) -> set[int]:
     """The Chen-Xie interval [n-k+2, floor(q*d/(q-1)) - 1] (may be empty)."""
-    lo = params.n - params.k + 2
-    hi = chen_xie_upper(params.d, params.q)
-    return _clamped(set(range(lo, hi + 1)), params.n, clamp)
+    lo, hi = params.n - params.k + 2, chen_xie_upper(params.d, params.q)
+    return set(range(lo, (min(hi, params.n) if clamp else hi) + 1))
 
 
 def singleton_excluded(params: CodeParams, clamp: bool = True) -> set[int]:
@@ -79,9 +78,8 @@ def singleton_excluded(params: CodeParams, clamp: bool = True) -> set[int]:
     n, k, d, q = params.n, params.k, params.d, params.q
     if k < 2:
         raise ParamRangeError("the Singleton criterion needs k >= 2")
-    lo = max(d, q * (n - k - d + 2) + 1)
-    hi = max_window_weight(d, q)
-    return _clamped(set(range(lo, hi + 1)), n, clamp)
+    lo, hi = max(d, q * (n - k - d + 2) + 1), max_window_weight(d, q)
+    return set(range(lo, (min(hi, n) if clamp else hi) + 1))
 
 
 def griesmer_excluded(params: CodeParams, clamp: bool = True) -> set[int]:
@@ -94,10 +92,9 @@ def griesmer_excluded(params: CodeParams, clamp: bool = True) -> set[int]:
     if k < 2:
         raise ParamRangeError("the Griesmer criterion needs k >= 2")
     hi = max_window_weight(d, q)
-    if clamp:
-        hi = min(hi, n)
     return {
-        w for w in range(d, hi + 1) if n < residual_griesmer_min_n(k, d, q, w)
+        w for w in range(d, (min(hi, n) if clamp else hi) + 1)
+        if n < residual_griesmer_min_n(k, d, q, w)
     }
 
 
@@ -142,7 +139,6 @@ def compare_methods(params: CodeParams, clamp: bool = True) -> ExclusionReport:
         chen_xie=cx,
         singleton=si,
         griesmer=gr,
-        union=cx | si | gr,
         clamped=clamp,
         notes=tuple(notes),
     )

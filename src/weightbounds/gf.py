@@ -32,17 +32,6 @@ MAX_FIELD_ORDER = 1 << 16
 Vector = tuple[int, ...]
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 1
-    return True
-
-
 def _prime_factors(n: int) -> list[int]:
     """Distinct prime factors of n >= 1, ascending."""
     out = []
@@ -59,22 +48,15 @@ def _prime_factors(n: int) -> list[int]:
 
 
 def _factor_prime_power(q: int) -> tuple[int, int]:
-    """Return (p, m) with q = p^m, or raise NotAPrimePowerError."""
-    for p in range(2, q + 1):
-        if p * p > q:
-            break
-        if q % p:
-            continue
-        m = 0
-        rest = q
-        while rest % p == 0:
-            rest //= p
-            m += 1
-        if rest != 1:
-            raise NotAPrimePowerError(f"{q} = {p}^{m} * {rest} is not a prime power")
-        return p, m
-    # No factor <= sqrt(q): q itself is prime.
-    return q, 1
+    """Return (p, m) with q = p^m for q >= 2, or raise NotAPrimePowerError."""
+    p = _prime_factors(q)[0]
+    m, rest = 0, q
+    while rest % p == 0:
+        rest //= p
+        m += 1
+    if rest != 1:
+        raise NotAPrimePowerError(f"{q} = {p}^{m} * {rest} is not a prime power")
+    return p, m
 
 
 # --- polynomials over GF(p) as coefficient tuples, low degree first ---
@@ -169,7 +151,7 @@ class GF:
     def __post_init__(self) -> None:
         if self.q > MAX_FIELD_ORDER:
             raise FieldTooLargeError(f"field order {self.q} exceeds {MAX_FIELD_ORDER}")
-        if not _is_prime(self.p) or self.m < 1 or self.p**self.m != self.q:
+        if _prime_factors(self.p) != [self.p] or self.m < 1 or self.p**self.m != self.q:
             raise NotAPrimePowerError(
                 f"inconsistent field description q={self.q}, p={self.p}, m={self.m}"
             )

@@ -13,7 +13,9 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .bounds import ceil_div
-from .codes import LinearCode, hamming_weight, iter_codewords, min_distance, residual, spectrum
+from .codes import (
+    LinearCode, code_params, hamming_weight, iter_codewords, min_distance, residual, spectrum,
+)
 from .corpus import random_corpus
 from .exclusion import audit_against_spectrum
 
@@ -31,10 +33,6 @@ class CheckResult:
         return not self.violations
 
 
-def _label(code: LinearCode, d: int) -> str:
-    return f"[{code.n},{code.k},{d}]_{code.q}"
-
-
 def check_residual_lemma(codes: Iterable[LinearCode]) -> CheckResult:
     """Residual codes of in-window codewords: length n-w, dimension k-1,
     and minimum distance at least d - w + ceil(w/q).
@@ -46,9 +44,8 @@ def check_residual_lemma(codes: Iterable[LinearCode]) -> CheckResult:
     checked = 0
     violations = []
     for code in codes:
-        q, n, k = code.q, code.n, code.k
-        d = min_distance(code)
-        label = _label(code, d)
+        params = code_params(code)
+        n, k, d, q = params.n, params.k, params.d, params.q
         supports: dict[int, tuple[int, ...]] = {}
         for cw in iter_codewords(code):
             w = hamming_weight(cw)
@@ -62,17 +59,17 @@ def check_residual_lemma(codes: Iterable[LinearCode]) -> CheckResult:
             try:
                 res = residual(code, cw)
             except AssertionError as exc:
-                violations.append(f"{label} w={w}: {exc}")
+                violations.append(f"{params} w={w}: {exc}")
                 continue
             if res.n != n - w:
-                violations.append(f"{label} w={w}: residual length {res.n} != {n - w}")
+                violations.append(f"{params} w={w}: residual length {res.n} != {n - w}")
             if res.k != k - 1:
-                violations.append(f"{label} w={w}: residual dimension {res.k} != {k - 1}")
+                violations.append(f"{params} w={w}: residual dimension {res.k} != {k - 1}")
             floor_d = d - w + ceil_div(w, q)
             res_d = min_distance(res)
             if res_d < floor_d:
                 violations.append(
-                    f"{label} w={w}: residual distance {res_d} < {floor_d}"
+                    f"{params} w={w}: residual distance {res_d} < {floor_d}"
                 )
     return CheckResult("residual-lemma", checked, tuple(violations))
 
@@ -91,7 +88,7 @@ def check_global_weight(codes: Iterable[LinearCode]) -> CheckResult:
         for w, count in spec.nonzero().items():
             if w and w > cap:
                 violations.append(
-                    f"{_label(code, d)}: {count} codeword(s) of weight {w} > {cap}"
+                    f"{code_params(code)}: {count} codeword(s) of weight {w} > {cap}"
                 )
     return CheckResult("global-weight", checked, tuple(violations))
 
@@ -106,7 +103,7 @@ def check_distance_ratio(codes: Iterable[LinearCode]) -> CheckResult:
         d = min_distance(code)
         checked += 1
         if (code.q + 1) * d > code.q * code.n:
-            violations.append(f"{_label(code, d)}: (q+1)*d exceeds q*n")
+            violations.append(f"{code_params(code)}: (q+1)*d exceeds q*n")
     return CheckResult("distance-ratio", checked, tuple(violations))
 
 
@@ -117,9 +114,8 @@ def check_exclusion_soundness(codes: Iterable[LinearCode]) -> CheckResult:
     for code in codes:
         checked += 1
         for v in audit_against_spectrum(code):
-            d = min_distance(code)
             violations.append(
-                f"{_label(code, d)}: {v.criterion} excludes attained weight "
+                f"{code_params(code)}: {v.criterion} excludes attained weight "
                 f"{v.weight} (A_w = {v.count})"
             )
     return CheckResult("exclusion-soundness", checked, tuple(violations))

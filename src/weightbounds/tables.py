@@ -1,12 +1,14 @@
 """Reproduction harness for the embedded comparison tables.
 
-Each printed cell is checked against the computed exclusion sets under a
-tri-state rule: `exact` (equals the raw formula set), `exact-after-clamp`
-(equals the set intersected with [1, n], and clamping mattered), or
-`mismatch`.  The printed "(N weights)" annotations are also checked
-against the printed sets themselves; a handful of published annotations
-are internally inconsistent, and those are flagged rather than silently
-reconciled.
+A row's printed cells are zipped, in order, with the criteria chen-xie,
+singleton and griesmer; each cell keeps only what was printed and what
+was computed, raw and clamped to n.  Verdicts and flags are derived from
+those on access, under a tri-state rule: `exact` (equals the raw formula
+set), `exact-after-clamp` (equals the set cut at n, and clamping
+mattered), or `mismatch`.  The printed "(N weights)" annotations are also
+checked against the printed sets themselves; a handful of published
+annotations are internally inconsistent, and those are flagged rather
+than silently reconciled.
 """
 
 from __future__ import annotations
@@ -29,101 +31,73 @@ class CellComparison:
     printed: frozenset[int]
     computed_raw: frozenset[int]
     computed_clamped: frozenset[int]
-    verdict: str
     printed_count: int
-    count_consistent: bool  # printed annotation equals |printed set|
+
+    @property
+    def verdict(self) -> str:
+        if self.printed == self.computed_raw:
+            return EXACT
+        if self.printed == self.computed_clamped:
+            return CLAMPED
+        return MISMATCH
+
+    @property
+    def count_consistent(self) -> bool:
+        """The printed annotation equals the size of the printed set."""
+        return self.printed_count == len(self.printed)
 
 
 @dataclass(frozen=True)
 class RowComparison:
     row: TableRow
     cells: tuple[CellComparison, ...]
-    verdict: str
-    flags: tuple[str, ...]
 
+    @property
+    def verdict(self) -> str:
+        """The worst cell verdict: mismatch, then exact-after-clamp, then exact."""
+        verdicts = {c.verdict for c in self.cells}
+        return next((v for v in (MISMATCH, CLAMPED) if v in verdicts), EXACT)
 
-def _cell(
-    method: str,
-    printed: frozenset[int],
-    raw: frozenset[int],
-    clamped: frozenset[int],
-    printed_count: int,
-) -> CellComparison:
-    if printed == raw:
-        verdict = EXACT
-    elif printed == clamped:
-        verdict = CLAMPED
-    else:
-        verdict = MISMATCH
-    return CellComparison(
-        method=method,
-        printed=printed,
-        computed_raw=raw,
-        computed_clamped=clamped,
-        verdict=verdict,
-        printed_count=printed_count,
-        count_consistent=printed_count == len(printed),
-    )
+    @property
+    def flags(self) -> tuple[str, ...]:
+        """One line per clamped or mismatched cell and per wrong annotation."""
+        p = self.row.params
+        flags = []
+        for c in self.cells:
+            if c.verdict == CLAMPED:
+                flags.append(
+                    f"{p} {c.method}: printed cell matches only after clamping "
+                    f"to n={p.n} (raw: {format_weights(c.computed_raw)})"
+                )
+            elif c.verdict == MISMATCH:
+                flags.append(
+                    f"{p} {c.method}: printed {format_weights(c.printed)} "
+                    f"matches neither raw {format_weights(c.computed_raw)} nor "
+                    f"clamped {format_weights(c.computed_clamped)}"
+                )
+            if not c.count_consistent:
+                flags.append(
+                    f"{p} {c.method}: printed count annotation "
+                    f"({c.printed_count} weights) disagrees with the printed set "
+                    f"itself ({len(c.printed)} weights)"
+                )
+        return tuple(flags)
 
 
 def compare_row(row: TableRow) -> RowComparison:
-    """Tri-state comparison of one table row."""
-    params = row.params
-    cells = [
-        _cell(
-            "chen-xie",
-            row.expected_chen_xie,
-            frozenset(chen_xie_excluded(params, clamp=False)),
-            frozenset(chen_xie_excluded(params, clamp=True)),
-            row.printed_counts[0],
-        ),
-        _cell(
-            "singleton",
-            row.expected_singleton,
-            frozenset(singleton_excluded(params, clamp=False)),
-            frozenset(singleton_excluded(params, clamp=True)),
-            row.printed_counts[1],
-        ),
-    ]
-    if row.expected_griesmer is not None:
-        cells.append(
-            _cell(
-                "griesmer",
-                row.expected_griesmer,
-                frozenset(griesmer_excluded(params, clamp=False)),
-                frozenset(griesmer_excluded(params, clamp=True)),
-                row.printed_counts[2],
-            )
-        )
-    verdicts = [c.verdict for c in cells]
-    if MISMATCH in verdicts:
-        verdict = MISMATCH
-    elif CLAMPED in verdicts:
-        verdict = CLAMPED
-    else:
-        verdict = EXACT
-
-    label = f"[{params.n},{params.k},{params.d}]_{params.q}"
-    flags = []
-    for c in cells:
-        if c.verdict == CLAMPED:
-            flags.append(
-                f"{label} {c.method}: printed cell matches only after clamping "
-                f"to n={params.n} (raw: {format_weights(c.computed_raw)})"
-            )
-        elif c.verdict == MISMATCH:
-            flags.append(
-                f"{label} {c.method}: printed {format_weights(c.printed)} "
-                f"matches neither raw {format_weights(c.computed_raw)} nor "
-                f"clamped {format_weights(c.computed_clamped)}"
-            )
-        if not c.count_consistent:
-            flags.append(
-                f"{label} {c.method}: printed count annotation "
-                f"({c.printed_count} weights) disagrees with the printed set "
-                f"itself ({len(c.printed)} weights)"
-            )
-    return RowComparison(row=row, cells=tuple(cells), verdict=verdict, flags=tuple(flags))
+    """Tri-state comparison of one table row, cell by cell in criterion order."""
+    # Read from the module globals on each call, so wrappers put on them are seen.
+    criteria = (
+        ("chen-xie", chen_xie_excluded),
+        ("singleton", singleton_excluded),
+        ("griesmer", griesmer_excluded),
+    )
+    cells = tuple(
+        CellComparison(method, printed, frozenset(excluded(row.params, clamp=False)),
+                       frozenset(excluded(row.params, clamp=True)), count)
+        for (method, excluded), printed, count in zip(criteria, row.printed, row.printed_counts)
+    )
+    return RowComparison(row, cells)
 
 
 def compare_table(which: int) -> list[RowComparison]:

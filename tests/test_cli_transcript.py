@@ -46,8 +46,9 @@ TUPLES = (
     (4, 2, 3, 3),
 )
 # Residual weights per fixture; the 59049-codeword ternary Hamming code
-# takes only in-window and full-support weights, since every absent
-# weight costs a full enumeration.
+# takes only the in-window and full-support weights that the recorded
+# transcript holds.  Every weight is cheap: an absent one is settled from
+# the spectrum, and an attained one walks only to the codeword it returns.
 RESIDUAL_WEIGHTS = dict.fromkeys(FIXTURES, range(17))
 RESIDUAL_WEIGHTS["fixtures/hamming_13_10_3_ternary.gen"] = (3, 4, 13)
 ERRORS = (

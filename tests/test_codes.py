@@ -7,6 +7,7 @@ import pytest
 
 from weightbounds import codes as codes_module
 from weightbounds.codes import (
+    CodeParams,
     LinearCode,
     ResidualWindowWarning,
     WeightSpectrum,
@@ -327,8 +328,6 @@ def test_min_distance_examples():
 
 
 def test_code_params():
-    from weightbounds.codes import CodeParams
-
     params = code_params(LinearCode(GF2, G_11_3_6))
     assert (params.n, params.k, params.d, params.q) == (11, 3, 6, 2)
     with pytest.raises(ParamRangeError):
@@ -337,6 +336,10 @@ def test_code_params():
         CodeParams(n=3, k=1, d=0, q=2)
     with pytest.raises(ParamRangeError):
         CodeParams(n=3, k=1, d=1, q=1)
+
+
+def test_code_params_str_is_the_bracket_label():
+    assert str(CodeParams(15, 5, 7, 2)) == "[15,5,7]_2"
 
 
 def test_membership():
@@ -431,6 +434,30 @@ def test_find_codeword_of_weight():
         find_codeword_of_weight(code, 7)
     with pytest.raises(ValueError):
         find_codeword_of_weight(code, 6, index=6)
+
+
+@pytest.mark.parametrize("w, index, present", [(14, 0, 0), (7, 0, 0), (6, 6, 6)])
+def test_find_codeword_reports_a_missing_codeword_from_the_spectrum(
+    w, index, present, monkeypatch
+):
+    code = LinearCode(GF2, G_11_3_6)
+    spectrum(code)
+
+    def enumerate_nothing(code):
+        raise AssertionError("walked the code although the spectrum settles it")
+
+    monkeypatch.setattr(codes_module, "iter_codewords", enumerate_nothing)
+    message = f"code has {present} codeword(s) of weight {w}; index {index} not found"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        find_codeword_of_weight(code, w, index)
+
+
+def test_find_codeword_walk_disagreeing_with_the_spectrum_is_an_internal_error(
+    monkeypatch
+):
+    monkeypatch.setattr(codes_module, "iter_codewords", lambda code: iter(()))
+    with pytest.raises(AssertionError, match="spectrum 1"):
+        find_codeword_of_weight(LinearCode(GF2, G_11_3_6), 8)
 
 
 @pytest.mark.parametrize("w, index", [(-1, 0), (6, -1)])

@@ -106,24 +106,24 @@ def test_table_row_counts():
 def test_table1_first_row():
     row = table_rows(1)[0]
     assert (row.params.n, row.params.k, row.params.d, row.params.q) == (15, 5, 7, 2)
-    assert row.expected_chen_xie == {12, 13}
-    assert row.expected_singleton == {11, 12, 13}
-    assert row.expected_griesmer is None
+    assert row.printed[0] == {12, 13}
+    assert row.printed[1] == {11, 12, 13}
+    assert len(row.printed) == 2
     assert row.printed_counts == (2, 3)
 
 
 def test_table2_first_row():
     row = table_rows(2)[0]
     assert (row.params.n, row.params.k, row.params.d, row.params.q) == (27, 4, 18, 3)
-    assert row.expected_singleton == set(range(22, 27))
+    assert row.printed[1] == set(range(22, 27))
 
 
 def test_table3_counts_as_printed():
     rows = table_rows(3)
     assert [row.printed_counts[2] for row in rows] == [32, 33, 71, 34, 79, 83, 143]
-    assert len(rows[0].expected_griesmer) == 32
+    assert len(rows[0].printed[2]) == 32
     # Three published annotations disagree with their own printed sets.
-    actual_sizes = [len(row.expected_griesmer) for row in rows]
+    actual_sizes = [len(row.printed[2]) for row in rows]
     assert actual_sizes == [32, 33, 71, 34, 74, 75, 114]
 
 

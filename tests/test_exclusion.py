@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -232,6 +233,19 @@ def test_compare_methods_on_a_long_griesmer_sum_is_fast():
                            "griesmer": frozenset()}
 
 
+def test_compare_methods_clamps_before_building_the_sets():
+    # The raw intervals run to about 2*d = 4 million weights; cut at n, two remain.
+    tracemalloc.start()
+    try:
+        report = compare_methods(CodeParams(2000000, 2, 1999999, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert report.chen_xie == {2000000}
+    assert report.singleton == report.griesmer == {1999999, 2000000}
+
+
 def test_audit_lists_violations_in_the_order_of_the_sets(monkeypatch):
     # An unsound stand-in for the criteria: every attained weight it names
     # is reported, criterion by criterion, weights ascending.
@@ -241,7 +255,6 @@ def test_audit_lists_violations_in_the_order_of_the_sets(monkeypatch):
         chen_xie=frozenset({8, 6}),
         singleton=frozenset({8}),
         griesmer=frozenset({7, 6}),
-        union=frozenset({6, 7, 8}),
         clamped=True,
         notes=(),
     )

@@ -40,6 +40,17 @@ def test_make_field_rejects_non_prime_powers():
         make_field(1)
 
 
+@pytest.mark.parametrize("q, message", [
+    (6, "6 = 2^1 * 3 is not a prime power"),
+    (12, "12 = 2^2 * 3 is not a prime power"),
+    (1, "field order must be >= 2, got 1"),
+])
+def test_make_field_non_prime_power_messages(q, message):
+    with pytest.raises(NotAPrimePowerError) as excinfo:
+        make_field(q)
+    assert str(excinfo.value) == message
+
+
 def test_make_field_order_cap():
     with pytest.raises(FieldTooLargeError):
         make_field((1 << 16) + 1)

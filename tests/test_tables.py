@@ -1,4 +1,36 @@
-from weightbounds.tables import CLAMPED, EXACT, MISMATCH, compare_table
+from weightbounds.codes import CodeParams
+from weightbounds.corpus import TableRow
+from weightbounds.tables import (
+    CLAMPED, EXACT, MISMATCH, CellComparison, RowComparison, compare_table,
+)
+
+
+def test_verdicts_and_flags_are_derived_from_the_cells():
+    def cell(method, printed, raw, clamped, count):
+        return CellComparison(method, frozenset(printed), frozenset(raw),
+                              frozenset(clamped), count)
+
+    row = TableRow(CodeParams(10, 3, 6, 2), printed=(), printed_counts=(), source="t")
+    exact = cell("chen-xie", {9, 10}, {9, 10}, {9, 10}, 2)
+    clamped = cell("singleton", {9, 10}, {9, 10, 11}, {9, 10}, 2)
+    mismatch = cell("griesmer", {7}, {8}, {8}, 1)
+    miscounted = cell("griesmer", {7, 8}, {7, 8}, {7, 8}, 3)
+    assert [c.verdict for c in (exact, clamped, mismatch, miscounted)] == [
+        EXACT, CLAMPED, MISMATCH, EXACT]
+    assert [c.count_consistent for c in (exact, clamped, mismatch, miscounted)] == [
+        True, True, True, False]
+
+    assert RowComparison(row, (exact,)).verdict == EXACT
+    assert RowComparison(row, (exact,)).flags == ()
+    assert RowComparison(row, (exact, clamped)).verdict == CLAMPED
+    assert RowComparison(row, (clamped, mismatch)).verdict == MISMATCH
+    assert RowComparison(row, (clamped, mismatch, miscounted)).flags == (
+        "[10,3,6]_2 singleton: printed cell matches only after clamping to n=10 "
+        "(raw: 11, 10, 9)",
+        "[10,3,6]_2 griesmer: printed 7 matches neither raw 8 nor clamped 8",
+        "[10,3,6]_2 griesmer: printed count annotation (3 weights) disagrees "
+        "with the printed set itself (2 weights)",
+    )
 
 
 def test_table1_all_rows_match_under_tri_state():
@@ -47,7 +79,7 @@ def test_table2_all_exact():
     over_n = [
         comp.row.source
         for comp in comps
-        if max(comp.row.expected_singleton) > comp.row.params.n
+        if max(comp.row.printed[1]) > comp.row.params.n
     ]
     assert over_n == ["table2:09", "table2:15", "table2:21"]
 
