@@ -3,8 +3,9 @@
 Subcommands: bounds, exclude, spectrum, residual, tables, audit,
 selftest.  Generator matrices are exchanged in the text format of
 `codes.parse_generator_text`.  Exit status: 0 on success, 1 on a
-violated check or mismatch, 2 on usage errors.  All output is
-deterministic for fixed inputs and seed.
+violated check or mismatch, 2 on usage errors, 3 on a broken internal
+invariant (an AssertionError, reported as one `internal error:` line).
+All output is deterministic for fixed inputs and seed.
 
 The enumeration limit is resolved as: --limit flag, else the
 WEIGHTBOUNDS_ENUM_LIMIT environment variable, else 2^26 codewords.
@@ -32,6 +33,7 @@ from .errors import WeightBoundsError
 from .exclusion import (
     AuditViolation, ExclusionReport, audit_against_spectrum, compare_methods,
 )
+from .gf import check_field_order
 from .selfcheck import run_selftest
 from .tables import CLAMPED, EXACT, MISMATCH, compare_table
 
@@ -117,6 +119,7 @@ def render_verdicts(verdicts: list[BoundVerdict], fmt: str) -> str:
 
 def cmd_bounds(args) -> int:
     verdicts = parameter_verdicts(args.n, args.k, args.d, args.q, args.w)
+    check_field_order(args.q)
     sys.stdout.write(render_verdicts(verdicts, args.format))
     return 0 if all(v.holds for v in verdicts) else 1
 
@@ -165,6 +168,7 @@ def render_exclusion_report(
 
 def cmd_exclude(args) -> int:
     params = CodeParams(n=args.n, k=args.k, d=args.d, q=args.q)
+    check_field_order(args.q)
     report = compare_methods(params, clamp=not args.raw)
     sys.stdout.write(render_exclusion_report(report, args.format, args.method))
     return 0
@@ -450,6 +454,9 @@ def main(argv=None) -> int:
     except (WeightBoundsError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -16,7 +16,9 @@ for large q.  The enumeration limit still counts all q^k codewords.
 Codeword enumeration order is fixed: message integer m in [0, q^k)
 has base-q digits d_0 ... d_{k-1} (d_0 least significant), and the
 m-th codeword is sum_i element(d_i) * rows[i].  All "first codeword
-of weight w" semantics refer to this order.
+of weight w" semantics refer to this order.  The walk adds whole vectors
+(`GF.add_vec`); `projective_codewords`, one codeword per scalar class in
+this order, feeds the spectrum's high parts and the residual-lemma suite.
 """
 
 from __future__ import annotations
@@ -162,11 +164,11 @@ def row_reduce(gf: GF, rows: Iterable[Sequence[int]]) -> tuple[tuple[Vector, ...
         mat[r], mat[pivot] = mat[pivot], mat[r]
         inv = gf.inv(mat[r][c])
         if inv != 1:
-            mat[r] = [gf.mul(inv, x) for x in mat[r]]
+            mat[r] = list(gf.scale_vec(inv, mat[r]))
         for i in range(len(mat)):
             if i != r and mat[i][c]:
                 f = mat[i][c]
-                mat[i] = [gf.sub(x, gf.mul(f, y)) for x, y in zip(mat[i], mat[r])]
+                mat[i] = list(gf.sub_vec(mat[i], gf.scale_vec(f, mat[r])))
         r += 1
         if r == len(mat):
             break
@@ -210,30 +212,31 @@ def iter_codewords(code: LinearCode) -> Iterator[Vector]:
 def _walk(gf: GF, rows: Sequence[Vector], start: Vector) -> Iterator[Vector]:
     """Yield start + every combination of rows, in message order."""
     q, k = gf.q, len(rows)
-    add = gf.add
-    scaled = [[[gf.mul(c, x) for x in row] for c in range(q)] for row in rows]
-    # diff[i][a][j]: change of coordinate j when digit i steps a -> (a+1) mod q.
-    diff = [
-        [[gf.sub(y, x) for x, y in zip(s[a], s[(a + 1) % q])] for a in range(q)]
-        for s in scaled
-    ]
+    add_vec = gf.add_vec
+    # Lists, not tuples: short tuples freed in bulk stay on CPython's per-size
+    # free lists until a full gc, which raised the suite's peak memory by 8%.
+    scaled = [[list(gf.scale_vec(c, row)) for c in range(q)] for row in rows]
+    # diff[i][a]: change of the codeword when digit i steps a -> (a+1) mod q.
+    diff = [[list(gf.sub_vec(s[(a + 1) % q], s[a])) for a in range(q)] for s in scaled]
     digits = [0] * k
     cw = list(start)
-    n = len(cw)
     yield tuple(cw)
     for _ in range(q**k - 1):
         i = 0
         while digits[i] == q - 1:
-            step = diff[i][q - 1]
-            for j in range(n):
-                cw[j] = add(cw[j], step[j])
+            cw[:] = add_vec(cw, diff[i][q - 1])
             digits[i] = 0
             i += 1
-        step = diff[i][digits[i]]
-        for j in range(n):
-            cw[j] = add(cw[j], step[j])
+        cw[:] = add_vec(cw, diff[i][digits[i]])
         digits[i] += 1
         yield tuple(cw)
+
+
+def projective_codewords(gf: GF, rows: Sequence[Vector]) -> Iterator[Vector]:
+    """One codeword per nonzero scalar class: the combinations of rows whose
+    last nonzero coefficient is 1, ordered as in the message order."""
+    for t, row in enumerate(rows):
+        yield from _walk(gf, rows[:t], row)
 
 
 def _check_limit(code: LinearCode, limit: int | None) -> None:
@@ -277,9 +280,8 @@ def _spectrum_counts(code: LinearCode) -> tuple[int, ...]:
         return map(int.bit_count, map(operator.xor, repeat(onehot(h)), lows))
 
     tally: Counter[int] = Counter()
-    for t, row in enumerate(high):
-        for h in _walk(gf, high[:t], row):
-            tally.update(weights(h))
+    for h in projective_codewords(gf, high):
+        tally.update(weights(h))
     counts = [0] * (n + 1)
     for bits, c in tally.items():
         counts[bits // 2] = c * (q - 1)

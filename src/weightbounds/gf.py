@@ -16,14 +16,20 @@ Extension-field multiplication is served from exp/log tables, built in
 one walk over the powers of the smallest primitive element; the
 polynomial-definition path is kept alongside (`GF.mul_definition`) as an
 independent cross-check.
+
+Vectors are added, subtracted and scaled by `add_vec`, `sub_vec` and
+`scale_vec`, which return lazy `map`s mirroring `add`/`sub`/`mul`: XOR
+for p = 2 and `operator.mod` over the integer operation for prime p, so
+both run in C; other fields map the scalar method.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field
-from itertools import product
-from typing import Sequence
+from itertools import product, repeat
+from typing import Iterable, Iterator, Sequence
 
 from .errors import EntryOutOfRangeError, FieldTooLargeError, NotAPrimePowerError
 
@@ -47,8 +53,13 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-def _factor_prime_power(q: int) -> tuple[int, int]:
-    """Return (p, m) with q = p^m for q >= 2, or raise NotAPrimePowerError."""
+def check_field_order(q: int) -> tuple[int, int]:
+    """(p, m) with q = p^m, or the error `make_field(q)` raises; the cap
+    comes before factoring, so a huge q never reaches trial division."""
+    if q < 2:
+        raise NotAPrimePowerError(f"field order must be >= 2, got {q}")
+    if q > MAX_FIELD_ORDER:
+        raise FieldTooLargeError(f"field order {q} exceeds {MAX_FIELD_ORDER}")
     p = _prime_factors(q)[0]
     m, rest = 0, q
     while rest % p == 0:
@@ -218,6 +229,26 @@ class GF:
             return 0
         return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
 
+    def add_vec(self, x: Iterable[int], y: Iterable[int]) -> Iterator[int]:
+        if self.p == 2:
+            return map(operator.xor, x, y)
+        if self.m == 1:
+            return map(operator.mod, map(operator.add, x, y), repeat(self.p))
+        return map(self.add, x, y)
+
+    def sub_vec(self, x: Iterable[int], y: Iterable[int]) -> Iterator[int]:
+        if self.p == 2:
+            return map(operator.xor, x, y)
+        if self.m == 1:
+            return map(operator.mod, map(operator.sub, x, y), repeat(self.p))
+        return map(self.sub, x, y)
+
+    def scale_vec(self, c: int, y: Iterable[int]) -> Iterator[int]:
+        """c * y coordinate-wise."""
+        if self.m == 1:
+            return map(operator.mod, map(operator.mul, repeat(c), y), repeat(self.p))
+        return map(self.mul, repeat(c), y)
+
     def mul_definition(self, a: int, b: int) -> int:
         """Multiplication by the polynomial definition (no tables)."""
         if self.m == 1:
@@ -269,10 +300,6 @@ class GF:
 @functools.lru_cache(maxsize=None)
 def make_field(q: int) -> GF:
     """Build GF(q), factoring q = p^m and choosing the modulus deterministically."""
-    if q < 2:
-        raise NotAPrimePowerError(f"field order must be >= 2, got {q}")
-    if q > MAX_FIELD_ORDER:
-        raise FieldTooLargeError(f"field order {q} exceeds {MAX_FIELD_ORDER}")
-    p, m = _factor_prime_power(q)
+    p, m = check_field_order(q)
     modulus = _smallest_irreducible(p, m) if m > 1 else ()
     return GF(q=q, p=p, m=m, modulus=modulus)

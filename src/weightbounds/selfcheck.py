@@ -14,7 +14,8 @@ from typing import Iterable
 
 from .bounds import ceil_div
 from .codes import (
-    LinearCode, code_params, hamming_weight, iter_codewords, min_distance, residual, spectrum,
+    LinearCode, code_params, hamming_weight, min_distance, projective_codewords, residual,
+    spectrum,
 )
 from .corpus import random_corpus
 from .exclusion import audit_against_spectrum
@@ -37,23 +38,22 @@ def check_residual_lemma(codes: Iterable[LinearCode]) -> CheckResult:
     """Residual codes of in-window codewords: length n-w, dimension k-1,
     and minimum distance at least d - w + ceil(w/q).
 
-    Codewords sharing a support are punctured identically and have equal
-    weight, so each distinct support is verified once while every window
-    codeword is counted as checked.
+    The residual depends only on the support, which scalar multiples
+    share, so one codeword per scalar class is walked and each distinct
+    support is verified once.  Every window codeword still counts as
+    checked, read from the spectrum.
     """
     checked = 0
     violations = []
     for code in codes:
         params = code_params(code)
         n, k, d, q = params.n, params.k, params.d, params.q
-        supports: dict[int, tuple[int, ...]] = {}
-        for cw in iter_codewords(code):
-            w = hamming_weight(cw)
-            if w == 0 or w * (q - 1) >= q * d:
-                continue
-            checked += 1
-            mask = sum(1 << j for j, x in enumerate(cw) if x)
-            supports.setdefault(mask, cw)
+        counts = spectrum(code).counts
+        checked += sum(counts[w] for w in range(1, n + 1) if w * (q - 1) < q * d)
+        supports: dict[bytes, tuple[int, ...]] = {}  # bytes, not tuples: see codes._walk
+        for cw in projective_codewords(code.gf, code.rows):
+            if hamming_weight(cw) * (q - 1) < q * d:
+                supports.setdefault(bytes(map(bool, cw)), cw)
         for cw in supports.values():
             w = hamming_weight(cw)
             try:

@@ -92,12 +92,13 @@ def compare_row(row: TableRow) -> RowComparison:
         ("singleton", singleton_excluded),
         ("griesmer", griesmer_excluded),
     )
-    cells = tuple(
-        CellComparison(method, printed, frozenset(excluded(row.params, clamp=False)),
-                       frozenset(excluded(row.params, clamp=True)), count)
-        for (method, excluded), printed, count in zip(criteria, row.printed, row.printed_counts)
-    )
-    return RowComparison(row, cells)
+    cells = []
+    for (method, excluded), printed, count in zip(criteria, row.printed, row.printed_counts):
+        # Each criterion is evaluated once; its clamped set is the raw set cut at n.
+        raw = frozenset(excluded(row.params, clamp=False))
+        clamped = frozenset(w for w in raw if w <= row.params.n)
+        cells.append(CellComparison(method, printed, raw, clamped, count))
+    return RowComparison(row, tuple(cells))
 
 
 def compare_table(which: int) -> list[RowComparison]:

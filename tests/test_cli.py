@@ -193,3 +193,29 @@ def test_tables_json_is_sorted_and_loadable():
     assert cell["printed_count"] == 143
     assert len(cell["printed"]) == 114
     assert cell["count_consistent"] is False
+
+
+@pytest.mark.parametrize("command", ["bounds", "exclude"])
+@pytest.mark.parametrize("q, message", [
+    (6, "6 = 2^1 * 3 is not a prime power"),
+    (12, "12 = 2^2 * 3 is not a prime power"),
+    (65537, "field order 65537 exceeds 65536"),
+])
+def test_parameters_over_a_field_that_does_not_exist_exit_2(command, q, message):
+    result = run_cli(command, "--n", "5", "--k", "2", "--d", "4", "--q", str(q))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == f"error: {message}\n"
+
+
+def test_a_failed_internal_invariant_exits_3_with_one_line(monkeypatch, capsys):
+    from weightbounds import cli
+
+    def broken(trials, seed):
+        raise AssertionError("residual rank 1 != k-1 = 2 inside the window")
+
+    monkeypatch.setattr(cli, "run_selftest", broken)
+    assert cli.main(["selftest", "--trials", "1"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "internal error: residual rank 1 != k-1 = 2 inside the window\n"

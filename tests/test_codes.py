@@ -20,6 +20,7 @@ from weightbounds.codes import (
     iter_codewords,
     min_distance,
     parse_generator_text,
+    projective_codewords,
     residual,
     row_reduce,
     spectrum,
@@ -92,6 +93,38 @@ def test_row_reduce_is_idempotent_and_normalized():
         assert lead == 1
 
 
+def reference_rref(gf, rows):
+    """Row reduction one scalar at a time, with the documented pivot rule."""
+    mat = [list(r) for r in rows]
+    r = 0
+    for c in range(len(mat[0]) if mat else 0):
+        pivot = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv = gf.inv(mat[r][c])
+        mat[r] = [gf.mul(inv, x) for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r:
+                f = mat[i][c]
+                mat[i] = [gf.sub(x, gf.mul(f, y)) for x, y in zip(mat[i], mat[r])]
+        r += 1
+    basis = tuple(tuple(row) for row in mat[:r])
+    return basis, len(basis)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
+def test_row_reduce_matches_scalar_reference(q):
+    gf = make_field(q)
+    rng = SplitMix64(300 + q)
+    for _ in range(30):
+        k, n = 1 + rng.below(4), 1 + rng.below(7)
+        # Sparse entries make dependent rows and zero columns common.
+        rows = [tuple(rng.below(q) if rng.below(3) else 0 for _ in range(n))
+                for _ in range(k)]
+        assert row_reduce(gf, rows) == reference_rref(gf, rows)
+
+
 def test_code_from_matrix_accepts_full_rank():
     code = code_from_matrix(GF2, G_11_3_6)
     assert (code.n, code.k, code.q) == (11, 3, 2)
@@ -126,6 +159,31 @@ def test_iter_codewords_matches_naive_oracle():
     ]:
         code = LinearCode(gf, rows)
         assert list(iter_codewords(code)) == brute_codewords(gf, rows)
+
+
+def brute_projective_codewords(gf, rows):
+    """The nonzero combinations whose last nonzero coefficient is 1, by filter.
+
+    product() tuples pair with reversed rows (see brute_codewords), so the
+    coefficient of the last row comes first.
+    """
+    coeffs = itertools.product(range(gf.q), repeat=len(rows))
+    keep = [next((c for c in cs if c), 0) == 1 for cs in coeffs]
+    return [cw for cw, kept in zip(brute_codewords(gf, rows), keep) if kept]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
+def test_projective_codewords_are_one_per_scalar_class(q):
+    gf = make_field(q)
+    rng = SplitMix64(500 + q)
+    for k in (1, 2, 3) if q <= 9 else (1, 2):
+        rows = random_full_rank_rows(rng, gf, k + 2, k)
+        words = list(projective_codewords(gf, rows))
+        assert words == brute_projective_codewords(gf, rows)
+        assert len(words) == (q**k - 1) // (q - 1)
+        classes = {frozenset(tuple(gf.mul(c, x) for x in w) for c in range(1, q)) for w in words}
+        assert len(classes) == len(words)
+        assert set().union(*classes) == set(brute_codewords(gf, rows)[1:])
 
 
 def test_iter_codewords_message_order():

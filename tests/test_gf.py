@@ -157,3 +157,21 @@ def test_larger_extension_field_sanity():
     assert (gf.p, gf.m) == (2, 10)
     assert gf.mul(513, gf.inv(513)) == 1
     assert gf.mul(2, 3) == gf.mul_definition(2, 3)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
+def test_vector_ops_equal_elementwise_scalar_ops(q):
+    # Oracle: the scalar add/sub/mul, one coordinate at a time.  x and y
+    # together run through every pair of elements, zero included.
+    gf = make_field(q)
+    x = [a for a in range(q) for _ in range(q)]
+    y = [b for _ in range(q) for b in range(q)]
+    zero = [0] * len(x)
+    for u, v in ((x, y), (y, x), (x, zero), (zero, y), (zero, zero)):
+        assert list(gf.add_vec(u, v)) == [gf.add(a, b) for a, b in zip(u, v)]
+        assert list(gf.sub_vec(u, v)) == [gf.sub(a, b) for a, b in zip(u, v)]
+    for c in range(q):
+        for v in (x, zero):
+            assert list(gf.scale_vec(c, v)) == [gf.mul(c, b) for b in v]
+    assert list(gf.scale_vec(0, x)) == zero
+    assert list(gf.sub_vec(x, x)) == zero

@@ -1,3 +1,5 @@
+from weightbounds import codes, selfcheck
+from weightbounds.codes import hamming_weight, iter_codewords, min_distance, residual
 from weightbounds.selfcheck import (
     check_distance_ratio,
     check_exclusion_soundness,
@@ -30,3 +32,50 @@ def test_individual_checks_on_shared_corpus(corpus1000):
     assert check_distance_ratio(sample).ok
     assert check_exclusion_soundness(sample).ok
     assert check_global_weight(sample).checked == 100
+
+
+def test_residual_lemma_walk_matches_a_full_codeword_walk(corpus1000, monkeypatch):
+    # Oracle: walk every codeword in message order, count the window ones
+    # and keep the first codeword of each support.
+    sample = corpus1000[:150]
+    expected_checked, expected_words = 0, []
+    for code in sample:
+        d, q = min_distance(code), code.q
+        seen = set()
+        for cw in iter_codewords(code):
+            w = hamming_weight(cw)
+            if w == 0 or w * (q - 1) >= q * d:
+                continue
+            expected_checked += 1
+            support = tuple(j for j, x in enumerate(cw) if x)
+            if support not in seen:
+                seen.add(support)
+                expected_words.append(cw)
+
+    handed = []
+
+    def recording_residual(code, cw):
+        handed.append(tuple(cw))
+        return residual(code, cw)
+
+    def no_full_walk(code):
+        raise AssertionError("the residual-lemma suite walked every codeword")
+
+    monkeypatch.setattr(selfcheck, "residual", recording_residual)
+    monkeypatch.setattr(codes, "iter_codewords", no_full_walk)
+    result = check_residual_lemma(sample)
+    assert result.ok
+    assert result.checked == expected_checked
+    assert handed == expected_words
+
+
+def test_run_selftest_results_are_pinned():
+    # Taken from the full codeword walk that the suite used before it
+    # walked one codeword per scalar class.
+    results = [(r.name, r.checked, len(r.violations)) for r in run_selftest(200, 12345)]
+    assert results == [
+        ("residual-lemma", 1640, 0),
+        ("global-weight", 200, 0),
+        ("distance-ratio", 200, 0),
+        ("exclusion-soundness", 200, 0),
+    ]

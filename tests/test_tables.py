@@ -103,3 +103,28 @@ def test_table3_sets_exact_and_annotations_flagged():
     flags = [flag for comp in comps for flag in comp.flags]
     assert len(flags) == 3
     assert all("count annotation" in flag for flag in flags)
+
+
+def test_each_criterion_is_evaluated_once_per_cell(monkeypatch):
+    # Oracle for the derived clamped set: the criterion evaluated with clamp=True.
+    from weightbounds import exclusion
+
+    criteria = {"chen-xie": exclusion.chen_xie_excluded,
+                "singleton": exclusion.singleton_excluded,
+                "griesmer": exclusion.griesmer_excluded}
+    for which in (1, 2, 3):
+        for comp in compare_table(which):
+            for c in comp.cells:
+                assert c.computed_clamped == criteria[c.method](comp.row.params, clamp=True)
+
+    calls = []
+    original = exclusion.residual_griesmer_min_n
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(exclusion, "residual_griesmer_min_n", counted)
+    compare_table(3)
+    # One raw Griesmer scan per row: 966 windowed weights over the seven rows.
+    assert len(calls) == 966
