@@ -1,8 +1,10 @@
 """Linear codes as generator matrices over GF(q).
 
 Provides rank-checked construction, deterministic row reduction,
-exhaustive weight spectra, minimum distance, and the residual-code
-construction (puncture a code at the support of one of its codewords).
+membership and the dual code read from the reduced row-echelon form
+(RREF) that each code keeps, exhaustive weight spectra, minimum distance,
+and the residual-code construction (puncture a code at the support of
+one of its codewords).
 
 The spectrum kernel meets in the middle, the same way for every q.  The
 first a rows span the low combinations L, each one-hot encoded as an
@@ -27,7 +29,7 @@ import functools
 import operator
 import warnings
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
@@ -109,11 +111,13 @@ class LinearCode:
 
     Rows are kept exactly as supplied; construction rejects rank-deficient
     matrices (use `code_from_matrix(..., auto_reduce=True)` to accept any
-    matrix and keep a row-space basis instead).
+    matrix and keep a row-space basis instead).  `rref` is their RREF, the
+    `rows` object itself when the rows are already reduced.
     """
 
     gf: GF
     rows: tuple[Vector, ...]
+    rref: tuple[Vector, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.rows:
@@ -126,11 +130,12 @@ class LinearCode:
                 raise LengthMismatchError("generator rows have unequal lengths")
             for x in row:
                 self.gf.check(x)
-        _, rank = row_reduce(self.gf, self.rows)
+        rref, rank = row_reduce(self.gf, self.rows)
         if rank != len(self.rows):
             raise RankDeficientError(
                 f"supplied {len(self.rows)} rows but rank is {rank}"
             )
+        object.__setattr__(self, "rref", self.rows if rref == self.rows else rref)
 
     @property
     def n(self) -> int:
@@ -199,9 +204,27 @@ def code_from_matrix(
 
 
 def in_row_space(code: LinearCode, v: Sequence[int]) -> bool:
-    """Whether v lies in the code (membership by rank of the stacked matrix)."""
-    _, rank = row_reduce(code.gf, code.rows + (tuple(v),))
-    return rank == code.k
+    """Whether v lies in the code: clear v at each RREF pivot, then test for zero."""
+    gf, rest = code.gf, list(v)  # a list: see _walk on short tuples
+    if len(rest) != code.n:
+        return False
+    for row in code.rref:
+        c = rest[row.index(1)]  # the entry at the pivot: RREF rows lead with 1
+        if c:
+            rest = list(gf.sub_vec(rest, gf.scale_vec(c, row)))
+    return not any(rest)
+
+
+def dual(code: LinearCode) -> LinearCode:
+    """The dual code, [-A^T | I] from the RREF [I | A] (up to column order):
+    one row per non-pivot column f, with 1 at f and -rref_i[f] at the pivot
+    of RREF row i.  A code with k = n has no dual rows: EmptyMatrixError."""
+    gf, n = code.gf, code.n
+    at = {row.index(1): row for row in code.rref}  # pivot: RREF rows lead with 1
+    return LinearCode(gf, tuple(
+        tuple(gf.neg(at[j][f]) if j in at else int(j == f) for j in range(n))
+        for f in range(n) if f not in at
+    ))
 
 
 def iter_codewords(code: LinearCode) -> Iterator[Vector]:
@@ -401,13 +424,12 @@ def parse_generator_text(text: str) -> LinearCode:
     q, n, k = numbers
     if len(lines) - 1 != k:
         raise ValueError(f"expected {k} rows, found {len(lines) - 1}")
-    gf = make_field(q)
-    rows = []
-    for _, row in lines[1:]:
+    # Shapes before the field: building GF(65536) takes about a second.
+    rows = [row for _, row in lines[1:]]
+    for row in rows:
         if len(row) != n:
             raise ValueError(f"expected {n} entries per row, got {len(row)}")
-        rows.append(tuple(row))
-    return code_from_matrix(gf, rows)
+    return code_from_matrix(make_field(q), rows)
 
 
 def read_generator_file(path) -> LinearCode:

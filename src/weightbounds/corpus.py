@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator
 
-from .codes import CodeParams, LinearCode, code_from_matrix, row_reduce
+from .codes import CodeParams, LinearCode, dual, row_reduce
 from .errors import ParamRangeError
 from .gf import make_field
 
@@ -135,28 +135,17 @@ def reed_muller_1(m: int) -> LinearCode:
 def ternary_hamming_13_10() -> LinearCode:
     """The [13, 10, 3] ternary Hamming code.
 
-    Built as the null space of the 3x13 check matrix whose columns are
-    the 13 projective points of PG(2, 3), normalized to leading
-    coefficient 1 and ordered lexicographically.
+    Built as the dual of the code spanned by the 3x13 check matrix whose
+    columns are the 13 projective points of PG(2, 3), normalized to
+    leading coefficient 1 and ordered lexicographically.
     """
-    gf = make_field(3)
     points = sorted(
         p
         for p in product(range(3), repeat=3)
         if any(p) and p[next(i for i, x in enumerate(p) if x)] == 1
     )
-    check = [tuple(pt[r] for pt in points) for r in range(3)]
-    basis, _ = row_reduce(gf, check)
-    pivots = [next(j for j, x in enumerate(row) if x) for row in basis]
-    free = [c for c in range(13) if c not in pivots]
-    kernel = []
-    for f in free:
-        v = [0] * 13
-        v[f] = 1
-        for row, pc in zip(basis, pivots):
-            v[pc] = gf.neg(row[f])
-        kernel.append(tuple(v))
-    return code_from_matrix(gf, kernel)
+    check = tuple(tuple(pt[r] for pt in points) for r in range(3))
+    return dual(LinearCode(make_field(3), check))
 
 
 # Published weight enumerators of codes referenced without printed

@@ -13,9 +13,8 @@ Irreducibility is verified by exhaustive trial division (degrees up to
 m // 2), which is cheap under the q <= 2^16 cap.
 
 Extension-field multiplication is served from exp/log tables, built in
-one walk over the powers of the smallest primitive element; the
-polynomial-definition path is kept alongside (`GF.mul_definition`) as an
-independent cross-check.
+one walk over the powers of the smallest primitive element; the tests
+check them against the polynomial definition (`_poly_mul`, `_poly_mod`).
 
 Vectors are added, subtracted and scaled by `add_vec`, `sub_vec` and
 `scale_vec`, which return lazy `map`s mirroring `add`/`sub`/`mul`: XOR
@@ -249,23 +248,12 @@ class GF:
             return map(operator.mod, map(operator.mul, repeat(c), y), repeat(self.p))
         return map(self.mul, repeat(c), y)
 
-    def mul_definition(self, a: int, b: int) -> int:
-        """Multiplication by the polynomial definition (no tables)."""
-        if self.m == 1:
-            return (a * b) % self.p
-        prod = _poly_mul(self._digits(a), self._digits(b), self.p)
-        rem = _poly_mod(prod, self.modulus, self.p)
-        return self._undigits(list(rem) + [0] * (self.m - len(rem)))
-
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError(f"0 has no inverse in GF({self.q})")
         if self.m == 1:
             return pow(a, self.p - 2, self.p)
         return self._exp[(self.q - 1 - self._log[a]) % (self.q - 1)]
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
 
     # -- exp/log tables (extension fields) ---------------------------
 

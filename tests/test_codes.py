@@ -13,6 +13,7 @@ from weightbounds.codes import (
     WeightSpectrum,
     code_from_matrix,
     code_params,
+    dual,
     find_codeword_of_weight,
     generator_text,
     hamming_weight,
@@ -372,11 +373,34 @@ FIXTURE_SPECTRA = {
 }
 
 
+def fixture_code(name):
+    path = Path(__file__).resolve().parent.parent / "fixtures" / f"{name}.gen"
+    return parse_generator_text(path.read_text(encoding="utf-8"))
+
+
+def check_macwilliams(code):
+    """The enumerated spectrum equals the MacWilliams transform of the dual's."""
+    dual_counts = spectrum(dual(code)).nonzero()
+    assert spectrum(code).nonzero() == macwilliams(dual_counts, code.n, code.q)
+
+
 @pytest.mark.parametrize("name", sorted(FIXTURE_SPECTRA))
 def test_fixture_spectra_match_known_distributions(name):
-    path = Path(__file__).resolve().parent.parent / "fixtures" / f"{name}.gen"
-    code = parse_generator_text(path.read_text(encoding="utf-8"))
+    code = fixture_code(name)
     assert spectrum(code).nonzero() == FIXTURE_SPECTRA[name]
+    check_macwilliams(code)
+
+
+def test_macwilliams_identity_on_corpus(corpus1000):
+    for code in corpus1000:
+        if code.k < code.n:
+            check_macwilliams(code)
+
+
+@pytest.mark.parametrize("q, n, k", [(8, 6, 3), (9, 5, 2), (25, 4, 2), (27, 4, 2)])
+def test_macwilliams_identity_over_extension_fields(q, n, k):
+    gf = make_field(q)
+    check_macwilliams(LinearCode(gf, random_full_rank_rows(SplitMix64(900 + q), gf, n, k)))
 
 
 def test_min_distance_examples():
@@ -406,6 +430,92 @@ def test_membership():
     for w in words:
         assert in_row_space(code, w)
     assert not in_row_space(code, (1,) + (0,) * 10)
+
+
+def stacked_rank_member(code, v):
+    """Membership oracle: v is in the code iff stacking it keeps the rank at k."""
+    return row_reduce(code.gf, code.rows + (tuple(v),))[1] == code.k
+
+
+def check_membership(code, sample):
+    """in_row_space on every codeword and on each with one coordinate changed.
+
+    Enumeration says which vectors are codewords; the stacked-rank oracle
+    must agree on the first `sample` codewords and their changed copies.
+    """
+    gf, n = code.gf, code.n
+    words = list(iter_codewords(code))
+    members = set(words)
+    for i, cw in enumerate(words):
+        j = i % n
+        changed = cw[:j] + (gf.add(cw[j], 1 + i % (gf.q - 1)),) + cw[j + 1:]
+        assert in_row_space(code, cw)
+        assert in_row_space(code, changed) == (changed in members)
+        if i < sample:
+            assert stacked_rank_member(code, cw)
+            assert stacked_rank_member(code, changed) == (changed in members)
+    assert not in_row_space(code, words[0] + (0,))
+
+
+def test_membership_agrees_with_stacked_rank_oracle_on_corpus(corpus1000):
+    for code in corpus1000:
+        check_membership(code, sample=16)
+
+
+@pytest.mark.parametrize("q", [5, 7, 8, 9, 16, 25, 27])
+def test_membership_agrees_with_stacked_rank_oracle_over_other_fields(q):
+    gf = make_field(q)
+    rng = SplitMix64(700 + q)
+    for n, k in [(3, 1), (4, 2), (5, 2)] + ([(5, 3)] if q <= 9 else []):
+        check_membership(LinearCode(gf, random_full_rank_rows(rng, gf, n, k)), sample=200)
+
+
+def test_the_code_keeps_its_rref_and_shares_reduced_rows():
+    rows = ((2, 1, 0, 2), (1, 2, 2, 0))
+    code = LinearCode(GF3, rows)
+    assert code.rows == rows and code.rref == row_reduce(GF3, rows)[0]
+    reduced = code_from_matrix(GF3, rows, auto_reduce=True)
+    assert reduced.rref is reduced.rows == code.rref
+    res = residual(LinearCode(GF2, G_11_3_6), (1, 1, 1, 1, 0, 0, 0, 0, 1, 1, 0))
+    assert res.rref is res.rows
+    # Equality, hashing and repr read (gf, rows) only; rref is not an argument.
+    same = LinearCode(GF3, rows)
+    assert same == code and hash(same) == hash(code) and code != reduced
+    assert "rref" not in repr(code)
+    with pytest.raises(TypeError):
+        LinearCode(GF3, rows, code.rref)
+
+
+def check_dual(code):
+    """G * H^T = 0, dimension n - k, and the dual of the dual is the code."""
+    gf, h = code.gf, dual(code)
+    assert (h.n, h.k) == (code.n, code.n - code.k)
+    for g in code.rows:
+        for row in h.rows:
+            dot = 0
+            for x, y in zip(g, row):
+                dot = gf.add(dot, gf.mul(x, y))
+            assert dot == 0
+    assert dual(h).rref == code.rref
+
+
+def test_dual_on_corpus(corpus1000):
+    for code in corpus1000:
+        if code.k < code.n:
+            check_dual(code)
+
+
+@pytest.mark.parametrize("q", [5, 7, 8, 9, 16, 25, 27])
+def test_dual_over_other_fields(q):
+    gf = make_field(q)
+    rng = SplitMix64(800 + q)
+    for n, k in [(2, 1), (4, 2), (5, 2), (6, 3), (7, 5)]:
+        check_dual(LinearCode(gf, random_full_rank_rows(rng, gf, n, k)))
+
+
+def test_a_code_of_full_length_has_no_dual_rows():
+    with pytest.raises(EmptyMatrixError):
+        dual(LinearCode(GF3, ((1, 0), (0, 1))))
 
 
 def test_residual_weight6_codeword():
@@ -549,6 +659,24 @@ def test_generator_file_errors():
         parse_generator_text("2 3 1\n1 0\n")
     with pytest.raises(EntryOutOfRangeError):
         parse_generator_text("2 3 1\n1 0 5\n")
+
+
+def test_generator_file_shapes_are_checked_before_the_field_is_built(monkeypatch):
+    # Building GF(65536) takes about a second; a malformed file needs none.
+    def no_field(q):
+        raise AssertionError(f"built GF({q}) before checking the shapes")
+
+    monkeypatch.setattr(codes_module, "make_field", no_field)
+    with pytest.raises(ValueError, match="expected 3 entries per row, got 2"):
+        parse_generator_text("65536 3 1\n0 0\n")
+    with pytest.raises(ValueError, match="expected 1 rows, found 0"):
+        parse_generator_text("65536 3 1\n")
+
+
+def test_a_file_breaking_a_shape_and_a_field_rule_reports_the_shape():
+    # q = 6 names no field, and the row is short: the shape error wins.
+    with pytest.raises(ValueError, match="expected 3 entries per row, got 2"):
+        parse_generator_text("6 3 1\n1 0\n")
 
 
 NON_ASCII_OR_SIGNED = ["\u0661", "+1", "1_0"]  # ARABIC-INDIC DIGIT ONE, sign, separator

@@ -63,6 +63,12 @@ def test_reed_muller_1_4():
 def test_ternary_hamming():
     code = ternary_hamming_13_10()
     assert (code.n, code.k, code.q) == (13, 10, 3)
+    # The generator rows are part of the enumeration order: pinned.
+    assert ["".join(map(str, row)) for row in code.rows] == [
+        "2210000000000", "1201000000000", "2000210000000", "1000201000000",
+        "0200200100000", "2200200010000", "1200200001000", "0100200000100",
+        "2100200000010", "1100200000001",
+    ]
     spec = spectrum(code)
     assert spec.min_distance == 3
     assert spec.total() == 3**10
