@@ -126,22 +126,6 @@ def distance_ratio_holds(n: int, d: int, q: int) -> BoundVerdict:
     return BoundVerdict("distance-ratio", (q + 1) * d, "<=", q * n)
 
 
-def mds_weight_ok(q: int, d: int, w: int) -> bool:
-    """Whether a weight w is admissible for an MDS code: w <= q.
-
-    Applies only under the caller-asserted MDS context with k >= 2,
-    d <= w and w in the window; a False return then means no such MDS
-    code can contain a codeword of weight w.  ([n,1,n] repetition codes
-    are MDS but escape the restriction.)
-    """
-    _require(d >= 1 and q >= 2 and w >= 1, f"bad parameters d={d} q={q} w={w}")
-    if w < d or not weight_in_window(d, q, w):
-        raise WindowViolatedError(
-            f"need d <= w < q*d/(q-1); got d={d}, w={w}, q={q}"
-        )
-    return w <= q
-
-
 def parameter_verdicts(
     n: int, k: int, d: int, q: int, w: int | None = None
 ) -> list[BoundVerdict]:
@@ -171,7 +155,7 @@ def parameter_verdicts(
                                 residual_singleton_max_d(n, k, q, w)))
         out.append(BoundVerdict("residual-griesmer", n, ">=",
                                 residual_griesmer_min_n(k, d, q, w)))
-        # Under d = n-k+1, d <= w and the window, this is mds_weight_ok.
+        # MDS weight rule: with d = n-k+1 and k >= 2, an in-window w >= d needs w <= q.
         if d == d_max and d <= w:
             out.append(BoundVerdict("mds-weight", w, "<=", q))
     return out

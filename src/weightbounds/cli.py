@@ -25,7 +25,7 @@ import warnings
 from .bounds import BoundVerdict, parameter_verdicts
 from .codes import (
     CodeParams, DEFAULT_ENUMERATION_LIMIT, LinearCode, ResidualWindowWarning,
-    code_params, find_codeword_of_weight, generator_text, read_generator_file,
+    WeightSpectrum, code_params, find_codeword_of_weight, generator_text, read_generator_file,
     residual, spectrum,
 )
 from .corpus import DEFAULT_SELFTEST_SEED, DEFAULT_SELFTEST_TRIALS, format_weights
@@ -177,10 +177,10 @@ def cmd_exclude(args) -> int:
 # --- spectrum ---------------------------------------------------------
 
 
-def render_spectrum(code: LinearCode, counts: dict[int, int], fmt: str) -> str:
+def render_spectrum(code: LinearCode, spec: WeightSpectrum, fmt: str) -> str:
+    counts = spec.nonzero()
     if fmt == "json":
-        return _json_text({"n": code.n, "k": code.k, "q": code.q,
-                           "d": min(w for w in counts if w > 0),
+        return _json_text({"n": code.n, "k": code.k, "q": code.q, "d": spec.min_distance,
                            "counts": {str(w): c for w, c in counts.items()}})
     if fmt == "csv":
         return _csv_text(("weight", "count"), sorted(counts.items()))
@@ -191,8 +191,8 @@ def render_spectrum(code: LinearCode, counts: dict[int, int], fmt: str) -> str:
 
 def cmd_spectrum(args) -> int:
     code = read_generator_file(args.file)
-    counts = spectrum(code, _enum_limit(args)).nonzero()
-    sys.stdout.write(render_spectrum(code, counts, args.format))
+    spec = spectrum(code, _enum_limit(args))
+    sys.stdout.write(render_spectrum(code, spec, args.format))
     return 0
 
 
@@ -325,8 +325,7 @@ def render_audit(
              f"spectrum: {_spectrum_line(counts)}", *_set_lines(report.sets)]
     if violations:
         lines.append("violations:")
-        lines += [f"  - {v.criterion} excludes attained weight {v.weight} (A_w = {v.count})"
-                  for v in violations]
+        lines += [f"  - {v}" for v in violations]
     else:
         lines.append("no violations")
     return _lines(lines)

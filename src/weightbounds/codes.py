@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
+from .bounds import max_window_weight
 from .errors import (
     DegenerateResidualError,
     EmptyMatrixError,
@@ -383,7 +384,7 @@ def residual(
         raise DegenerateResidualError("all generator rows vanish after puncturing")
     result = LinearCode(code.gf, basis)
     d = min_distance(code, limit)
-    if w * (code.q - 1) < code.q * d:
+    if w <= max_window_weight(d, code.q):
         if rank != code.k - 1:
             raise AssertionError(
                 f"residual rank {rank} != k-1 = {code.k - 1} inside the window"
@@ -401,9 +402,10 @@ def residual(
 
 # --- generator-matrix file format -----------------------------------
 #
-# Text, UTF-8.  First data line: "q n k"; then k lines of n integers in
-# [0, q) using the field element encoding.  '#' starts a comment line.
-# Every number is a run of ASCII digits 0-9: no sign, '_' or other script.
+# Text, UTF-8, read past a leading byte-order mark.  First data line:
+# "q n k"; then k lines of n integers in [0, q) using the field element
+# encoding.  '#' starts a comment line.  Every number is a run of ASCII
+# digits 0-9: no sign, '_' or other script.
 
 
 def parse_generator_text(text: str) -> LinearCode:
@@ -433,7 +435,7 @@ def parse_generator_text(text: str) -> LinearCode:
 
 
 def read_generator_file(path) -> LinearCode:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_generator_text(fh.read())
 
 

@@ -56,6 +56,9 @@ class AuditViolation:
     weight: int
     count: int
 
+    def __str__(self) -> str:
+        return f"{self.criterion} excludes attained weight {self.weight} (A_w = {self.count})"
+
 
 def chen_xie_upper(d: int, q: int) -> int:
     """Largest integer <= q*d/(q-1) - 1, i.e. floor(q*d/(q-1)) - 1."""
@@ -117,7 +120,7 @@ def compare_methods(params: CodeParams, clamp: bool = True) -> ExclusionReport:
         )
     if k < 2:
         notes.append("residual-based criteria skipped: they need k >= 2")
-    if (q - 1) * (n - k + 2) >= q * d:
+    if n - k + 2 > max_window_weight(d, q):
         notes.append("left-endpoint condition void: chen-xie interval is empty")
     elif k >= 2 and d <= n - k + 1:
         if not cx <= si:

@@ -4,11 +4,13 @@ Field elements are plain integers in [0, q).  The base-p digits of an
 element are the coefficients of a polynomial of degree < m over GF(p)
 (digit i is the coefficient of x^i), so 0 is the additive identity and
 1 the multiplicative identity.  For prime fields (m = 1) this is just
-arithmetic mod p.
+arithmetic mod p.  The constant p - 1 is -1 in every GF(p^m), so
+negation is multiplication by p - 1.
 
-Extension fields are built from the lexicographically smallest monic
-irreducible modulus, comparing coefficient tuples low-degree-first, so
-construction is deterministic: two `make_field(q)` calls always agree.
+q alone fixes the field: `GF(q)` takes no other input.  Extension fields
+are built from the lexicographically smallest monic irreducible modulus,
+comparing coefficient tuples low-degree-first, so construction is
+deterministic: two `GF(q)` calls always agree.
 Irreducibility is verified by exhaustive trial division (degrees up to
 m // 2), which is cheap under the q <= 2^16 cap.
 
@@ -53,7 +55,7 @@ def _prime_factors(n: int) -> list[int]:
 
 
 def check_field_order(q: int) -> tuple[int, int]:
-    """(p, m) with q = p^m, or the error `make_field(q)` raises; the cap
+    """(p, m) with q = p^m, or the error `GF(q)` raises; the cap
     comes before factoring, so a huge q never reaches trial division."""
     if q < 2:
         raise NotAPrimePowerError(f"field order must be >= 2, got {q}")
@@ -119,13 +121,8 @@ def _poly_powmod(
 
 
 def _is_irreducible(coeffs: Sequence[int], p: int) -> bool:
-    """Exhaustive trial division for a monic polynomial over GF(p)."""
-    deg = len(coeffs) - 1
-    if deg < 1 or coeffs[-1] != 1:
-        return False
-    if deg == 1:
-        return True
-    for ddeg in range(1, deg // 2 + 1):
+    """Exhaustive trial division for a monic polynomial of degree >= 1 over GF(p)."""
+    for ddeg in range(1, (len(coeffs) - 1) // 2 + 1):
         for tail in product(range(p), repeat=ddeg):
             divisor = tail + (1,)
             if not _poly_mod(coeffs, divisor, p):
@@ -144,38 +141,29 @@ def _smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class GF:
-    """Finite field GF(p^m) operating on integer-encoded elements.
+    """Finite field GF(q) operating on integer-encoded elements.
 
+    q is the only constructor input: `p` and `m` come from
+    `check_field_order(q)` and `modulus` from `_smallest_irreducible`.
     `modulus` is the monic degree-m reduction polynomial as m+1
     coefficients, low degree first; it is empty for prime fields.
     Instances are immutable and safe for concurrent use.
     """
 
     q: int
-    p: int
-    m: int
-    modulus: tuple[int, ...] = ()
-    _exp: tuple[int, ...] = field(default=(), repr=False, compare=False)
-    _log: tuple[int, ...] = field(default=(), repr=False, compare=False)
+    p: int = field(init=False)
+    m: int = field(init=False)
+    modulus: tuple[int, ...] = field(init=False)
+    _exp: tuple[int, ...] = field(default=(), init=False, repr=False, compare=False)
+    _log: tuple[int, ...] = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.q > MAX_FIELD_ORDER:
-            raise FieldTooLargeError(f"field order {self.q} exceeds {MAX_FIELD_ORDER}")
-        if _prime_factors(self.p) != [self.p] or self.m < 1 or self.p**self.m != self.q:
-            raise NotAPrimePowerError(
-                f"inconsistent field description q={self.q}, p={self.p}, m={self.m}"
-            )
-        if self.m == 1:
-            if self.modulus:
-                raise ValueError("prime fields take an empty modulus")
-            return
-        if len(self.modulus) != self.m + 1 or any(
-            not 0 <= c < self.p for c in self.modulus
-        ):
-            raise ValueError(f"modulus needs {self.m + 1} coefficients in [0, {self.p})")
-        if not _is_irreducible(self.modulus, self.p):
-            raise ValueError(f"modulus {self.modulus} is reducible over GF({self.p})")
-        self._build_tables()
+        p, m = check_field_order(self.q)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "modulus", _smallest_irreducible(p, m) if m > 1 else ())
+        if m > 1:
+            self._build_tables()
 
     # -- encoding ----------------------------------------------------
 
@@ -210,15 +198,9 @@ class GF:
         )
 
     def neg(self, a: int) -> int:
-        if self.p == 2:
-            return a
-        if self.m == 1:
-            return (-a) % self.p
-        return self._undigits([(-x) % self.p for x in self._digits(a)])
+        return self.mul(self.p - 1, a)
 
     def sub(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
@@ -287,7 +269,5 @@ class GF:
 
 @functools.lru_cache(maxsize=None)
 def make_field(q: int) -> GF:
-    """Build GF(q), factoring q = p^m and choosing the modulus deterministically."""
-    p, m = check_field_order(q)
-    modulus = _smallest_irreducible(p, m) if m > 1 else ()
-    return GF(q=q, p=p, m=m, modulus=modulus)
+    """GF(q), built once per q."""
+    return GF(q)

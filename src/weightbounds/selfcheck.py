@@ -12,12 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .bounds import ceil_div
+from .bounds import ceil_div, distance_ratio_holds, global_weight_max, max_window_weight
 from .codes import (
     LinearCode, code_params, hamming_weight, min_distance, projective_codewords, residual,
     spectrum,
 )
 from .corpus import random_corpus
+from .errors import DegenerateResidualError
 from .exclusion import audit_against_spectrum
 
 
@@ -48,17 +49,17 @@ def check_residual_lemma(codes: Iterable[LinearCode]) -> CheckResult:
     for code in codes:
         params = code_params(code)
         n, k, d, q = params.n, params.k, params.d, params.q
-        counts = spectrum(code).counts
-        checked += sum(counts[w] for w in range(1, n + 1) if w * (q - 1) < q * d)
+        hi = max_window_weight(d, q)
+        checked += sum(spectrum(code).counts[1:hi + 1])
         supports: dict[bytes, tuple[int, ...]] = {}  # bytes, not tuples: see codes._walk
         for cw in projective_codewords(code.gf, code.rows):
-            if hamming_weight(cw) * (q - 1) < q * d:
+            if hamming_weight(cw) <= hi:
                 supports.setdefault(bytes(map(bool, cw)), cw)
         for cw in supports.values():
             w = hamming_weight(cw)
             try:
                 res = residual(code, cw)
-            except AssertionError as exc:
+            except (AssertionError, DegenerateResidualError) as exc:
                 violations.append(f"{params} w={w}: {exc}")
                 continue
             if res.n != n - w:
@@ -82,8 +83,7 @@ def check_global_weight(codes: Iterable[LinearCode]) -> CheckResult:
         if code.k <= 1:
             continue
         spec = spectrum(code)
-        d = spec.min_distance
-        cap = code.q * (code.n - d)
+        cap = global_weight_max(code.n, spec.min_distance, code.q)
         checked += 1
         for w, count in spec.nonzero().items():
             if w and w > cap:
@@ -100,9 +100,8 @@ def check_distance_ratio(codes: Iterable[LinearCode]) -> CheckResult:
     for code in codes:
         if code.k <= 1:
             continue
-        d = min_distance(code)
         checked += 1
-        if (code.q + 1) * d > code.q * code.n:
+        if not distance_ratio_holds(code.n, min_distance(code), code.q).holds:
             violations.append(f"{code_params(code)}: (q+1)*d exceeds q*n")
     return CheckResult("distance-ratio", checked, tuple(violations))
 
@@ -114,10 +113,7 @@ def check_exclusion_soundness(codes: Iterable[LinearCode]) -> CheckResult:
     for code in codes:
         checked += 1
         for v in audit_against_spectrum(code):
-            violations.append(
-                f"{code_params(code)}: {v.criterion} excludes attained weight "
-                f"{v.weight} (A_w = {v.count})"
-            )
+            violations.append(f"{code_params(code)}: {v}")
     return CheckResult("exclusion-soundness", checked, tuple(violations))
 
 

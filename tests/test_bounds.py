@@ -14,7 +14,6 @@ from weightbounds.bounds import (
     global_weight_max,
     griesmer_min_n,
     max_window_weight,
-    mds_weight_ok,
     parameter_verdicts,
     residual_griesmer_min_n,
     residual_singleton_max_d,
@@ -60,6 +59,19 @@ def test_bound_verdict_derives_holds_and_tight():
     assert not BoundVerdict("b", 2, ">=", 3).holds
     assert not BoundVerdict("b", 3, "<", 3).holds and BoundVerdict("b", 3, "<", 3).tight
     assert BoundVerdict("b", 2, "<", 3).holds
+
+
+def mds_weight_ok(q: int, d: int, w: int) -> bool:
+    """Oracle: whether a weight w is admissible for an MDS code, w <= q.
+
+    Applies only under the MDS context with k >= 2, d <= w and w in the
+    window; a False return then means no such MDS code can contain a
+    codeword of weight w.  ([n,1,n] repetition codes are MDS but escape
+    the restriction.)
+    """
+    if w < d or not weight_in_window(d, q, w):
+        raise WindowViolatedError(f"need d <= w < q*d/(q-1); got d={d}, w={w}, q={q}")
+    return w <= q
 
 
 @given(qs, st.integers(min_value=2, max_value=8), ds, ws)
@@ -147,12 +159,16 @@ def test_distance_ratio():
 
 
 def test_mds_weight_ok():
-    assert mds_weight_ok(4, 4, 4)
-    assert not mds_weight_ok(4, 4, 5)  # 5*3 < 16 so in window, but 5 > 4
-    with pytest.raises(WindowViolatedError):
-        mds_weight_ok(2, 2, 4)  # 4*1 >= 2*2: outside the window
-    with pytest.raises(WindowViolatedError):
-        mds_weight_ok(3, 5, 4)  # w < d
+    def mds_verdict(q, d, w, k=2):
+        verdicts = {v.name: v for v in parameter_verdicts(d + k - 1, k, d, q, w)}
+        return verdicts.get("mds-weight")
+
+    assert mds_verdict(4, 4, 4).holds
+    assert not mds_verdict(4, 4, 5).holds  # 5*3 < 16 so in window, but 5 > 4
+    assert (mds_verdict(4, 4, 5).lhs, mds_verdict(4, 4, 5).rhs) == (5, 4)
+    assert mds_verdict(2, 2, 4) is None  # 4*1 >= 2*2: outside the window
+    assert mds_verdict(3, 5, 4) is None  # w < d
+    assert mds_verdict(4, 4, 4, k=1) is None  # repetition codes escape the rule
 
 
 GRID = [

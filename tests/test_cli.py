@@ -170,6 +170,14 @@ def test_generator_file_with_non_ascii_or_signed_number_exits_2(token, tmp_path)
     assert result.stdout == ""
 
 
+def test_generator_file_with_a_byte_order_mark_is_read(tmp_path):
+    plain = run_cli("spectrum", "fixtures/hamming_13_10_3_ternary.gen")
+    path = tmp_path / "bom.gen"
+    path.write_bytes(b"\xef\xbb\xbf" + (FIXTURES / "hamming_13_10_3_ternary.gen").read_bytes())
+    result = run_cli("spectrum", str(path))
+    assert (result.returncode, result.stdout, result.stderr) == (0, plain.stdout, "")
+
+
 def test_enumeration_limit_env_override():
     env = dict(os.environ)
     env["WEIGHTBOUNDS_ENUM_LIMIT"] = "100"

@@ -22,6 +22,7 @@ from weightbounds.codes import (
     min_distance,
     parse_generator_text,
     projective_codewords,
+    read_generator_file,
     residual,
     row_reduce,
     spectrum,
@@ -688,6 +689,19 @@ def test_generator_file_rejects_tokens_int_would_accept(token):
         parse_generator_text(f"# comment\n2 3 1\n1 {token} 1\n")
     with pytest.raises(ValueError, match=re.escape(f"line 1: {token!r}")):
         parse_generator_text(f"2 {token} 1\n1 1 1\n")
+
+
+def test_generator_file_may_start_with_a_byte_order_mark(tmp_path):
+    # Oracle: the same file without the mark.
+    text = generator_text(LinearCode(GF2, G_11_3_6))
+    path = tmp_path / "bom.gen"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert read_generator_file(path) == parse_generator_text(text)
+    # Anywhere else the mark is a token like any other, and is refused.
+    first, rest = text.split("\n", 1)
+    path.write_text(first + "\n\ufeff" + rest, encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape("line 2: '\\ufeff1'")):
+        read_generator_file(path)
 
 
 def test_weight_spectrum_properties():

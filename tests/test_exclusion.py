@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from weightbounds import exclusion
+from weightbounds.cli import render_audit
 from weightbounds.codes import CodeParams, LinearCode, code_params, spectrum
 from weightbounds.corpus import example_11_3_6, parse_weights, reed_muller_1
 from weightbounds.errors import ParamRangeError
@@ -19,6 +20,7 @@ from weightbounds.exclusion import (
     singleton_excluded,
 )
 from weightbounds.gf import make_field
+from weightbounds.selfcheck import check_exclusion_soundness
 
 
 def chen_xie_excluded_by_slack(params: CodeParams, clamp: bool = True) -> set[int]:
@@ -262,3 +264,10 @@ def test_audit_lists_violations_in_the_order_of_the_sets(monkeypatch):
     got = [(v.criterion, v.weight, v.count) for v in audit_against_spectrum(code)]
     assert got == [("chen-xie", 6, 6), ("chen-xie", 8, 1), ("singleton", 8, 1),
                    ("griesmer", 6, 6)]
+    # The selftest suite and the CLI report print the same sentence.
+    sentences = [f"{c} excludes attained weight {w} (A_w = {n})" for c, w, n in got]
+    assert [str(v) for v in audit_against_spectrum(code)] == sentences
+    assert check_exclusion_soundness([code]).violations == tuple(
+        f"[11,3,6]_2: {s}" for s in sentences)
+    text = render_audit(fake, spectrum(code).nonzero(), audit_against_spectrum(code), "text")
+    assert text.splitlines()[-4:] == [f"  - {s}" for s in sentences]

@@ -1,8 +1,11 @@
-"""Fuzzing the input surface: generator files and the bounds/exclude arguments.
+"""Fuzzing the input surface: generator files through spectrum, residual
+and audit, the enumeration limit, and the bounds/exclude arguments.
 
 Every input must either succeed or fail cleanly with exit 2 and an error
 message; exit 3 (a broken internal invariant) or an escaping exception is
-a failure.  `bounds` may also exit 1, its verdict when a bound fails.
+a failure.  `bounds`, `residual` and `audit` may also exit 1, their
+verdict on a failed bound, a missing codeword or an attained excluded
+weight.
 The CLI runs in-process, so an uncaught exception fails the test with
 its traceback.
 """
@@ -11,6 +14,7 @@ import contextlib
 import io
 import os
 import tempfile
+from unittest import mock
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -50,16 +54,22 @@ NOT_FIELDS = [-1, 0, 1, 6, 12, 65537, 2**31, 2**40]
 
 
 @st.composite
-def generator_texts(draw):
+def generator_texts(draw, clean=False):
     """A well-formed file of up to 4 rows of up to 6 entries, then up to
     three edits: a token replaced, dropped or added, a line dropped or
-    repeated, a comment or a blank line inserted."""
-    q = draw(st.sampled_from(FIELDS) | st.sampled_from(NOT_FIELDS))
-    n, k = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    repeated, a comment or a blank line inserted.  A clean file has a
+    field order, a pivot in each row and no edits."""
+    q = draw(st.sampled_from(FIELDS) if clean else
+             st.sampled_from(FIELDS) | st.sampled_from(NOT_FIELDS))
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, min(n, 4) if clean else 4))
     entry = st.integers(0, min(max(q, 2), 30) - 1).map(str)
     lines = [[str(q), str(n), str(k)]]
     lines += [[draw(entry) for _ in range(n)] for _ in range(k)]
-    for _ in range(draw(st.integers(0, 3))):
+    if clean:  # a pivot per row: the rows are independent
+        for i in range(min(n, k)):
+            lines[1 + i][i] = "1"
+    for _ in range(draw(st.integers(0, 0 if clean else 3))):
         i = draw(st.integers(0, len(lines) - 1))
         line = lines[i]
         j = draw(st.integers(0, len(line)))
@@ -84,21 +94,66 @@ def generator_texts(draw):
     return "".join(" ".join(line) + "\n" for line in lines)
 
 
-@settings(max_examples=1000)
-@given(text=generator_texts())
-def test_generator_files_succeed_or_exit_2(text):
-    with tempfile.TemporaryDirectory() as tmp:
+def run_on_file(text, argv, env_limit=None):
+    """run() with `text` written to a file that replaces "{file}" in argv,
+    and WEIGHTBOUNDS_ENUM_LIMIT set to env_limit unless that is None."""
+    env = {} if env_limit is None else {cli.ENV_LIMIT: env_limit}
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, env):
+        if env_limit is None:
+            os.environ.pop(cli.ENV_LIMIT, None)
         path = os.path.join(tmp, "code.gen")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-        check_clean(*run(["spectrum", path, "--limit", "4096"]), allowed=(0, 2))
+        return run([path if arg == "{file}" else arg for arg in argv])
 
 
-# --- bounds and exclude ------------------------------------------------
+@settings(max_examples=1000)
+@given(text=generator_texts())
+def test_generator_files_succeed_or_exit_2(text):
+    check_clean(*run_on_file(text, ["spectrum", "{file}", "--limit", "4096"]),
+                allowed=(0, 2))
+
+
+# --- argument tokens ---------------------------------------------------
 
 SPECIAL = [*map(str, [0, -1, -(2**40), *HUGE]), *HOSTILE_TOKENS]
 tokens = st.integers(1, 40).map(str) | st.integers(-3, 60).map(str) | st.sampled_from(SPECIAL)
 q_tokens = st.sampled_from(FIELDS[:8]).map(str) | tokens
+
+
+# --- residual, audit and the enumeration limit -------------------------
+
+# Limits stay at or below 4096 codewords: a huge one would let a GF(65536)
+# file with k = 4 enumerate 2^64 codewords.
+limit_tokens = (st.sampled_from(["0", "1", *HOSTILE_TOKENS])
+                | st.integers(-3, 4096).map(str))
+
+
+@settings(max_examples=1000)
+@given(
+    text=generator_texts() | generator_texts(clean=True),
+    command=st.sampled_from(["spectrum", "residual", "audit"]),
+    weight=st.integers(0, 7).map(str) | tokens,  # n <= 6: most weights exist
+    index=st.none() | st.integers(0, 3).map(str) | tokens,
+    limits=st.tuples(st.none() | limit_tokens, limit_tokens)
+    | st.tuples(limit_tokens, st.none() | limit_tokens),
+)
+def test_file_commands_and_limits_succeed_or_exit_cleanly(
+    text, command, weight, index, limits
+):
+    flag, env_limit = limits
+    argv = [command, "{file}"]
+    if command == "residual":
+        argv.append(f"--weight={weight}")
+        if index is not None:
+            argv.append(f"--index={index}")
+    if flag is not None:
+        argv.append(f"--limit={flag}")
+    allowed = (0, 2) if command == "spectrum" else (0, 1, 2)
+    check_clean(*run_on_file(text, argv, env_limit), allowed)
+
+
+# --- bounds and exclude ------------------------------------------------
 
 
 def as_int(token):

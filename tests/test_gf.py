@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from weightbounds.errors import (
@@ -76,13 +78,42 @@ def test_make_field_deterministic():
         assert build(q).modulus == build(q).modulus == make_field(q).modulus
 
 
-def test_modulus_validation():
-    with pytest.raises(ValueError):
-        GF(q=4, p=2, m=2, modulus=(1, 0, 1))  # x^2 + 1 = (x + 1)^2
-    with pytest.raises(ValueError):
-        GF(q=4, p=2, m=2, modulus=(1, 1))  # wrong degree
-    with pytest.raises(NotAPrimePowerError):
-        GF(q=8, p=2, m=2, modulus=(1, 1, 1))  # q != p^m
+PRIME_POWERS_UP_TO_256 = [
+    q for q in range(2, 257)
+    if len({r for r in range(2, q + 1) if q % r == 0 and all(r % s for s in range(2, r))}) == 1
+]
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS_UP_TO_256)
+def test_neg_and_sub_are_additive_inverses(q):
+    # Definitions only: -a is the element that adds to a to give 0, and
+    # a - b is the element that adds to b to give a.
+    gf = make_field(q)
+    elems = range(q)
+    assert all(gf.add(a, gf.neg(a)) == 0 for a in elems)
+    assert all(gf.add(gf.sub(a, b), b) == a for a in elems for b in elems)
+
+
+def test_gf_is_built_from_q_alone():
+    for q in (2, 3, 4, 8, 9, 25, 27, 256, 4096):
+        gf = GF(q)
+        assert gf == make_field(q) and hash(gf) == hash(make_field(q))
+        assert repr(gf) == repr(make_field(q))
+        assert (gf._exp, gf._log) == (make_field(q)._exp, make_field(q)._log)
+    assert [f.name for f in dataclasses.fields(GF) if f.init] == ["q"]
+    with pytest.raises(TypeError):
+        GF(q=4, p=2, m=2, modulus=(1, 1, 1))
+
+
+@pytest.mark.parametrize("q", [0, 1, 6, 12, 65537])
+def test_gf_raises_what_make_field_raises(q):
+    with pytest.raises(Exception) as direct:
+        GF(q)
+    with pytest.raises(Exception) as cached:
+        make_field(q)
+    assert type(direct.value) is type(cached.value)
+    assert type(direct.value) in (NotAPrimePowerError, FieldTooLargeError)
+    assert str(direct.value) == str(cached.value)
 
 
 def test_irreducibility_check_known_cases():

@@ -1,5 +1,10 @@
-from weightbounds import codes, selfcheck
+import dataclasses
+
+import pytest
+
+from weightbounds import bounds, codes, selfcheck
 from weightbounds.codes import hamming_weight, iter_codewords, min_distance, residual
+from weightbounds.corpus import ratio_code
 from weightbounds.selfcheck import (
     check_distance_ratio,
     check_exclusion_soundness,
@@ -79,3 +84,25 @@ def test_run_selftest_results_are_pinned():
         ("distance-ratio", 200, 0),
         ("exclusion-soundness", 200, 0),
     ]
+
+
+# Each home rule made one step too strict: the window claimed for one more
+# weight, the weight cap lowered by one, the ratio bound made strict.
+STRICTER = {
+    "max_window_weight": (check_residual_lemma,
+                          lambda d, q: bounds.max_window_weight(d, q) + 1),
+    "global_weight_max": (check_global_weight,
+                          lambda n, d, q: bounds.global_weight_max(n, d, q) - 1),
+    "distance_ratio_holds": (check_distance_ratio, lambda n, d, q: dataclasses.replace(
+        bounds.distance_ratio_holds(n, d, q), relation="<")),
+}
+
+
+@pytest.mark.filterwarnings("ignore::weightbounds.codes.ResidualWindowWarning")
+@pytest.mark.parametrize("name", STRICTER)
+def test_suites_read_the_rules_from_bounds(name, corpus1000, monkeypatch):
+    suite, stricter = STRICTER[name]
+    sample = corpus1000[:100] + [ratio_code(q) for q in (2, 3, 4, 5)]
+    assert suite(sample).ok
+    monkeypatch.setattr(selfcheck, name, stricter)
+    assert not suite(sample).ok
