@@ -7,8 +7,9 @@ violated check or mismatch, 2 on usage errors, 3 on a broken internal
 invariant (an AssertionError, reported as one `internal error:` line).
 All output is deterministic for fixed inputs and seed.
 
-The enumeration limit is resolved as: --limit flag, else the
-WEIGHTBOUNDS_ENUM_LIMIT environment variable, else 2^26 codewords.
+Integer options are ASCII digits 0-9 with at most one leading '-'.  A
+code file with more than --limit, else WEIGHTBOUNDS_ENUM_LIMIT, else 2^26
+codewords is refused before it is enumerated; the library takes no limit.
 """
 
 from __future__ import annotations
@@ -24,12 +25,12 @@ import warnings
 
 from .bounds import BoundVerdict, parameter_verdicts
 from .codes import (
-    CodeParams, DEFAULT_ENUMERATION_LIMIT, LinearCode, ResidualWindowWarning,
+    CodeParams, LinearCode, ResidualWindowWarning,
     WeightSpectrum, code_params, find_codeword_of_weight, generator_text, read_generator_file,
     residual, spectrum,
 )
 from .corpus import DEFAULT_SELFTEST_SEED, DEFAULT_SELFTEST_TRIALS, format_weights
-from .errors import WeightBoundsError
+from .errors import EnumerationTooLargeError, WeightBoundsError
 from .exclusion import (
     AuditViolation, ExclusionReport, audit_against_spectrum, compare_methods,
 )
@@ -38,6 +39,7 @@ from .selfcheck import run_selftest
 from .tables import CLAMPED, EXACT, MISMATCH, compare_table
 
 ENV_LIMIT = "WEIGHTBOUNDS_ENUM_LIMIT"
+DEFAULT_ENUMERATION_LIMIT = 1 << 26
 FORMATS = ("text", "md", "csv", "json")
 
 
@@ -190,9 +192,8 @@ def render_spectrum(code: LinearCode, spec: WeightSpectrum, fmt: str) -> str:
 
 
 def cmd_spectrum(args) -> int:
-    code = read_generator_file(args.file)
-    spec = spectrum(code, _enum_limit(args))
-    sys.stdout.write(render_spectrum(code, spec, args.format))
+    code = _read_code(args)
+    sys.stdout.write(render_spectrum(code, spectrum(code), args.format))
     return 0
 
 
@@ -200,24 +201,23 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_residual(args) -> int:
-    code = read_generator_file(args.file)
-    limit = _enum_limit(args)
+    code = _read_code(args)
     try:
-        cw = find_codeword_of_weight(code, args.weight, args.index, limit)
+        cw = find_codeword_of_weight(code, args.weight, args.index)
     except ValueError as exc:
         print(f"mismatch: {exc}", file=sys.stderr)
         return 1
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ResidualWindowWarning)
-        res = residual(code, cw, limit)
+        res = residual(code, cw)
     for warning in caught:
         print(f"warning: {warning.message}", file=sys.stderr)
     punctured = " ".join(str(j) for j, x in enumerate(cw) if x)
     comment = (
-        f"residual of {code_params(code, limit)} at the codeword of "
+        f"residual of {code_params(code)} at the codeword of "
         f"weight {args.weight} with class index {args.index}\n"
         f"punctured columns: {punctured}\n"
-        f"residual parameters: {code_params(res, limit)}"
+        f"residual parameters: {code_params(res)}"
     )
     sys.stdout.write(generator_text(res, comment=comment))
     return 0
@@ -332,11 +332,10 @@ def render_audit(
 
 
 def cmd_audit(args) -> int:
-    code = read_generator_file(args.file)
-    limit = _enum_limit(args)
-    report = compare_methods(code_params(code, limit))
-    violations = audit_against_spectrum(code, limit)
-    counts = spectrum(code, limit).nonzero()
+    code = _read_code(args)
+    report = compare_methods(code_params(code))
+    violations = audit_against_spectrum(code)
+    counts = spectrum(code).nonzero()
     sys.stdout.write(render_audit(report, counts, violations, args.format))
     return 1 if violations else 0
 
@@ -364,30 +363,51 @@ def cmd_selftest(args) -> int:
 # --- parser -----------------------------------------------------------
 
 
+def integer(token: str) -> int:
+    """ASCII digits 0-9 with at most one leading '-': int() alone would also
+    take '+', surrounding spaces, '_' separators and other scripts' digits."""
+    digits = token[1:] if token.startswith("-") else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{token!r} is not an integer in ASCII digits")
+    return int(token)
+
+
 def _enum_limit(args) -> int:
-    limit = getattr(args, "limit", None)
+    limit = args.limit
     if limit is None:
         env = os.environ.get(ENV_LIMIT)
-        if env is not None:
-            try:
-                limit = int(env)
-            except ValueError:
-                raise ValueError(
-                    f"{ENV_LIMIT} must be an integer, got {env!r}"
-                ) from None
-    if limit is None:
-        return DEFAULT_ENUMERATION_LIMIT
+        if env is None:
+            return DEFAULT_ENUMERATION_LIMIT
+        try:
+            limit = integer(env)
+        except ValueError:
+            raise ValueError(f"{ENV_LIMIT} must be an integer, got {env!r}") from None
     if limit < 1:
         raise ValueError(f"--limit (or {ENV_LIMIT}) must be >= 1, got {limit}")
     return limit
+
+
+def _read_code(args) -> LinearCode:
+    """The code in args.file, refused if its q^k codewords exceed the limit.  The
+    only enumeration check: a command enumerates this code and its residuals."""
+    code = read_generator_file(args.file)
+    limit, size = _enum_limit(args), code.q**code.k
+    if size > limit:
+        raise EnumerationTooLargeError(
+            f"enumerating q^k = {size} codewords exceeds the limit {limit}; "
+            f"a limit of at least {size} is required"
+        )
+    return code
 
 
 def _add_format(sub) -> None:
     sub.add_argument("--format", choices=FORMATS, default="text")
 
 
-def _add_limit(sub) -> None:
-    sub.add_argument("--limit", type=int,
+def _add_code_file(sub) -> None:
+    """The arguments `_read_code` reads."""
+    sub.add_argument("file")
+    sub.add_argument("--limit", type=integer,
                      help=f"max enumerated codewords (default {ENV_LIMIT} or 2^26)")
 
 
@@ -400,14 +420,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="evaluate every applicable bound")
     for flag in ("--n", "--k", "--d", "--q"):
-        p.add_argument(flag, type=int, required=True)
-    p.add_argument("--w", type=int, help="also evaluate the weight-aware bounds")
+        p.add_argument(flag, type=integer, required=True)
+    p.add_argument("--w", type=integer, help="also evaluate the weight-aware bounds")
     _add_format(p)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("exclude", help="excluded-weight sets for (n, k, d, q)")
     for flag in ("--n", "--k", "--d", "--q"):
-        p.add_argument(flag, type=int, required=True)
+        p.add_argument(flag, type=integer, required=True)
     p.add_argument("--method", choices=("chen-xie", "singleton", "griesmer", "all"),
                    default="all")
     p.add_argument("--raw", action="store_true", help="keep formula intervals even past n")
@@ -415,33 +435,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_exclude)
 
     p = sub.add_parser("spectrum", help="exact weight distribution of a code file")
-    p.add_argument("file")
-    _add_limit(p)
+    _add_code_file(p)
     _add_format(p)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("residual", help="puncture a code at one of its codewords")
-    p.add_argument("file")
-    p.add_argument("--weight", type=int, required=True)
-    p.add_argument("--index", type=int, default=0,
+    p.add_argument("--weight", type=integer, required=True)
+    p.add_argument("--index", type=integer, default=0,
                    help="0-based position within the weight class (enumeration order)")
-    _add_limit(p)
+    _add_code_file(p)
     p.set_defaults(func=cmd_residual)
 
     p = sub.add_parser("tables", help="reproduce an embedded comparison table")
-    p.add_argument("--which", type=int, choices=(1, 2, 3), required=True)
+    p.add_argument("--which", type=integer, choices=(1, 2, 3), required=True)
     _add_format(p)
     p.set_defaults(func=cmd_tables)
 
     p = sub.add_parser("audit", help="check the exclusion criteria against a code")
-    p.add_argument("file")
-    _add_limit(p)
+    _add_code_file(p)
     _add_format(p)
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("selftest", help="run the seeded property suites")
-    p.add_argument("--trials", type=int, default=DEFAULT_SELFTEST_TRIALS)
-    p.add_argument("--seed", type=int, default=DEFAULT_SELFTEST_SEED)
+    p.add_argument("--trials", type=integer, default=DEFAULT_SELFTEST_TRIALS)
+    p.add_argument("--seed", type=integer, default=DEFAULT_SELFTEST_SEED)
     p.set_defaults(func=cmd_selftest)
     return parser
 

@@ -13,7 +13,7 @@ up to scalars.  One XOR and one popcount, both in C, give the weight of
 each L + H, so a spectrum costs about q^k/(q-1) + q^a such operations
 and q^(k-a)/(q-1) Python-level steps.  a is ceil(k/2), lowered until
 the q^a low integers fit in _LOW_BITS (down to a = 0) to bound memory
-for large q.  The enumeration limit still counts all q^k codewords.
+for large q.
 
 Codeword enumeration order is fixed: message integer m in [0, q^k)
 has base-q digits d_0 ... d_{k-1} (d_0 least significant), and the
@@ -37,7 +37,6 @@ from .bounds import max_window_weight
 from .errors import (
     DegenerateResidualError,
     EmptyMatrixError,
-    EnumerationTooLargeError,
     LengthMismatchError,
     NotACodewordError,
     ParamRangeError,
@@ -45,8 +44,6 @@ from .errors import (
     ZeroCodewordError,
 )
 from .gf import GF, Vector, make_field
-
-DEFAULT_ENUMERATION_LIMIT = 1 << 26
 
 
 class ResidualWindowWarning(UserWarning):
@@ -84,22 +81,11 @@ class WeightSpectrum:
     counts: tuple[int, ...]
 
     @property
-    def n(self) -> int:
-        return len(self.counts) - 1
-
-    @property
     def min_distance(self) -> int:
         for w in range(1, len(self.counts)):
             if self.counts[w]:
                 return w
         raise ValueError("spectrum has no nonzero weight")
-
-    @property
-    def max_weight(self) -> int:
-        return max(w for w in range(len(self.counts)) if self.counts[w])
-
-    def total(self) -> int:
-        return sum(self.counts)
 
     def nonzero(self) -> dict[int, int]:
         """Counts with zero entries omitted, keyed by weight."""
@@ -121,16 +107,7 @@ class LinearCode:
     rref: tuple[Vector, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.rows:
-            raise EmptyMatrixError("a generator matrix needs at least one row")
-        n = len(self.rows[0])
-        if n == 0:
-            raise EmptyMatrixError("a generator matrix needs at least one column")
-        for row in self.rows:
-            if len(row) != n:
-                raise LengthMismatchError("generator rows have unequal lengths")
-            for x in row:
-                self.gf.check(x)
+        _check_matrix(self.gf, self.rows)
         rref, rank = row_reduce(self.gf, self.rows)
         if rank != len(self.rows):
             raise RankDeficientError(
@@ -149,6 +126,20 @@ class LinearCode:
     @property
     def q(self) -> int:
         return self.gf.q
+
+
+def _check_matrix(gf: GF, rows: Sequence[Sequence[int]]) -> None:
+    """At least one row and one column, rows of equal length, entries in GF(q)."""
+    if not rows:
+        raise EmptyMatrixError("a generator matrix needs at least one row")
+    n = len(rows[0])
+    if n == 0:
+        raise EmptyMatrixError("a generator matrix needs at least one column")
+    for row in rows:
+        if len(row) != n:
+            raise LengthMismatchError("generator rows have unequal lengths")
+        for x in row:
+            gf.check(x)
 
 
 def row_reduce(gf: GF, rows: Iterable[Sequence[int]]) -> tuple[tuple[Vector, ...], int]:
@@ -173,8 +164,7 @@ def row_reduce(gf: GF, rows: Iterable[Sequence[int]]) -> tuple[tuple[Vector, ...
             mat[r] = list(gf.scale_vec(inv, mat[r]))
         for i in range(len(mat)):
             if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = list(gf.sub_vec(mat[i], gf.scale_vec(f, mat[r])))
+                mat[i] = list(gf.add_vec(mat[i], gf.scale_vec(gf.neg(mat[i][c]), mat[r])))
         r += 1
         if r == len(mat):
             break
@@ -191,16 +181,11 @@ def code_from_matrix(
     row-space basis (RREF) is kept instead.
     """
     rows = tuple(tuple(r) for r in rows)
-    if not rows:
-        raise EmptyMatrixError("a generator matrix needs at least one row")
     if auto_reduce:
-        for row in rows:
-            for x in row:
-                gf.check(x)
-        basis, rank = row_reduce(gf, rows)
-        if rank == 0:
+        _check_matrix(gf, rows)
+        rows = row_reduce(gf, rows)[0]
+        if not rows:
             raise RankDeficientError("row space is zero")
-        return LinearCode(gf, basis)
     return LinearCode(gf, rows)
 
 
@@ -212,7 +197,7 @@ def in_row_space(code: LinearCode, v: Sequence[int]) -> bool:
     for row in code.rref:
         c = rest[row.index(1)]  # the entry at the pivot: RREF rows lead with 1
         if c:
-            rest = list(gf.sub_vec(rest, gf.scale_vec(c, row)))
+            rest = list(gf.add_vec(rest, gf.scale_vec(gf.neg(c), row)))
     return not any(rest)
 
 
@@ -239,9 +224,9 @@ def _walk(gf: GF, rows: Sequence[Vector], start: Vector) -> Iterator[Vector]:
     add_vec = gf.add_vec
     # Lists, not tuples: short tuples freed in bulk stay on CPython's per-size
     # free lists until a full gc, which raised the suite's peak memory by 8%.
-    scaled = [[list(gf.scale_vec(c, row)) for c in range(q)] for row in rows]
-    # diff[i][a]: change of the codeword when digit i steps a -> (a+1) mod q.
-    diff = [[list(gf.sub_vec(s[(a + 1) % q], s[a])) for a in range(q)] for s in scaled]
+    # diff[i][a] = ((a+1) mod q - a) * rows[i]: digit i stepping a -> (a+1) mod q.
+    diff = [[list(gf.scale_vec(gf.add((a + 1) % q, gf.neg(a)), row)) for a in range(q)]
+            for row in rows]
     digits = [0] * k
     cw = list(start)
     yield tuple(cw)
@@ -261,16 +246,6 @@ def projective_codewords(gf: GF, rows: Sequence[Vector]) -> Iterator[Vector]:
     last nonzero coefficient is 1, ordered as in the message order."""
     for t, row in enumerate(rows):
         yield from _walk(gf, rows[:t], row)
-
-
-def _check_limit(code: LinearCode, limit: int | None) -> None:
-    limit = DEFAULT_ENUMERATION_LIMIT if limit is None else limit
-    size = code.q**code.k
-    if size > limit:
-        raise EnumerationTooLargeError(
-            f"enumerating q^k = {size} codewords exceeds the limit {limit}; "
-            f"a limit of at least {size} is required"
-        )
 
 
 _LOW_BITS = 1 << 24  # bits of low one-hot integers a spectrum may hold (2 MiB)
@@ -314,25 +289,22 @@ def _spectrum_counts(code: LinearCode) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def spectrum(code: LinearCode, limit: int | None = None) -> WeightSpectrum:
+def spectrum(code: LinearCode) -> WeightSpectrum:
     """Exact weight distribution over all q^k codewords (see module docstring)."""
-    _check_limit(code, limit)
     return WeightSpectrum(_spectrum_counts(code))
 
 
-def min_distance(code: LinearCode, limit: int | None = None) -> int:
+def min_distance(code: LinearCode) -> int:
     """Smallest nonzero codeword weight."""
-    return spectrum(code, limit).min_distance
+    return spectrum(code).min_distance
 
 
-def code_params(code: LinearCode, limit: int | None = None) -> CodeParams:
+def code_params(code: LinearCode) -> CodeParams:
     """The (n, k, d, q) tuple of the code, with d computed exactly."""
-    return CodeParams(n=code.n, k=code.k, d=min_distance(code, limit), q=code.q)
+    return CodeParams(n=code.n, k=code.k, d=min_distance(code), q=code.q)
 
 
-def find_codeword_of_weight(
-    code: LinearCode, w: int, index: int = 0, limit: int | None = None
-) -> Vector:
+def find_codeword_of_weight(code: LinearCode, w: int, index: int = 0) -> Vector:
     """The index-th codeword of weight w in enumeration order (0-based).
 
     The spectrum settles whether that codeword exists, so a missing one is
@@ -340,7 +312,7 @@ def find_codeword_of_weight(
     """
     if w < 0 or index < 0:
         raise ParamRangeError(f"need w >= 0 and index >= 0, got w={w} index={index}")
-    counts = spectrum(code, limit).counts
+    counts = spectrum(code).counts
     present = counts[w] if w < len(counts) else 0
     if present <= index:
         raise ValueError(
@@ -355,9 +327,7 @@ def find_codeword_of_weight(
     raise AssertionError(f"walk found {seen} codeword(s) of weight {w}, spectrum {present}")
 
 
-def residual(
-    code: LinearCode, codeword: Sequence[int], limit: int | None = None
-) -> LinearCode:
+def residual(code: LinearCode, codeword: Sequence[int]) -> LinearCode:
     """Puncture the code at the support of one of its codewords.
 
     For a codeword of weight w inside the window w*(q-1) < q*d the result
@@ -383,7 +353,7 @@ def residual(
     if rank == 0:
         raise DegenerateResidualError("all generator rows vanish after puncturing")
     result = LinearCode(code.gf, basis)
-    d = min_distance(code, limit)
+    d = min_distance(code)
     if w <= max_window_weight(d, code.q):
         if rank != code.k - 1:
             raise AssertionError(

@@ -147,9 +147,7 @@ def compare_methods(params: CodeParams, clamp: bool = True) -> ExclusionReport:
     )
 
 
-def audit_against_spectrum(
-    code: LinearCode, limit: int | None = None
-) -> list[AuditViolation]:
+def audit_against_spectrum(code: LinearCode) -> list[AuditViolation]:
     """Check every criterion against the code's true weight distribution.
 
     Computes (n, k, d) from the code itself, derives the clamped excluded
@@ -157,8 +155,8 @@ def audit_against_spectrum(
     excluded and attained, in the order of `ExclusionReport.sets`.  Sound
     criteria return an empty list.
     """
-    counts = spectrum(code, limit).counts
-    sets = compare_methods(code_params(code, limit)).sets
+    counts = spectrum(code).counts
+    sets = compare_methods(code_params(code)).sets
     return [
         AuditViolation(criterion=name, weight=w, count=counts[w])
         for name, excluded in sets.items()

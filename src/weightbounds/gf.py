@@ -18,10 +18,10 @@ Extension-field multiplication is served from exp/log tables, built in
 one walk over the powers of the smallest primitive element; the tests
 check them against the polynomial definition (`_poly_mul`, `_poly_mod`).
 
-Vectors are added, subtracted and scaled by `add_vec`, `sub_vec` and
-`scale_vec`, which return lazy `map`s mirroring `add`/`sub`/`mul`: XOR
-for p = 2 and `operator.mod` over the integer operation for prime p, so
-both run in C; other fields map the scalar method.
+Vectors are added and scaled by `add_vec` and `scale_vec`, which return
+lazy `map`s mirroring `add`/`mul`: XOR for p = 2 and `operator.mod` over
+the integer operation for prime p, so both run in C; other fields map
+the scalar method.  Subtraction is addition of the negation.
 """
 
 from __future__ import annotations
@@ -200,9 +200,6 @@ class GF:
     def neg(self, a: int) -> int:
         return self.mul(self.p - 1, a)
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def mul(self, a: int, b: int) -> int:
         if self.m == 1:
             return (a * b) % self.p
@@ -216,13 +213,6 @@ class GF:
         if self.m == 1:
             return map(operator.mod, map(operator.add, x, y), repeat(self.p))
         return map(self.add, x, y)
-
-    def sub_vec(self, x: Iterable[int], y: Iterable[int]) -> Iterator[int]:
-        if self.p == 2:
-            return map(operator.xor, x, y)
-        if self.m == 1:
-            return map(operator.mod, map(operator.sub, x, y), repeat(self.p))
-        return map(self.sub, x, y)
 
     def scale_vec(self, c: int, y: Iterable[int]) -> Iterator[int]:
         """c * y coordinate-wise."""

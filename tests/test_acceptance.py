@@ -144,6 +144,6 @@ def test_criterion_7_ratio_code_tightness():
         code = ratio_code(q)
         d = min_distance(code)
         assert (code.n, code.k, d) == (q + 1, 2, q)
-        assert spectrum(code).total() == q**2
+        assert sum(spectrum(code).counts) == q**2
         assert (q + 1) * d == q * code.n
     _ok(7, "ratio-code tightness for q in {2,3,4,5}")

@@ -190,6 +190,53 @@ def test_enumeration_limit_env_override():
     assert result.returncode == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "fixtures/example_11_3_6.gen"),
+    ("residual", "fixtures/example_11_3_6.gen", "--weight", "1"),
+    ("audit", "fixtures/example_11_3_6.gen"),
+])
+def test_default_enumeration_limit_refuses_a_file_before_enumerating(argv, tmp_path):
+    eye = "\n".join(" ".join(str(int(i == j)) for j in range(27)) for i in range(27))
+    path = tmp_path / "eye27.gen"
+    path.write_text(f"2 27 27\n{eye}\n", encoding="utf-8")
+    env = {k: v for k, v in os.environ.items() if k != "WEIGHTBOUNDS_ENUM_LIMIT"}
+    result = run_cli(argv[0], str(path), *argv[2:], env=env)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "a limit of at least 134217728 is required" in result.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("bounds", "--n=\u0661\u0661", "--k", "3", "--d", "6", "--q", "2"),
+    ("bounds", "--n", " 11", "--k", "3", "--d", "6", "--q", "2"),
+    ("bounds", "--n", "11", "--k", "3", "--d", "6", "--q", "+2"),
+    ("spectrum", "fixtures/hamming_13_10_3_ternary.gen", "--limit=1_0"),
+])
+def test_integer_options_take_ascii_digits_and_a_leading_minus_only(argv):
+    result = run_cli(*argv)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "invalid integer value" in result.stderr
+
+
+def test_enumeration_limit_env_takes_ascii_digits_only():
+    env = dict(os.environ, WEIGHTBOUNDS_ENUM_LIMIT=" 8_0 ")
+    result = run_cli("spectrum", "fixtures/example_11_3_6.gen", env=env)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == (
+        "error: WEIGHTBOUNDS_ENUM_LIMIT must be an integer, got ' 8_0 '\n"
+    )
+
+
+def test_integer_token_rule():
+    from weightbounds.cli import integer
+
+    assert [integer(t) for t in ("0", "7", "-1", "-0", "00012")] == [0, 7, -1, 0, 12]
+    for token in ("", "-", "+1", " 1", "1 ", "1_0", "\u0661", "0x1", "1e3", "--1", "1-"):
+        with pytest.raises(ValueError):
+            integer(token)
+
+
 def test_tables_json_is_sorted_and_loadable():
     result = run_cli("tables", "--which", "3", "--format", "json")
     payload = json.loads(result.stdout)

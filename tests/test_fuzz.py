@@ -1,11 +1,12 @@
 """Fuzzing the input surface: generator files through spectrum, residual
-and audit, the enumeration limit, and the bounds/exclude arguments.
+and audit, the enumeration limit, the bounds/exclude arguments, and the
+tables/selftest arguments.
 
 Every input must either succeed or fail cleanly with exit 2 and an error
 message; exit 3 (a broken internal invariant) or an escaping exception is
-a failure.  `bounds`, `residual` and `audit` may also exit 1, their
-verdict on a failed bound, a missing codeword or an attained excluded
-weight.
+a failure.  `bounds`, `residual`, `audit`, `tables` and `selftest` may
+also exit 1, their verdict on a failed bound, a missing codeword, an
+attained excluded weight, a table mismatch or a violated property.
 The CLI runs in-process, so an uncaught exception fails the test with
 its traceback.
 """
@@ -158,7 +159,7 @@ def test_file_commands_and_limits_succeed_or_exit_cleanly(
 
 def as_int(token):
     try:
-        return int(token)  # what argparse's type=int does
+        return cli.integer(token)  # what the parser's type= does
     except ValueError:
         return None
 
@@ -201,3 +202,36 @@ def test_parameter_arguments_succeed_or_exit_2(command, nkdq, w, method, raw, fm
             argv.append("--raw")
     argv.append(f"--format={fmt}")
     check_clean(*run(argv), allowed)
+
+
+# --- tables and selftest -----------------------------------------------
+
+# Trials stay tiny so that no example runs a large corpus; seeds are huge
+# or negative as well as ordinary.
+trial_tokens = st.sampled_from(["-1", "0", "1", "2", *HOSTILE_TOKENS])
+seed_tokens = (st.integers(-(2**80), 2**80).map(str)
+               | st.sampled_from([str(-(2**63)), str(2**64), *HOSTILE_TOKENS]))
+
+
+@settings(max_examples=300)
+@given(
+    command=st.sampled_from(["tables", "selftest"]),
+    which=st.none() | st.integers(-1, 4).map(str) | st.sampled_from(SPECIAL),
+    trials=trial_tokens,
+    seed=st.none() | seed_tokens,
+    fmt=st.none() | st.sampled_from(["text", "md", "csv", "json", "xml"]),
+)
+def test_tables_and_selftest_arguments_succeed_or_exit_cleanly(
+    command, which, trials, seed, fmt
+):
+    argv = [command]
+    if command == "tables":
+        if which is not None:
+            argv.append(f"--which={which}")
+        if fmt is not None:
+            argv.append(f"--format={fmt}")
+    else:
+        argv.append(f"--trials={trials}")
+        if seed is not None:
+            argv.append(f"--seed={seed}")
+    check_clean(*run(argv), allowed=(0, 1, 2))
