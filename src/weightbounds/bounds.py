@@ -1,9 +1,10 @@
 """Classical and weight-aware bounds for [n, k, d]_q linear codes.
 
 Every comparison is exact integer arithmetic; the non-integer threshold
-q*d/(q-1) is never materialized (window membership is decided by the
-cross-multiplied test w*(q-1) < q*d).  These functions are arithmetic
-contracts on parameter tuples; nothing here assumes a code exists.
+q*d/(q-1) is never materialized (a weight w is in the window when
+w <= max_window_weight(d, q), the integer form of w*(q-1) < q*d).  These
+functions are arithmetic contracts on parameter tuples; nothing here
+assumes a code exists.
 """
 
 from __future__ import annotations
@@ -75,12 +76,6 @@ def griesmer_min_n(k: int, d: int, q: int) -> int:
     return ceil_div_sum(d, q, k)
 
 
-def weight_in_window(d: int, q: int, w: int) -> bool:
-    """Whether w < q*d/(q-1), decided as w*(q-1) < q*d."""
-    _require(d >= 1 and q >= 2 and w >= 1, f"bad parameters d={d} q={q} w={w}")
-    return w * (q - 1) < q * d
-
-
 def max_window_weight(d: int, q: int) -> int:
     """Largest integer weight inside the window, i.e. strictly below q*d/(q-1)."""
     _require(d >= 1 and q >= 2, f"bad parameters d={d} q={q}")
@@ -91,7 +86,7 @@ def residual_singleton_max_d(n: int, k: int, q: int, w: int) -> int:
     """Distance cap n - k - ceil(w/q) + 2 forced by a weight-w codeword.
 
     Contract: if an [n, k, d]_q code with k >= 2 has a nonzero codeword
-    of weight w with weight_in_window(d, q, w), then d is at most this
+    of weight w <= max_window_weight(d, q), then d is at most this
     value.  (k = 1 repetition codes escape the cap: the underlying
     residual argument needs a (k-1)-dimensional code.)
     """
@@ -107,7 +102,7 @@ def residual_griesmer_min_n(k: int, d: int, q: int, w: int) -> int:
     (which guarantees the numerator d - w + ceil(w/q) is >= 1).
     """
     _require(k >= 2 and d >= 1 and q >= 2 and w >= 1, f"bad parameters k={k} d={d} q={q} w={w}")
-    if not weight_in_window(d, q, w):
+    if w > max_window_weight(d, q):
         raise WindowViolatedError(f"w={w} is not below q*d/(q-1) = {q}*{d}/{q - 1}")
     lead = ceil_div(w, q)
     rest = d - w + lead

@@ -9,7 +9,7 @@ All output is deterministic for fixed inputs and seed.
 
 Integer options are ASCII digits 0-9 with at most one leading '-'.  A
 code file with more than --limit, else WEIGHTBOUNDS_ENUM_LIMIT, else 2^26
-codewords is refused before it is enumerated; the library takes no limit.
+codewords is refused before its field is built; the library takes no limit.
 """
 
 from __future__ import annotations
@@ -25,16 +25,15 @@ import warnings
 
 from .bounds import BoundVerdict, parameter_verdicts
 from .codes import (
-    CodeParams, LinearCode, ResidualWindowWarning,
-    WeightSpectrum, code_params, find_codeword_of_weight, generator_text, read_generator_file,
-    residual, spectrum,
+    CodeParams, LinearCode, ResidualWindowWarning, WeightSpectrum, _read_matrix,
+    code_from_matrix, code_params, find_codeword_of_weight, generator_text, residual, spectrum,
 )
 from .corpus import DEFAULT_SELFTEST_SEED, DEFAULT_SELFTEST_TRIALS, format_weights
 from .errors import EnumerationTooLargeError, WeightBoundsError
 from .exclusion import (
     AuditViolation, ExclusionReport, audit_against_spectrum, compare_methods,
 )
-from .gf import check_field_order
+from .gf import check_field_order, make_field
 from .selfcheck import run_selftest
 from .tables import CLAMPED, EXACT, MISMATCH, compare_table
 
@@ -390,14 +389,19 @@ def _enum_limit(args) -> int:
 def _read_code(args) -> LinearCode:
     """The code in args.file, refused if its q^k codewords exceed the limit.  The
     only enumeration check: a command enumerates this code and its residuals."""
-    code = read_generator_file(args.file)
-    limit, size = _enum_limit(args), code.q**code.k
+    q, rows = _read_matrix(args.file)
+    check_field_order(q)  # caps q before q^k is taken
+    limit, size = _enum_limit(args), q ** len(rows)
     if size > limit:
+        try:
+            size_text = str(size)
+        except ValueError:  # more digits than int-to-str conversion allows
+            size_text = f"{q}^{len(rows)}"
         raise EnumerationTooLargeError(
-            f"enumerating q^k = {size} codewords exceeds the limit {limit}; "
-            f"a limit of at least {size} is required"
+            f"enumerating q^k = {size_text} codewords exceeds the limit {limit}; "
+            f"a limit of at least {size_text} is required"
         )
-    return code
+    return code_from_matrix(make_field(q), rows)
 
 
 def _add_format(sub) -> None:

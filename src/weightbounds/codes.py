@@ -378,8 +378,9 @@ def residual(code: LinearCode, codeword: Sequence[int]) -> LinearCode:
 # digits 0-9: no sign, '_' or other script.
 
 
-def parse_generator_text(text: str) -> LinearCode:
-    """Parse the generator-matrix exchange format."""
+def _parse_matrix(text: str) -> tuple[int, list[list[int]]]:
+    """q and the rows of the exchange format, with the token, header and
+    shape checks; field entries and rank are checked when the code is built."""
     lines = []
     for number, line in enumerate(text.splitlines(), 1):
         if not line.strip() or line.lstrip().startswith("#"):
@@ -401,12 +402,23 @@ def parse_generator_text(text: str) -> LinearCode:
     for row in rows:
         if len(row) != n:
             raise ValueError(f"expected {n} entries per row, got {len(row)}")
+    return q, rows
+
+
+def _read_matrix(path) -> tuple[int, list[list[int]]]:
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        return _parse_matrix(fh.read())
+
+
+def parse_generator_text(text: str) -> LinearCode:
+    """Parse the generator-matrix exchange format."""
+    q, rows = _parse_matrix(text)
     return code_from_matrix(make_field(q), rows)
 
 
 def read_generator_file(path) -> LinearCode:
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        return parse_generator_text(fh.read())
+    q, rows = _read_matrix(path)
+    return code_from_matrix(make_field(q), rows)
 
 
 def generator_text(code: LinearCode, comment: str | None = None) -> str:

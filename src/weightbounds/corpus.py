@@ -1,10 +1,10 @@
-"""Built-in codes, the seeded random-code generator, and embedded table data.
+"""The seeded random-code generator, published spectra, and embedded table data.
 
-The named constructors reproduce the explicitly known generator matrices
-used throughout the test suite.  Two externally published codes (a
-ternary [27, 8, 14] and a binary cyclic [15, 10, 4]) are represented
-only by their published weight enumerators; generator matrices for them
-are optional fixtures loaded from files when present.
+The paper's named example codes live only as generator files under
+`fixtures/`.  Two externally published codes (a ternary [27, 8, 14] and
+a binary cyclic [15, 10, 4]) are represented here only by their
+published weight enumerators; generator matrices for them are optional
+fixtures loaded from files when present.
 
 Random codes use SplitMix64 so the corpus is reproducible bit-for-bit
 across platforms and Python versions.
@@ -13,10 +13,9 @@ across platforms and Python versions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterator
 
-from .codes import CodeParams, LinearCode, dual, row_reduce
+from .codes import CodeParams, LinearCode, row_reduce
 from .errors import ParamRangeError
 from .gf import make_field
 
@@ -88,64 +87,6 @@ def random_corpus(trials: int, seed: int) -> Iterator[LinearCode]:
         k = 2 + stream.below(4)
         n = k + stream.below(14 - k + 1)
         yield random_code(stream.next_u64(), q, n, k)
-
-
-# --- named constructions ---------------------------------------------
-
-_G_11_3_6 = (
-    (1, 1, 1, 1, 1, 1, 1, 1, 0, 0, 0),
-    (1, 1, 1, 1, 0, 0, 0, 0, 1, 1, 0),
-    (1, 1, 0, 0, 1, 1, 0, 0, 1, 0, 1),
-)
-
-
-def example_11_3_6() -> LinearCode:
-    """The explicit binary [11, 3, 6] code whose nonzero weights are {6, 8}."""
-    return LinearCode(make_field(2), _G_11_3_6)
-
-
-def ratio_code(q: int) -> LinearCode:
-    """The [q+1, 2, q]_q code attaining (q+1)*d = q*n.
-
-    First row is all ones then a zero; second row lists every field
-    element in encoding order then a one.
-    """
-    gf = make_field(q)
-    rows = ((1,) * q + (0,), tuple(range(q)) + (1,))
-    return LinearCode(gf, rows)
-
-
-def reed_muller_1(m: int) -> LinearCode:
-    """First-order binary Reed-Muller code of length 2^m.
-
-    Generators: the all-ones row plus m coordinate-indicator rows;
-    indicator row j holds bit (m-1-j) of the column index, so column c
-    spells the binary digits of c, most significant first.
-    """
-    if m < 1:
-        raise ParamRangeError(f"need m >= 1, got {m}")
-    n = 1 << m
-    rows = [(1,) * n]
-    rows += [
-        tuple((c >> (m - 1 - j)) & 1 for c in range(n)) for j in range(m)
-    ]
-    return LinearCode(make_field(2), tuple(rows))
-
-
-def ternary_hamming_13_10() -> LinearCode:
-    """The [13, 10, 3] ternary Hamming code.
-
-    Built as the dual of the code spanned by the 3x13 check matrix whose
-    columns are the 13 projective points of PG(2, 3), normalized to
-    leading coefficient 1 and ordered lexicographically.
-    """
-    points = sorted(
-        p
-        for p in product(range(3), repeat=3)
-        if any(p) and p[next(i for i, x in enumerate(p) if x)] == 1
-    )
-    check = tuple(tuple(pt[r] for pt in points) for r in range(3))
-    return dual(LinearCode(make_field(3), check))
 
 
 # Published weight enumerators of codes referenced without printed

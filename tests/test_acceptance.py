@@ -4,19 +4,22 @@ Each test prints a single pass line (visible with pytest -s); a failed
 assertion suppresses the line and fails the run.
 """
 
+from conftest import fixture_code, ratio_rows
+
 from weightbounds.bounds import (
     global_weight_max,
     griesmer_min_n,
     residual_griesmer_min_n,
     residual_singleton_max_d,
 )
-from weightbounds.codes import CodeParams, min_distance, spectrum
-from weightbounds.corpus import example_11_3_6, ratio_code, reed_muller_1, table_rows
+from weightbounds.codes import CodeParams, LinearCode, min_distance, spectrum
+from weightbounds.corpus import table_rows
 from weightbounds.exclusion import (
     chen_xie_excluded,
     griesmer_excluded,
     singleton_excluded,
 )
+from weightbounds.gf import make_field
 from weightbounds.selfcheck import (
     check_distance_ratio,
     check_exclusion_soundness,
@@ -37,13 +40,13 @@ def test_criterion_1_bound_equalities():
     assert residual_griesmer_min_n(5, 7, 2, 7) == 15
     assert residual_griesmer_min_n(5, 16, 2, 16) == 31
     assert global_weight_max(16, 8, 2) == 16
-    rm = reed_muller_1(4)
+    rm = fixture_code("rm_1_4")
     assert spectrum(rm).counts[16] == 1  # the cap is attained
     _ok(1, "bound equalities")
 
 
 def test_criterion_2_explicit_11_3_6_pipeline():
-    code = example_11_3_6()
+    code = fixture_code("example_11_3_6")
     spec = spectrum(code)
     assert spec.nonzero() == {0: 1, 6: 6, 8: 1}
     params = CodeParams(11, 3, 6, 2)
@@ -141,7 +144,7 @@ def test_criterion_6_arithmetic_identities():
 
 def test_criterion_7_ratio_code_tightness():
     for q in (2, 3, 4, 5):
-        code = ratio_code(q)
+        code = LinearCode(make_field(q), ratio_rows(q))
         d = min_distance(code)
         assert (code.n, code.k, d) == (q + 1, 2, q)
         assert sum(spectrum(code).counts) == q**2

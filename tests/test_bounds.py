@@ -18,7 +18,6 @@ from weightbounds.bounds import (
     residual_griesmer_min_n,
     residual_singleton_max_d,
     singleton_max_d,
-    weight_in_window,
 )
 from weightbounds.errors import ParamRangeError, WindowViolatedError
 
@@ -69,7 +68,7 @@ def mds_weight_ok(q: int, d: int, w: int) -> bool:
     codeword of weight w.  ([n,1,n] repetition codes are MDS but escape
     the restriction.)
     """
-    if w < d or not weight_in_window(d, q, w):
+    if w < d or w > max_window_weight(d, q):
         raise WindowViolatedError(f"need d <= w < q*d/(q-1); got d={d}, w={w}, q={q}")
     return w <= q
 
@@ -78,7 +77,7 @@ def mds_weight_ok(q: int, d: int, w: int) -> bool:
 def test_mds_weight_verdict_equals_mds_weight_ok(q, k, d, w):
     n = d + k - 1  # MDS: d = n - k + 1
     verdicts = {v.name: v for v in parameter_verdicts(n, k, d, q, w)}
-    applies = d <= w and weight_in_window(d, q, w)
+    applies = d <= w <= max_window_weight(d, q)
     assert ("mds-weight" in verdicts) == applies
     if applies:
         assert verdicts["mds-weight"].holds == mds_weight_ok(q, d, w)
@@ -101,22 +100,21 @@ def test_griesmer_min_n():
 
 
 def test_weight_window_examples():
-    assert weight_in_window(6, 2, 11)
-    assert not weight_in_window(6, 2, 12)  # strict at the boundary
-    assert weight_in_window(132, 2, 263)
-    assert not weight_in_window(132, 2, 264)
+    assert 11 <= max_window_weight(6, 2) < 12  # strict at the boundary 2*6/1
+    assert 263 <= max_window_weight(132, 2) < 264
 
 
 @given(ds, qs, ws)
 def test_weight_window_matches_fraction_oracle(d, q, w):
-    assert weight_in_window(d, q, w) == (Fraction(w) < Fraction(q * d, q - 1))
+    top = max_window_weight(d, q)
+    assert Fraction(top) < Fraction(q * d, q - 1) <= top + 1
+    assert (w <= top) == (Fraction(w) < Fraction(q * d, q - 1))
 
 
 @given(ds, qs)
 def test_max_window_weight_is_the_window_boundary(d, q):
     top = max_window_weight(d, q)
-    assert weight_in_window(d, q, top)
-    assert not weight_in_window(d, q, top + 1)
+    assert Fraction(top) < Fraction(q * d, q - 1) <= top + 1
 
 
 def test_residual_singleton_examples():
@@ -200,6 +198,30 @@ def test_refinement_over_grid():
 @given(qs, ds, st.integers(min_value=2, max_value=10))
 def test_residual_griesmer_equals_griesmer_at_minimum_weight(q, d, k):
     assert residual_griesmer_min_n(k, d, q, d) == griesmer_min_n(k, d, q)
+
+
+griesmer_qs = st.sampled_from([2, 3, 4, 5, 7, 8, 9])
+griesmer_ks = st.integers(min_value=2, max_value=6)
+griesmer_ds = st.integers(min_value=1, max_value=299)
+
+
+@given(griesmer_qs, griesmer_ks, griesmer_ds)
+def test_residual_griesmer_is_griesmer_of_the_residual_code(q, k, d):
+    # The residual of a weight-w codeword is an [n - w, k - 1, >= d - w + ceil(w/q)]
+    # code, and the floor is w plus that code's Griesmer length.
+    for w in range(1, max_window_weight(d, q) + 1):
+        residual_n = griesmer_min_n(k - 1, d - w + ceil_div(w, q), q)
+        assert residual_griesmer_min_n(k, d, q, w) == w + residual_n
+
+
+@given(griesmer_qs, griesmer_ks, griesmer_ds)
+def test_residual_griesmer_has_period_q_to_the_k_minus_1(q, k, d):
+    # Shifting w by q^(k-1) raises the floor by exactly one.
+    step, top = q ** (k - 1), max_window_weight(d, q)
+    for w in range(1, top - step + 1):
+        assert residual_griesmer_min_n(k, d, q, w + step) == (
+            residual_griesmer_min_n(k, d, q, w) + 1
+        )
 
 
 def test_parameter_verdicts_shape():

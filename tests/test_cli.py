@@ -190,20 +190,64 @@ def test_enumeration_limit_env_override():
     assert result.returncode == 0
 
 
+def identity_file(tmp_path, q, k):
+    path = tmp_path / f"eye{k}.gen"
+    rows = "\n".join(" ".join(str(int(i == j)) for j in range(k)) for i in range(k))
+    path.write_text(f"{q} {k} {k}\n{rows}\n", encoding="utf-8")
+    return str(path)
+
+
 @pytest.mark.parametrize("argv", [
     ("spectrum", "fixtures/example_11_3_6.gen"),
     ("residual", "fixtures/example_11_3_6.gen", "--weight", "1"),
     ("audit", "fixtures/example_11_3_6.gen"),
 ])
 def test_default_enumeration_limit_refuses_a_file_before_enumerating(argv, tmp_path):
-    eye = "\n".join(" ".join(str(int(i == j)) for j in range(27)) for i in range(27))
-    path = tmp_path / "eye27.gen"
-    path.write_text(f"2 27 27\n{eye}\n", encoding="utf-8")
     env = {k: v for k, v in os.environ.items() if k != "WEIGHTBOUNDS_ENUM_LIMIT"}
-    result = run_cli(argv[0], str(path), *argv[2:], env=env)
+    result = run_cli(argv[0], identity_file(tmp_path, 2, 27), *argv[2:], env=env)
     assert result.returncode == 2
     assert result.stdout == ""
     assert "a limit of at least 134217728 is required" in result.stderr
+
+
+def test_an_over_limit_file_is_refused_before_its_field_is_built(monkeypatch, capsys, tmp_path):
+    # The header alone settles 65536^4 = 2^64 > 2^26; GF(65536) takes about a second.
+    from weightbounds import cli, codes
+
+    def no_field(q):
+        raise AssertionError(f"built GF({q}) before checking the limit")
+
+    monkeypatch.setattr(codes, "make_field", no_field)
+    monkeypatch.setattr(cli, "make_field", no_field)
+    monkeypatch.delenv("WEIGHTBOUNDS_ENUM_LIMIT", raising=False)
+    assert cli.main(["spectrum", identity_file(tmp_path, 65536, 4)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        f"error: enumerating q^k = {2**64} codewords exceeds the limit {2**26}; "
+        f"a limit of at least {2**64} is required\n"
+    )
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no int-to-str digit cap")
+def test_a_count_too_long_to_print_in_decimal_is_named_as_a_power(capsys, tmp_path):
+    # 65536^134 has 646 decimal digits, past a cap of 640.
+    from weightbounds import cli
+
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        status = cli.main(["spectrum", identity_file(tmp_path, 65536, 134), "--limit", "10"])
+    finally:
+        sys.set_int_max_str_digits(cap)
+    assert status == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: enumerating q^k = 65536^134 codewords exceeds the limit 10; "
+        "a limit of at least 65536^134 is required\n"
+    )
 
 
 @pytest.mark.parametrize("argv", [

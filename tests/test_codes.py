@@ -1,9 +1,9 @@
 import itertools
 import re
 import tracemalloc
-from pathlib import Path
 
 import pytest
+from conftest import fixture_code
 
 from weightbounds import codes as codes_module
 from weightbounds.codes import (
@@ -374,11 +374,6 @@ FIXTURE_SPECTRA = {
     "hamming_13_10_3_ternary": macwilliams({0: 1, 9: 26}, 13, 3),
     "cyclic_15_10_4_binary": EXTERNAL_SPECTRA["cyclic_15_10_4_binary"],
 }
-
-
-def fixture_code(name):
-    path = Path(__file__).resolve().parent.parent / "fixtures" / f"{name}.gen"
-    return parse_generator_text(path.read_text(encoding="utf-8"))
 
 
 def check_macwilliams(code):

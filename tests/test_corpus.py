@@ -1,25 +1,29 @@
-from pathlib import Path
+from itertools import product
 
 import pytest
+from conftest import FIXTURES, fixture_code, ratio_rows
 
 from weightbounds.bounds import global_weight_max, griesmer_min_n
-from weightbounds.codes import min_distance, read_generator_file, spectrum
+from weightbounds.codes import LinearCode, dual, min_distance, spectrum
 from weightbounds.corpus import (
     EXTERNAL_SPECTRA,
     SplitMix64,
-    example_11_3_6,
     parse_weights,
     format_weights,
     random_code,
     random_corpus,
-    ratio_code,
-    reed_muller_1,
     table_rows,
-    ternary_hamming_13_10,
 )
 from weightbounds.errors import ParamRangeError
+from weightbounds.gf import make_field
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+# The 13 projective points of PG(2, 3), normalized to leading coefficient 1
+# and ordered lexicographically, as the columns of a 3x13 check matrix.
+PG23_POINTS = sorted(
+    p for p in product(range(3), repeat=3)
+    if any(p) and p[next(i for i, x in enumerate(p) if x)] == 1
+)
+PG23 = tuple(tuple(pt[r] for pt in PG23_POINTS) for r in range(3))
 
 
 def test_splitmix64_reference_vector():
@@ -33,7 +37,7 @@ def test_splitmix64_reference_vector():
 
 
 def test_example_11_3_6_parameters_and_spectrum():
-    code = example_11_3_6()
+    code = fixture_code("example_11_3_6")
     assert (code.n, code.k, code.q) == (11, 3, 2)
     assert spectrum(code).nonzero() == {0: 1, 6: 6, 8: 1}
     assert min_distance(code) == 6
@@ -42,7 +46,7 @@ def test_example_11_3_6_parameters_and_spectrum():
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_ratio_code_parameters_and_tightness(q):
-    code = ratio_code(q)
+    code = LinearCode(make_field(q), ratio_rows(q))
     assert (code.n, code.k) == (q + 1, 2)
     spec = spectrum(code)
     d = spec.min_distance
@@ -52,7 +56,7 @@ def test_ratio_code_parameters_and_tightness(q):
 
 
 def test_reed_muller_1_4():
-    code = reed_muller_1(4)
+    code = fixture_code("rm_1_4")
     assert (code.n, code.k) == (16, 5)
     spec = spectrum(code)
     assert spec.min_distance == 8
@@ -61,7 +65,7 @@ def test_reed_muller_1_4():
 
 
 def test_ternary_hamming():
-    code = ternary_hamming_13_10()
+    code = fixture_code("hamming_13_10_3_ternary")
     assert (code.n, code.k, code.q) == (13, 10, 3)
     # The generator rows are part of the enumeration order: pinned.
     assert ["".join(map(str, row)) for row in code.rows] == [
@@ -152,15 +156,12 @@ def test_external_fixture_matches_published_spectrum(name):
     path = FIXTURES / f"{name}.gen"
     if not path.exists():
         pytest.skip(f"optional fixture {path.name} not present")
-    code = read_generator_file(path)
-    assert spectrum(code).nonzero() == EXTERNAL_SPECTRA[name]
+    assert spectrum(fixture_code(name)).nonzero() == EXTERNAL_SPECTRA[name]
 
 
-def test_shipped_fixture_files_parse_to_the_builtin_codes():
-    assert read_generator_file(FIXTURES / "example_11_3_6.gen") == example_11_3_6()
-    assert read_generator_file(FIXTURES / "rm_1_4.gen") == reed_muller_1(4)
-    assert (
-        read_generator_file(FIXTURES / "hamming_13_10_3_ternary.gen")
-        == ternary_hamming_13_10()
-    )
-    assert read_generator_file(FIXTURES / "ratio_4.gen") == ratio_code(4)
+def test_shipped_fixture_files_match_independent_constructions():
+    # The ternary Hamming code is the dual of the PG(2, 3) point matrix, and
+    # ratio_4 is the q = 4 member of the ratio family.  The [11,3,6] and
+    # RM(1,4) files are pinned by their spectra and the CLI transcript.
+    assert fixture_code("hamming_13_10_3_ternary") == dual(LinearCode(make_field(3), PG23))
+    assert fixture_code("ratio_4") == LinearCode(make_field(4), ratio_rows(4))

@@ -2,13 +2,14 @@ import time
 import tracemalloc
 
 import pytest
+from conftest import fixture_code
 from hypothesis import given
 from hypothesis import strategies as st
 
 from weightbounds import exclusion
 from weightbounds.cli import render_audit
 from weightbounds.codes import CodeParams, LinearCode, code_params, spectrum
-from weightbounds.corpus import example_11_3_6, parse_weights, reed_muller_1
+from weightbounds.corpus import parse_weights
 from weightbounds.errors import ParamRangeError
 from weightbounds.exclusion import (
     ExclusionReport,
@@ -201,7 +202,7 @@ def test_compare_methods_raw_notes_values_past_n():
 
 
 def test_audit_the_11_3_6_code():
-    code = example_11_3_6()
+    code = fixture_code("example_11_3_6")
     assert audit_against_spectrum(code) == []
     # The non-excluded weights within [d, n] are exactly the true spectrum.
     report = compare_methods(CodeParams(11, 3, 6, 2))
@@ -211,7 +212,7 @@ def test_audit_the_11_3_6_code():
 
 
 def test_audit_rm_1_4():
-    code = reed_muller_1(4)
+    code = fixture_code("rm_1_4")
     assert spectrum(code).nonzero() == {0: 1, 8: 30, 16: 1}
     assert audit_against_spectrum(code) == []
 
@@ -251,7 +252,7 @@ def test_compare_methods_clamps_before_building_the_sets():
 def test_audit_lists_violations_in_the_order_of_the_sets(monkeypatch):
     # An unsound stand-in for the criteria: every attained weight it names
     # is reported, criterion by criterion, weights ascending.
-    code = example_11_3_6()  # A_6 = 6, A_8 = 1
+    code = fixture_code("example_11_3_6")  # A_6 = 6, A_8 = 1
     fake = ExclusionReport(
         params=code_params(code),
         chen_xie=frozenset({8, 6}),

@@ -1,10 +1,17 @@
 import dataclasses
 
 import pytest
+from conftest import ratio_rows
 
 from weightbounds import bounds, codes, selfcheck
-from weightbounds.codes import hamming_weight, iter_codewords, min_distance, residual
-from weightbounds.corpus import ratio_code
+from weightbounds.codes import (
+    LinearCode,
+    hamming_weight,
+    iter_codewords,
+    min_distance,
+    residual,
+)
+from weightbounds.gf import make_field
 from weightbounds.selfcheck import (
     check_distance_ratio,
     check_exclusion_soundness,
@@ -102,7 +109,8 @@ STRICTER = {
 @pytest.mark.parametrize("name", STRICTER)
 def test_suites_read_the_rules_from_bounds(name, corpus1000, monkeypatch):
     suite, stricter = STRICTER[name]
-    sample = corpus1000[:100] + [ratio_code(q) for q in (2, 3, 4, 5)]
+    ratio_codes = [LinearCode(make_field(q), ratio_rows(q)) for q in (2, 3, 4, 5)]
+    sample = corpus1000[:100] + ratio_codes
     assert suite(sample).ok
     monkeypatch.setattr(selfcheck, name, stricter)
     assert not suite(sample).ok
