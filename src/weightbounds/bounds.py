@@ -59,26 +59,24 @@ class BoundVerdict:
         return self.lhs == self.rhs
 
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ParamRangeError(msg)
-
-
 def singleton_max_d(n: int, k: int) -> int:
     """Largest distance allowed by the Singleton bound: n - k + 1."""
-    _require(1 <= k <= n, f"need 1 <= k <= n, got n={n} k={k}")
+    if not (1 <= k <= n):
+        raise ParamRangeError(f"need 1 <= k <= n, got n={n} k={k}")
     return n - k + 1
 
 
 def griesmer_min_n(k: int, d: int, q: int) -> int:
     """Smallest length allowed by the Griesmer bound: sum of ceil(d/q^i)."""
-    _require(k >= 1 and d >= 1 and q >= 2, f"bad parameters k={k} d={d} q={q}")
+    if not (k >= 1 and d >= 1 and q >= 2):
+        raise ParamRangeError(f"bad parameters k={k} d={d} q={q}")
     return ceil_div_sum(d, q, k)
 
 
 def max_window_weight(d: int, q: int) -> int:
     """Largest integer weight inside the window, i.e. strictly below q*d/(q-1)."""
-    _require(d >= 1 and q >= 2, f"bad parameters d={d} q={q}")
+    if not (d >= 1 and q >= 2):
+        raise ParamRangeError(f"bad parameters d={d} q={q}")
     return (q * d - 1) // (q - 1)
 
 
@@ -90,7 +88,8 @@ def residual_singleton_max_d(n: int, k: int, q: int, w: int) -> int:
     value.  (k = 1 repetition codes escape the cap: the underlying
     residual argument needs a (k-1)-dimensional code.)
     """
-    _require(1 <= k <= n and 1 <= w and q >= 2, f"bad parameters n={n} k={k} q={q} w={w}")
+    if not (1 <= k <= n and 1 <= w and q >= 2):
+        raise ParamRangeError(f"bad parameters n={n} k={k} q={q} w={w}")
     return n - k - ceil_div(w, q) + 2
 
 
@@ -101,7 +100,8 @@ def residual_griesmer_min_n(k: int, d: int, q: int, w: int) -> int:
     the sum is empty for k = 2.  Requires k >= 2 and w in the window
     (which guarantees the numerator d - w + ceil(w/q) is >= 1).
     """
-    _require(k >= 2 and d >= 1 and q >= 2 and w >= 1, f"bad parameters k={k} d={d} q={q} w={w}")
+    if not (k >= 2 and d >= 1 and q >= 2 and w >= 1):
+        raise ParamRangeError(f"bad parameters k={k} d={d} q={q} w={w}")
     if w > max_window_weight(d, q):
         raise WindowViolatedError(f"w={w} is not below q*d/(q-1) = {q}*{d}/{q - 1}")
     lead = ceil_div(w, q)
@@ -111,13 +111,15 @@ def residual_griesmer_min_n(k: int, d: int, q: int, w: int) -> int:
 
 def global_weight_max(n: int, d: int, q: int) -> int:
     """Weight cap q*(n - d) satisfied by every nonzero codeword when k > 1."""
-    _require(1 <= d <= n and q >= 2, f"bad parameters n={n} d={d} q={q}")
+    if not (1 <= d <= n and q >= 2):
+        raise ParamRangeError(f"bad parameters n={n} d={d} q={q}")
     return q * (n - d)
 
 
 def distance_ratio_holds(n: int, d: int, q: int) -> BoundVerdict:
     """The ratio bound (q+1)*d <= q*n, equivalent to d <= q*n/(q+1)."""
-    _require(1 <= d <= n and q >= 2, f"bad parameters n={n} d={d} q={q}")
+    if not (1 <= d <= n and q >= 2):
+        raise ParamRangeError(f"bad parameters n={n} d={d} q={q}")
     return BoundVerdict("distance-ratio", (q + 1) * d, "<=", q * n)
 
 
@@ -129,7 +131,8 @@ def parameter_verdicts(
     The ratio bound, the weight cap and all residual-based bounds hold
     only for k >= 2 and are omitted for one-dimensional parameters.
     """
-    _require(1 <= k <= n and 1 <= d <= n and q >= 2, f"bad parameters n={n} k={k} d={d} q={q}")
+    if not (1 <= k <= n and 1 <= d <= n and q >= 2):
+        raise ParamRangeError(f"bad parameters n={n} k={k} d={d} q={q}")
     d_max = singleton_max_d(n, k)
     out = [
         BoundVerdict("singleton", d, "<=", d_max),
@@ -139,7 +142,8 @@ def parameter_verdicts(
         out.append(distance_ratio_holds(n, d, q))
     if w is None:
         return out
-    _require(w >= 1, f"bad weight w={w}")
+    if w < 1:
+        raise ParamRangeError(f"bad weight w={w}")
     window = BoundVerdict("weight-window", w * (q - 1), "<", q * d)
     out.append(window)
     if k < 2:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import os
@@ -415,7 +416,10 @@ def _add_code_file(sub) -> None:
                      help=f"max enumerated codewords (default {ENV_LIMIT} or 2^26)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process: parsing leaves it unchanged, and help
+    text reads the terminal width when it is formatted, not here."""
     parser = argparse.ArgumentParser(
         prog="weightbounds",
         description="Bounds and excluded weights for q-ary linear codes.",

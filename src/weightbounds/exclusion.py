@@ -6,8 +6,10 @@ Three methods are implemented:
 * Singleton criterion: weights w with d <= w < q*d/(q-1) and
   w > q*(n-k-d+2) vanish; a consecutive interval.
 * Griesmer criterion: weights w with d <= w < q*d/(q-1) vanish whenever
-  n < residual_griesmer_min_n(k, d, q, w); this set need not be an
-  interval.
+  n < f(w) = residual_griesmer_min_n(k, d, q, w).  Since
+  f(w + q^(k-1)) = f(w) + 1, the set is, within each residue class mod
+  q^(k-1), a suffix of the window; so it need not be an interval, and
+  it takes at most q^(k-1) evaluations of f, not one per window weight.
 
 Endpoint logic is exact-integer throughout.  Both upper endpoints use
 the strict window w*(q-1) < q*d; the Chen-Xie endpoint additionally
@@ -88,17 +90,30 @@ def singleton_excluded(params: CodeParams, clamp: bool = True) -> set[int]:
 def griesmer_excluded(params: CodeParams, clamp: bool = True) -> set[int]:
     """Weights ruled out by the residual-Griesmer argument (possibly gappy).
 
-    Scans d <= w < q*d/(q-1) (and w <= n when clamping) and keeps w
-    whenever the forced length exceeds n.  Requires k >= 2.
+    Keeps each w in the window d <= w < q*d/(q-1) (and w <= n when
+    clamping) whose forced length f(w) = residual_griesmer_min_n(k, d, q, w)
+    exceeds n.  Lemma: with P = q^(k-1), f(w + P) = f(w) + 1, because
+    ceil(w/q) grows by q^(k-2) while the k-2 terms of the sum lose
+    q^(k-2) - 1 together.  So in the residue class of w0 the weights
+    w0 + j*P are excluded exactly from j = n - f(w0) + 1 on: one
+    evaluation per class, and gaps between the classes.  Any P wider than
+    the window serves too (no class has a second weight), so for large k
+    P stays near the window width.  Requires k >= 2.
     """
     n, k, d, q = params.n, params.k, params.d, params.q
     if k < 2:
         raise ParamRangeError("the Griesmer criterion needs k >= 2")
     hi = max_window_weight(d, q)
-    return {
-        w for w in range(d, (min(hi, n) if clamp else hi) + 1)
-        if n < residual_griesmer_min_n(k, d, q, w)
-    }
+    stop = (min(hi, n) if clamp else hi) + 1
+    period = q ** min(k - 1, (stop - d).bit_length())
+    # A class with one weight in the window is tested as it stands; a range
+    # per class is built only where the class has more weights.
+    out = {w for w in range(max(d, stop - period), min(d + period, stop))
+           if n < residual_griesmer_min_n(k, d, q, w)}
+    for w0 in range(d, min(d + period, stop - period)):
+        first = w0 + max(0, n + 1 - residual_griesmer_min_n(k, d, q, w0)) * period
+        out.update(range(first, stop, period))
+    return out
 
 
 def compare_methods(params: CodeParams, clamp: bool = True) -> ExclusionReport:

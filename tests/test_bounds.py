@@ -250,3 +250,22 @@ def test_parameter_verdicts_shape():
     names = [v.name for v in parameter_verdicts(5, 1, 5, 2, 5)]
     assert names == ["singleton", "griesmer", "weight-window"]
     assert all(v.holds for v in parameter_verdicts(5, 1, 5, 2, 5))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: singleton_max_d(0, 1), "need 1 <= k <= n, got n=0 k=1"),
+    (lambda: griesmer_min_n(0, 1, 2), "bad parameters k=0 d=1 q=2"),
+    (lambda: max_window_weight(0, 2), "bad parameters d=0 q=2"),
+    (lambda: residual_singleton_max_d(5, 2, 2, 0), "bad parameters n=5 k=2 q=2 w=0"),
+    (lambda: residual_griesmer_min_n(1, 3, 2, 3), "bad parameters k=1 d=3 q=2 w=3"),
+    (lambda: global_weight_max(3, 4, 2), "bad parameters n=3 d=4 q=2"),
+    (lambda: distance_ratio_holds(5, 0, 1), "bad parameters n=5 d=0 q=1"),
+    (lambda: parameter_verdicts(5, 6, 2, 2), "bad parameters n=5 k=6 d=2 q=2"),
+    (lambda: parameter_verdicts(5, 2, 2, 2, 0), "bad weight w=0"),
+], ids=["singleton_max_d", "griesmer_min_n", "max_window_weight",
+        "residual_singleton_max_d", "residual_griesmer_min_n", "global_weight_max",
+        "distance_ratio_holds", "parameter_verdicts", "parameter_verdicts_weight"])
+def test_every_guard_names_the_bad_parameters(call, message):
+    with pytest.raises(ParamRangeError) as caught:
+        call()
+    assert str(caught.value) == message

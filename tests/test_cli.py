@@ -318,3 +318,44 @@ def test_a_failed_internal_invariant_exits_3_with_one_line(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "internal error: residual rank 1 != k-1 = 2 inside the window\n"
+
+
+def main_in_process(argv, capsys):
+    """Exit status, stdout and stderr of `cli.main(argv)` in this process."""
+    from weightbounds import cli
+
+    try:
+        status = cli.main(argv)
+    except SystemExit as exc:  # argparse exits on usage errors and --help
+        status = exc.code
+    out, err = capsys.readouterr()
+    return status, out, err
+
+
+def test_the_cached_parser_answers_each_call_like_a_fresh_process(monkeypatch, capsys):
+    from weightbounds import cli
+
+    assert cli.build_parser() is cli.build_parser()
+    monkeypatch.setenv("COLUMNS", "80")  # the usage message wraps at the width
+    bounds = ["bounds", "--n", "11", "--k", "3", "--d", "6", "--q", "2", "--w", "7"]
+    for argv in (
+        bounds,
+        ["exclude", "--n", "11", "--k", "3", "--d", "6", "--q", "2", "--format", "json"],
+        ["bounds", "--n", "11", "--k", "3", "--q", "2"],  # no --d: exit 2 with usage
+        bounds,
+    ):
+        fresh = run_cli(*argv)
+        assert main_in_process(argv, capsys) == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+
+def test_help_follows_a_width_set_after_the_parser_was_built(monkeypatch, capsys):
+    from weightbounds import cli
+
+    cli.build_parser()
+    helps = {}
+    for columns in ("40", "120"):
+        monkeypatch.setenv("COLUMNS", columns)
+        status, helps[columns], err = main_in_process(["exclude", "--help"], capsys)
+        assert (status, err) == (0, "")
+        assert helps[columns] == run_cli("exclude", "--help").stdout
+    assert helps["40"] != helps["120"]

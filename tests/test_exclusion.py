@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from weightbounds import exclusion
+from weightbounds.bounds import griesmer_min_n, max_window_weight, residual_griesmer_min_n
 from weightbounds.cli import render_audit
 from weightbounds.codes import CodeParams, LinearCode, code_params, spectrum
 from weightbounds.corpus import parse_weights
@@ -85,8 +86,6 @@ def test_griesmer_examples():
 
 
 def test_griesmer_never_excludes_d_at_admissible_length():
-    from weightbounds.bounds import griesmer_min_n
-
     for q in (2, 3, 4):
         for d in range(1, 30):
             for k in range(2, 7):
@@ -104,6 +103,52 @@ def test_griesmer_set_need_not_be_an_interval():
 def test_griesmer_requires_k_at_least_2():
     with pytest.raises(ParamRangeError):
         griesmer_excluded(CodeParams(9, 1, 3, 2))
+
+
+def griesmer_excluded_by_scan(params: CodeParams, clamp: bool = True) -> set[int]:
+    """The Griesmer criterion evaluated at every window weight (oracle path)."""
+    n, k, d, q = params.n, params.k, params.d, params.q
+    hi = max_window_weight(d, q)
+    return {
+        w for w in range(d, (min(hi, n) if clamp else hi) + 1)
+        if n < residual_griesmer_min_n(k, d, q, w)
+    }
+
+
+@st.composite
+def griesmer_params(draw):
+    # Small q and k give a period q^(k-1) below the window width (about
+    # d/(q-1)): far below for large d, within a factor of two for small d.
+    # Large k gives a period far above it.  n spans the forced lengths at
+    # the ends of the window, so the set runs from the whole window to empty.
+    q = draw(st.sampled_from([2, 3]))
+    k = draw(st.integers(2, 4) | st.integers(5, 60))
+    d = draw(st.integers(1, 60) | st.integers(1, 2000))
+    lo = residual_griesmer_min_n(k, d, q, d)
+    hi = residual_griesmer_min_n(k, d, q, max_window_weight(d, q))
+    n = draw(st.integers(lo - 2, hi + 1))
+    return CodeParams(max(n, k, d), k, d, q)
+
+
+@given(griesmer_params(), st.booleans())
+def test_griesmer_by_period_equals_the_scan(params, clamp):
+    assert griesmer_excluded(params, clamp) == griesmer_excluded_by_scan(params, clamp)
+
+
+def test_griesmer_evaluations_do_not_grow_with_the_window(monkeypatch):
+    # The window holds 2 million weights; the period q^(k-1) = 4 needs four
+    # evaluations per pass, one pass clamped and one raw.
+    calls = []
+    original = exclusion.residual_griesmer_min_n
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(exclusion, "residual_griesmer_min_n", counted)
+    for clamp in (True, False):
+        compare_methods(CodeParams(4000000, 3, 2000000, 2), clamp)
+    assert len(calls) <= 2 * 4
 
 
 @given(params_strategy())

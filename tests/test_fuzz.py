@@ -166,8 +166,9 @@ def as_int(token):
 
 def unguarded_exclusion(n, k, d, q):
     """Whether `exclude` gets a tuple CodeParams accepts, over a field, with d > 2^17.
-    Its scan windows and sets grow with d and no guard bounds them yet, so
-    such a tuple can run for minutes or exhaust memory; skipped until then."""
+    Its Griesmer evaluations no longer grow with d, but the excluded sets it
+    builds still do and no guard bounds them yet, so such a tuple can run for
+    minutes or exhaust memory; skipped until then."""
     if None in (n, k, d, q) or not (1 <= k <= n and 1 <= d <= n):
         return False
     try:

@@ -1,3 +1,4 @@
+from weightbounds.bounds import max_window_weight
 from weightbounds.codes import CodeParams
 from weightbounds.corpus import TableRow
 from weightbounds.tables import (
@@ -125,6 +126,12 @@ def test_each_criterion_is_evaluated_once_per_cell(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(exclusion, "residual_griesmer_min_n", counted)
-    compare_table(3)
-    # One raw Griesmer scan per row: 966 windowed weights over the seven rows.
-    assert len(calls) == 966
+    comps = compare_table(3)
+    # One raw Griesmer pass per row, evaluated once per residue class mod
+    # q^(k-1) of its window d..max_window_weight(d, q).
+    expected = 0
+    for comp in comps:
+        p = comp.row.params
+        width = max_window_weight(p.d, p.q) - p.d + 1
+        expected += min(width, p.q ** (p.k - 1))
+    assert len(calls) == expected
