@@ -31,9 +31,7 @@ from .codes import (
 )
 from .corpus import DEFAULT_SELFTEST_SEED, DEFAULT_SELFTEST_TRIALS, format_weights
 from .errors import EnumerationTooLargeError, WeightBoundsError
-from .exclusion import (
-    AuditViolation, ExclusionReport, audit_against_spectrum, compare_methods,
-)
+from .exclusion import CRITERIA, AuditViolation, ExclusionReport, compare_methods
 from .gf import check_field_order, make_field
 from .selfcheck import run_selftest
 from .tables import CLAMPED, EXACT, MISMATCH, compare_table
@@ -333,10 +331,9 @@ def render_audit(
 
 def cmd_audit(args) -> int:
     code = _read_code(args)
-    report = compare_methods(code_params(code))
-    violations = audit_against_spectrum(code)
-    counts = spectrum(code).nonzero()
-    sys.stdout.write(render_audit(report, counts, violations, args.format))
+    report, spec = compare_methods(code_params(code)), spectrum(code)
+    violations = report.audit(spec.counts)
+    sys.stdout.write(render_audit(report, spec.nonzero(), violations, args.format))
     return 1 if violations else 0
 
 
@@ -436,8 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("exclude", help="excluded-weight sets for (n, k, d, q)")
     for flag in ("--n", "--k", "--d", "--q"):
         p.add_argument(flag, type=integer, required=True)
-    p.add_argument("--method", choices=("chen-xie", "singleton", "griesmer", "all"),
-                   default="all")
+    p.add_argument("--method", choices=(*CRITERIA, "all"), default="all")
     p.add_argument("--raw", action="store_true", help="keep formula intervals even past n")
     _add_format(p)
     p.set_defaults(func=cmd_exclude)

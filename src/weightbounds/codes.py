@@ -168,8 +168,9 @@ def row_reduce(gf: GF, rows: Iterable[Sequence[int]]) -> tuple[tuple[Vector, ...
         r += 1
         if r == len(mat):
             break
-    basis = tuple(tuple(row) for row in mat[:r] if any(row))
-    return basis, len(basis)
+    # Each row of mat[:r] keeps the 1 at its pivot: later eliminations subtract
+    # rows that are 0 in that column.
+    return tuple(tuple(row) for row in mat[:r]), r
 
 
 def code_from_matrix(

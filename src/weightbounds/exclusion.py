@@ -21,11 +21,15 @@ tables print those).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .bounds import max_window_weight, residual_griesmer_min_n
 from .codes import CodeParams, LinearCode, code_params, spectrum
 from .errors import ParamRangeError
+
+# The criterion names, in the order of every report, table cell and audit.
+CRITERIA = ("chen-xie", "singleton", "griesmer")
 
 
 @dataclass(frozen=True)
@@ -41,13 +45,23 @@ class ExclusionReport:
 
     @property
     def sets(self) -> dict[str, frozenset[int]]:
-        """Method name to excluded set: chen-xie, singleton, griesmer."""
-        return {"chen-xie": self.chen_xie, "singleton": self.singleton,
-                "griesmer": self.griesmer}
+        """Method name to excluded set, in CRITERIA order."""
+        return dict(zip(CRITERIA, (self.chen_xie, self.singleton, self.griesmer)))
 
     @property
     def union(self) -> frozenset[int]:
         return self.chen_xie | self.singleton | self.griesmer
+
+    def audit(self, counts: Sequence[int]) -> list[AuditViolation]:
+        """Every excluded weight w that the spectrum attains, counts[w] = A_w > 0
+        (as in `WeightSpectrum.counts`; raw weights past its end are not
+        attained), in `sets` order, weights ascending.  Sound criteria give []."""
+        return [
+            AuditViolation(criterion=name, weight=w, count=counts[w])
+            for name, excluded in self.sets.items()
+            for w in sorted(excluded)
+            if w < len(counts) and counts[w]
+        ]
 
 
 @dataclass(frozen=True)
@@ -67,13 +81,13 @@ def chen_xie_upper(d: int, q: int) -> int:
     return (q * d) // (q - 1) - 1
 
 
-def chen_xie_excluded(params: CodeParams, clamp: bool = True) -> set[int]:
+def chen_xie_excluded(params: CodeParams, clamp: bool = True) -> frozenset[int]:
     """The Chen-Xie interval [n-k+2, floor(q*d/(q-1)) - 1] (may be empty)."""
     lo, hi = params.n - params.k + 2, chen_xie_upper(params.d, params.q)
-    return set(range(lo, (min(hi, params.n) if clamp else hi) + 1))
+    return frozenset(range(lo, (min(hi, params.n) if clamp else hi) + 1))
 
 
-def singleton_excluded(params: CodeParams, clamp: bool = True) -> set[int]:
+def singleton_excluded(params: CodeParams, clamp: bool = True) -> frozenset[int]:
     """Weights ruled out by the residual-Singleton argument (an interval).
 
     Requires k >= 2: the argument passes to a residual code of dimension
@@ -84,10 +98,10 @@ def singleton_excluded(params: CodeParams, clamp: bool = True) -> set[int]:
     if k < 2:
         raise ParamRangeError("the Singleton criterion needs k >= 2")
     lo, hi = max(d, q * (n - k - d + 2) + 1), max_window_weight(d, q)
-    return set(range(lo, (min(hi, n) if clamp else hi) + 1))
+    return frozenset(range(lo, (min(hi, n) if clamp else hi) + 1))
 
 
-def griesmer_excluded(params: CodeParams, clamp: bool = True) -> set[int]:
+def griesmer_excluded(params: CodeParams, clamp: bool = True) -> frozenset[int]:
     """Weights ruled out by the residual-Griesmer argument (possibly gappy).
 
     Keeps each w in the window d <= w < q*d/(q-1) (and w <= n when
@@ -113,7 +127,7 @@ def griesmer_excluded(params: CodeParams, clamp: bool = True) -> set[int]:
     for w0 in range(d, min(d + period, stop - period)):
         first = w0 + max(0, n + 1 - residual_griesmer_min_n(k, d, q, w0)) * period
         out.update(range(first, stop, period))
-    return out
+    return frozenset(out)
 
 
 def compare_methods(params: CodeParams, clamp: bool = True) -> ExclusionReport:
@@ -125,9 +139,9 @@ def compare_methods(params: CodeParams, clamp: bool = True) -> ExclusionReport:
     that containment is checked here rather than assumed.
     """
     n, k, d, q = params.n, params.k, params.d, params.q
-    cx = frozenset(chen_xie_excluded(params, clamp))
-    si = frozenset(singleton_excluded(params, clamp)) if k >= 2 else frozenset()
-    gr = frozenset(griesmer_excluded(params, clamp)) if k >= 2 else frozenset()
+    cx = chen_xie_excluded(params, clamp)
+    si = singleton_excluded(params, clamp) if k >= 2 else frozenset()
+    gr = griesmer_excluded(params, clamp) if k >= 2 else frozenset()
     notes = []
     if d > 1:
         notes.append(
@@ -148,7 +162,7 @@ def compare_methods(params: CodeParams, clamp: bool = True) -> ExclusionReport:
             "left-endpoint comparison inapplicable: no code has these parameters"
         )
     if not clamp:
-        for name, s in (("chen-xie", cx), ("singleton", si), ("griesmer", gr)):
+        for name, s in zip(CRITERIA, (cx, si, gr)):
             over = sorted(w for w in s if w > n)
             if over:
                 notes.append(f"{name} raw interval exceeds n={n}: {over}")
@@ -163,18 +177,6 @@ def compare_methods(params: CodeParams, clamp: bool = True) -> ExclusionReport:
 
 
 def audit_against_spectrum(code: LinearCode) -> list[AuditViolation]:
-    """Check every criterion against the code's true weight distribution.
-
-    Computes (n, k, d) from the code itself, derives the clamped excluded
-    sets from `compare_methods`, and reports every weight that is both
-    excluded and attained, in the order of `ExclusionReport.sets`.  Sound
-    criteria return an empty list.
-    """
-    counts = spectrum(code).counts
-    sets = compare_methods(code_params(code)).sets
-    return [
-        AuditViolation(criterion=name, weight=w, count=counts[w])
-        for name, excluded in sets.items()
-        for w in sorted(excluded)
-        if counts[w]
-    ]
+    """`ExclusionReport.audit` of the clamped report for the code's own
+    (n, k, d) against its true weight distribution."""
+    return compare_methods(code_params(code)).audit(spectrum(code).counts)

@@ -1,7 +1,7 @@
 """Reproduction harness for the embedded comparison tables.
 
-A row's printed cells are zipped, in order, with the criteria chen-xie,
-singleton and griesmer; each cell keeps only what was printed and what
+A row's printed cells are zipped, in order, with the criteria of
+`exclusion.CRITERIA`; each cell keeps only what was printed and what
 was computed, raw and clamped to n.  Verdicts and flags are derived from
 those on access, under a tri-state rule: `exact` (equals the raw formula
 set), `exact-after-clamp` (equals the set cut at n, and clamping
@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .corpus import TableRow, format_weights, table_rows
-from .exclusion import chen_xie_excluded, griesmer_excluded, singleton_excluded
+from .exclusion import CRITERIA, chen_xie_excluded, griesmer_excluded, singleton_excluded
 
 EXACT = "exact"
 CLAMPED = "exact-after-clamp"
@@ -87,15 +87,13 @@ class RowComparison:
 def compare_row(row: TableRow) -> RowComparison:
     """Tri-state comparison of one table row, cell by cell in criterion order."""
     # Read from the module globals on each call, so wrappers put on them are seen.
-    criteria = (
-        ("chen-xie", chen_xie_excluded),
-        ("singleton", singleton_excluded),
-        ("griesmer", griesmer_excluded),
-    )
+    functions = (chen_xie_excluded, singleton_excluded, griesmer_excluded)
     cells = []
-    for (method, excluded), printed, count in zip(criteria, row.printed, row.printed_counts):
+    for method, excluded, printed, count in zip(
+        CRITERIA, functions, row.printed, row.printed_counts
+    ):
         # Each criterion is evaluated once; its clamped set is the raw set cut at n.
-        raw = frozenset(excluded(row.params, clamp=False))
+        raw = excluded(row.params, clamp=False)
         clamped = frozenset(w for w in raw if w <= row.params.n)
         cells.append(CellComparison(method, printed, raw, clamped, count))
     return RowComparison(row, tuple(cells))

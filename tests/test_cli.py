@@ -133,6 +133,27 @@ def test_audit_fixture_passes():
     assert "no violations" in result.stdout
 
 
+def test_audit_builds_one_report_and_enumerates_once(monkeypatch, capsys):
+    from weightbounds import cli, codes, exclusion
+
+    calls = []
+    original = exclusion.compare_methods
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    # cli and exclusion each look the name up in their own globals.
+    monkeypatch.setattr(cli, "compare_methods", counted)
+    monkeypatch.setattr(exclusion, "compare_methods", counted)
+    codes._spectrum_counts.cache_clear()
+    status, out, _ = main_in_process(["audit", str(FIXTURES / "hamming_13_10_3_ternary.gen")],
+                                     capsys)
+    assert (status, out.splitlines()[-1]) == (0, "no violations")
+    assert len(calls) == 1
+    assert codes._spectrum_counts.cache_info().misses == 1
+
+
 def test_selftest_deterministic():
     first = run_cli("selftest", "--trials", "40", "--seed", "5")
     second = run_cli("selftest", "--trials", "40", "--seed", "5")

@@ -10,7 +10,7 @@ from weightbounds import exclusion
 from weightbounds.bounds import griesmer_min_n, max_window_weight, residual_griesmer_min_n
 from weightbounds.cli import render_audit
 from weightbounds.codes import CodeParams, LinearCode, code_params, spectrum
-from weightbounds.corpus import parse_weights
+from weightbounds.corpus import EXTERNAL_SPECTRA, parse_weights
 from weightbounds.errors import ParamRangeError
 from weightbounds.exclusion import (
     ExclusionReport,
@@ -244,6 +244,8 @@ def test_compare_methods_raw_notes_values_past_n():
     assert not report.clamped
     assert any("exceeds n=93" in note for note in report.notes)
     assert max(report.singleton) == 95
+    # The audit reads a spectrum of length n+1; weights past n are not attained.
+    assert max(v.weight for v in report.audit([1] * 94)) == 93
 
 
 def test_audit_the_11_3_6_code():
@@ -254,6 +256,20 @@ def test_audit_the_11_3_6_code():
     survivors = set(range(6, 12)) - report.union
     actual = {w for w in spectrum(code).nonzero() if w > 0}
     assert survivors == actual == {6, 8}
+
+
+@pytest.mark.parametrize("name, params", [
+    ("ding_27_8_14_ternary", CodeParams(27, 8, 14, 3)),
+    ("cyclic_15_10_4_binary", CodeParams(15, 10, 4, 2)),
+])
+def test_audit_the_published_spectra(name, params):
+    # The published enumerators, without generator files.
+    published = EXTERNAL_SPECTRA[name]
+    counts = [published.get(w, 0) for w in range(params.n + 1)]
+    report = compare_methods(params)
+    assert report.audit(counts) == []
+    if name == "cyclic_15_10_4_binary":
+        assert all(7 in s for s in report.sets.values()) and counts[7] == 0
 
 
 def test_audit_rm_1_4():
