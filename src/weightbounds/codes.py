@@ -6,14 +6,16 @@ membership and the dual code read from the reduced row-echelon form
 and the residual-code construction (puncture a code at the support of
 one of its codewords).
 
-The spectrum kernel meets in the middle, the same way for every q.  The
-first a rows span the low combinations L, each one-hot encoded as an
-integer of n*q bits; the other rows give the high parts H, taken only
-up to scalars.  One XOR and one popcount, both in C, give the weight of
-each L + H, so a spectrum costs about q^k/(q-1) + q^a such operations
-and q^(k-a)/(q-1) Python-level steps.  a is ceil(k/2), lowered until
-the q^a low integers fit in _LOW_BITS (down to a = 0) to bound memory
-for large q.
+The spectrum kernel meets in the middle, the same way for every q, and is
+bit-sliced: bit m of an integer stands for the m-th combination L of the
+first a rows.  Each distinct low column keeps q value bitmaps of q^a
+bits.  Each high part H, taken only up to scalars, reads one bitmap per
+coordinate (the L with L_j = H_j) and a ripple-carry counter adds them
+into log2(n) bit planes, which split the q^a combinations by weight.
+So a spectrum costs about q^(k-a)/(q-1) * n*log2(n) Python-level
+operations on q^a-bit integers.  a is k - 1, lowered until the low
+bitmaps, q^(a+1) bits per distinct low column, fit in _LOW_BITS (64 KiB;
+down to a = 0).
 
 Codeword enumeration order is fixed: message integer m in [0, q^k)
 has base-q digits d_0 ... d_{k-1} (d_0 least significant), and the
@@ -26,9 +28,7 @@ this order, feeds the spectrum's high parts and the residual-lemma suite.
 from __future__ import annotations
 
 import functools
-import operator
 import warnings
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Iterable, Iterator, Sequence
@@ -249,44 +249,68 @@ def projective_codewords(gf: GF, rows: Sequence[Vector]) -> Iterator[Vector]:
         yield from _walk(gf, rows[:t], row)
 
 
-_LOW_BITS = 1 << 24  # bits of low one-hot integers a spectrum may hold (2 MiB)
+_LOW_BITS = 1 << 19  # value-bitmap bits the low side of a spectrum may hold (64 KiB)
 
 
 @functools.lru_cache(maxsize=4096)
 def _spectrum_counts(code: LinearCode) -> tuple[int, ...]:
-    """Meet in the middle: low combinations L against projective high parts H.
+    """Meet in the middle, bit-sliced: all low combinations L at once against
+    each projective high part H.
 
-    A vector v is one-hot encoded as the integer with bit j*q + v[j] set
-    for each coordinate j, so weight(L - H) = popcount(oh(L) ^ oh(H)) / 2;
-    L -> -L permutes the low span, so over all L these are the weights of
-    L + H.  Nonzero H is taken only up to scalars (its last nonzero digit
-    is 1): L + cH ranges over c * (L' + H), so each such H stands for q-1.
+    Bit m of a bitmap stands for the m-th combination L of the low rows
+    (message order).  For each distinct low column g, bitmaps[g][v] has bit
+    m set iff <m, g> = v, so bitmaps[g_j][H_j] marks the L with (L - H)_j = 0.
+    A ripple-carry counter adds those n bitmaps into bit planes of each L's
+    zero count, and splitting all L by the planes counts every weight; as
+    L -> -L permutes the low combinations, these are the weights of L + H.
+    Nonzero H is taken only up to scalars (its last nonzero digit is 1):
+    L + cH ranges over c * (L' + H), so each such H stands for q-1.
     """
     gf, q, n = code.gf, code.q, code.n
-    a = (code.k + 1) // 2
-    while a and q**a * n * q > _LOW_BITS:
+    cols = list(zip(*code.rows))
+    # Not a = k: a last low row costs q^2 bitmap steps per low column, more
+    # than the one projective high row it replaces.
+    a = code.k - 1
+    while a and len({c[:a] for c in cols}) * q ** (a + 1) > _LOW_BITS:
         a -= 1
-    low, high = code.rows[:a], code.rows[a:]
-    zero = (0,) * n
-    offsets = range(0, n * q, q)
-
-    def onehot(v: Iterable[int]) -> int:
-        return sum(map(operator.lshift, repeat(1), map(operator.add, offsets, v)))
-
-    lows = [onehot(v) for v in _walk(gf, low, zero)]
-
-    def weights(h: Sequence[int]) -> Iterator[int]:
-        """2 * weight(L - h) for every low combination L."""
-        return map(int.bit_count, map(operator.xor, repeat(onehot(h)), lows))
-
-    tally: Counter[int] = Counter()
-    for h in projective_codewords(gf, high):
-        tally.update(weights(h))
+    low_columns = [c[:a] for c in cols]
+    bitmaps: dict[Vector, dict[int, int]] = {}
+    for g in set(low_columns):
+        values, size = {0: 1}, 1  # over the size = q^i messages of the first i digits
+        for x in g:
+            if x:  # digit d adds d*x to <m, g> and d*size to m
+                steps = list(gf.scale_vec(x, range(q)))
+                extended: dict[int, int] = {}
+                for v, b in values.items():
+                    for d, s in enumerate(steps):
+                        u = gf.add(v, s)
+                        extended[u] = extended.get(u, 0) | b << d * size
+                values = extended
+            else:  # every digit keeps <m, g>: each bitmap repeats q times
+                repeat_mask = ((1 << size * q) - 1) // ((1 << size) - 1)
+                values = {v: b * repeat_mask for v, b in values.items()}
+            size *= q
+        bitmaps[g] = values
+    lows = [bitmaps[g] for g in low_columns]
+    every = (1 << q**a) - 1
     counts = [0] * (n + 1)
-    for bits, c in tally.items():
-        counts[bits // 2] = c * (q - 1)
-    for bits, c in Counter(weights(zero)).items():
-        counts[bits // 2] += c
+    for scale, highs in ((1, [(0,) * n]), (q - 1, projective_codewords(gf, code.rows[a:]))):
+        for h in highs:
+            planes: list[int] = []  # planes[i]: bit i of each L's zero count
+            for z in filter(None, map(dict.get, lows, h, repeat(0))):
+                for i, p in enumerate(planes):
+                    planes[i] = p ^ z
+                    z &= p
+                    if not z:
+                        break
+                else:
+                    planes.append(z)
+            parts = [every]  # parts[c]: the L whose planes read so far give c zeros
+            for p in planes:
+                ones = [s & p for s in parts]
+                parts = [s ^ t for s, t in zip(parts, ones)] + ones
+            for w, s in zip(range(n, -1, -1), parts):
+                counts[w] += s.bit_count() * scale
     return tuple(counts)
 
 

@@ -17,6 +17,9 @@ m // 2), which is cheap under the q <= 2^16 cap.
 Extension-field multiplication is served from exp/log tables, built in
 one walk over the powers of the smallest primitive element; the tests
 check them against the polynomial definition (`_poly_mul`, `_poly_mod`).
+Addition in GF(p^m) with odd p reads a Zech-logarithm table beside them:
+g^i + g^j = g^(i + Z(j - i)) with g^Z(t) = 1 + g^t; the tests check it
+against digit-wise addition mod p.
 
 Vectors are added and scaled by `add_vec` and `scale_vec`, which return
 lazy `map`s mirroring `add`/`mul`: XOR for p = 2 and `operator.mod` over
@@ -156,6 +159,7 @@ class GF:
     modulus: tuple[int, ...] = field(init=False)
     _exp: tuple[int, ...] = field(default=(), init=False, repr=False, compare=False)
     _log: tuple[int, ...] = field(default=(), init=False, repr=False, compare=False)
+    _zech: tuple[int, ...] = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         p, m = check_field_order(self.q)
@@ -193,9 +197,11 @@ class GF:
             return a ^ b
         if self.m == 1:
             return (a + b) % self.p
-        return self._undigits(
-            [(x + y) % self.p for x, y in zip(self._digits(a), self._digits(b))]
-        )
+        if not (a and b):
+            return a or b
+        la = self._log[a]
+        z = self._zech[(self._log[b] - la) % (self.q - 1)]
+        return self._exp[(la + z) % (self.q - 1)] if z else 0  # 1 + g^t is never 1
 
     def neg(self, a: int) -> int:
         return self.mul(self.p - 1, a)
@@ -255,6 +261,8 @@ class GF:
             log[e] = i
         object.__setattr__(self, "_exp", tuple(exp))
         object.__setattr__(self, "_log", tuple(log))
+        if p > 2:  # Z(t) = log(1 + g^t), 0 where 1 + g^t = 0; adding 1 steps digit 0
+            object.__setattr__(self, "_zech", tuple(log[e - e % p + (e + 1) % p] for e in exp))
 
 
 @functools.lru_cache(maxsize=None)

@@ -293,10 +293,25 @@ def test_spectrum_matches_brute_force_oracle_on_corpus(corpus1000):
         assert spectrum(code).counts == oracle_counts(code.gf, code.rows)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_spectrum_kernel_branches_match_oracle(q):
+    # One field per class.  With k = 3 the low block is the first k - 1 = 2
+    # rows: columns 0-2 have a zero low part (column 2 is zero throughout),
+    # columns 3-5 share the low part (1, 1) with different high entries,
+    # and the unit columns keep the rank at 3.  A k = 1 code has a = 0: one
+    # low combination, and the row is the one projective high part.
+    gf, top = make_field(q), q - 1
+    columns = [(0, 0, 1), (0, 0, top), (0, 0, 0), (1, 1, 0), (1, 1, 1), (1, 1, top),
+               (1, 0, 0), (0, 1, 0), (top, 1, 1)]
+    rows = tuple(zip(*columns))
+    for code_rows in (rows, rows[2:]):
+        assert spectrum(LinearCode(gf, code_rows)).counts == oracle_counts(gf, code_rows)
+
+
 @pytest.mark.parametrize("low_bits", [0, 50, 150])
 def test_spectrum_with_a_smaller_low_block_matches_oracle(monkeypatch, low_bits):
-    # A small low-bit budget lowers the low block below ceil(k/2) rows,
-    # down to a = 0 (one low integer, every codeword a high part).
+    # A small low-bit budget lowers the low block below k - 1 rows, down to
+    # a = 0 (one low combination, every codeword a high part).
     monkeypatch.setattr(codes_module, "_LOW_BITS", low_bits)
     codes_module._spectrum_counts.cache_clear()
     rng = SplitMix64(low_bits)
@@ -320,9 +335,19 @@ def traced_spectrum(code):
         tracemalloc.stop()
 
 
+def test_spectrum_of_the_binary_48_21_code_stays_small():
+    # The largest shape of the spectrum benchmark: the low side holds at most
+    # _LOW_BITS bits of bitmaps, and the counter a few more of the same width.
+    rows = random_full_rank_rows(SplitMix64(4821), GF2, 48, 21)
+    counts, peak = traced_spectrum(LinearCode(GF2, rows))
+    assert sum(counts.values()) == 2**21 and counts[0] == 1
+    assert peak < 256 << 10
+
+
 def test_spectrum_of_a_large_field_one_row_code():
     # GF(65536) [8,1]: the nonzero codewords are the 65535 multiples of a
-    # weight-5 row.  q^ceil(k/2) low integers of n*q bits would be 4 GiB.
+    # weight-5 row.  The low block is empty (a = k - 1 = 0), so each bitmap
+    # is one bit; a = 1 would hold 2^32 bits per distinct low column.
     code = LinearCode(make_field(65536), ((1, 2, 3, 0, 0, 5, 0, 65535),))
     counts, peak = traced_spectrum(code)
     assert counts == {0: 1, 5: 65535}

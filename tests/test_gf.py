@@ -125,6 +125,19 @@ def test_irreducibility_check_known_cases():
     assert _smallest_irreducible(2, 3) == (1, 0, 1, 1)  # x^3 + x^2 + 1
 
 
+def add_definition(gf, a, b):
+    """Addition digit by digit mod p, without the Zech table."""
+    return gf._undigits([(x + y) % gf.p for x, y in zip(gf._digits(a), gf._digits(b))])
+
+
+@pytest.mark.parametrize("q", [9, 25, 27, 49, 81])
+def test_zech_add_equals_digitwise_add_exhaustive(q):
+    gf = make_field(q)
+    for a in range(q):
+        for b in range(q):
+            assert gf.add(a, b) == add_definition(gf, a, b)
+
+
 def test_arith_examples():
     gf2, gf3, gf4 = make_field(2), make_field(3), make_field(4)
     assert gf2.add(1, 1) == 0
