@@ -8,14 +8,16 @@ one of its codewords).
 
 The spectrum kernel meets in the middle, the same way for every q, and is
 bit-sliced: bit m of an integer stands for the m-th combination L of the
-first a rows.  Each distinct low column keeps q value bitmaps of q^a
-bits.  Each high part H, taken only up to scalars, reads one bitmap per
-coordinate (the L with L_j = H_j) and a ripple-carry counter adds them
-into log2(n) bit planes, which split the q^a combinations by weight.
-So a spectrum costs about q^(k-a)/(q-1) * n*log2(n) Python-level
-operations on q^a-bit integers.  a is k - 1, lowered until the low
-bitmaps, q^(a+1) bits per distinct low column, fit in _LOW_BITS (64 KiB;
-down to a = 0).
+first a rows.  Each low column has up to q value bitmaps of q^a bits,
+built once per (field, low column) and shared across spectra in a
+bounded LRU (`_value_bitmaps`; 1024 entries of at most 64 KiB, about
+0.3 MiB for the whole 1000-code selftest corpus).  Each high part H,
+taken only up to scalars, reads one bitmap per coordinate (the L with
+L_j = H_j) and a ripple-carry counter adds them into log2(n) bit planes,
+which split the q^a combinations by weight.  So a spectrum costs about
+q^(k-a)/(q-1) * n*log2(n) Python-level operations on q^a-bit integers.
+a is k - 1, lowered until the low bitmaps, q^(a+1) bits per distinct low
+column, fit in _LOW_BITS (64 KiB; down to a = 0).
 
 Codeword enumeration order is fixed: message integer m in [0, q^k)
 has base-q digits d_0 ... d_{k-1} (d_0 least significant), and the
@@ -223,11 +225,16 @@ def _walk(gf: GF, rows: Sequence[Vector], start: Vector) -> Iterator[Vector]:
     """Yield start + every combination of rows, in message order."""
     q, k = gf.q, len(rows)
     add_vec = gf.add_vec
+    # diff[i][a] = ((a+1) mod q - a) * rows[i]: digit i stepping a -> (a+1) mod q.
+    # The step takes at most m values (one per carry length in base p), so each
+    # row is scaled once per distinct step and diff[i] holds q shared pointers.
     # Lists, not tuples: short tuples freed in bulk stay on CPython's per-size
     # free lists until a full gc, which raised the suite's peak memory by 8%.
-    # diff[i][a] = ((a+1) mod q - a) * rows[i]: digit i stepping a -> (a+1) mod q.
-    diff = [[list(gf.scale_vec(gf.add((a + 1) % q, gf.neg(a)), row)) for a in range(q)]
-            for row in rows]
+    steps = [gf.add((a + 1) % q, gf.neg(a)) for a in range(q)]
+    diff = []
+    for row in rows:
+        scaled = {s: list(gf.scale_vec(s, row)) for s in set(steps)}
+        diff.append([scaled[s] for s in steps])
     digits = [0] * k
     cw = list(start)
     yield tuple(cw)
@@ -252,14 +259,43 @@ def projective_codewords(gf: GF, rows: Sequence[Vector]) -> Iterator[Vector]:
 _LOW_BITS = 1 << 19  # value-bitmap bits the low side of a spectrum may hold (64 KiB)
 
 
+@functools.lru_cache(maxsize=1024)
+def _value_bitmaps(gf: GF, g: Vector) -> dict[int, int]:
+    """{v: bitmap} for one low column g: bit m is set iff <m, g> = v, over the
+    q^len(g) messages m of the low rows; values no message takes are absent.
+
+    Built one entry of g at a time, and cached per (field, column) so that
+    spectra sharing a low column share its bitmaps: the returned dict must
+    not be mutated.  The spectrum's budget keeps an entry to q^(a+1) <=
+    _LOW_BITS bits, so the cache retains at most 1024 x 64 KiB.
+    """
+    q = gf.q
+    values, size = {0: 1}, 1  # over the size = q^i messages of the first i digits
+    for x in g:
+        if x:  # digit d adds d*x to <m, g> and d*size to m
+            steps = list(gf.scale_vec(x, range(q)))
+            extended: dict[int, int] = {}
+            for v, b in values.items():
+                for d, s in enumerate(steps):
+                    u = gf.add(v, s)
+                    extended[u] = extended.get(u, 0) | b << d * size
+            values = extended
+        else:  # every digit keeps <m, g>: each bitmap repeats q times
+            repeat_mask = ((1 << size * q) - 1) // ((1 << size) - 1)
+            values = {v: b * repeat_mask for v, b in values.items()}
+        size *= q
+    return values
+
+
 @functools.lru_cache(maxsize=4096)
 def _spectrum_counts(code: LinearCode) -> tuple[int, ...]:
     """Meet in the middle, bit-sliced: all low combinations L at once against
     each projective high part H.
 
     Bit m of a bitmap stands for the m-th combination L of the low rows
-    (message order).  For each distinct low column g, bitmaps[g][v] has bit
-    m set iff <m, g> = v, so bitmaps[g_j][H_j] marks the L with (L - H)_j = 0.
+    (message order).  For each low column g, _value_bitmaps(gf, g)[v] has
+    bit m set iff <m, g> = v, so the one for g_j and H_j marks the L with
+    (L - H)_j = 0.
     A ripple-carry counter adds those n bitmaps into bit planes of each L's
     zero count, and splitting all L by the planes counts every weight; as
     L -> -L permutes the low combinations, these are the weights of L + H.
@@ -273,25 +309,7 @@ def _spectrum_counts(code: LinearCode) -> tuple[int, ...]:
     a = code.k - 1
     while a and len({c[:a] for c in cols}) * q ** (a + 1) > _LOW_BITS:
         a -= 1
-    low_columns = [c[:a] for c in cols]
-    bitmaps: dict[Vector, dict[int, int]] = {}
-    for g in set(low_columns):
-        values, size = {0: 1}, 1  # over the size = q^i messages of the first i digits
-        for x in g:
-            if x:  # digit d adds d*x to <m, g> and d*size to m
-                steps = list(gf.scale_vec(x, range(q)))
-                extended: dict[int, int] = {}
-                for v, b in values.items():
-                    for d, s in enumerate(steps):
-                        u = gf.add(v, s)
-                        extended[u] = extended.get(u, 0) | b << d * size
-                values = extended
-            else:  # every digit keeps <m, g>: each bitmap repeats q times
-                repeat_mask = ((1 << size * q) - 1) // ((1 << size) - 1)
-                values = {v: b * repeat_mask for v, b in values.items()}
-            size *= q
-        bitmaps[g] = values
-    lows = [bitmaps[g] for g in low_columns]
+    lows = [_value_bitmaps(gf, c[:a]) for c in cols]
     every = (1 << q**a) - 1
     counts = [0] * (n + 1)
     for scale, highs in ((1, [(0,) * n]), (q - 1, projective_codewords(gf, code.rows[a:]))):

@@ -313,7 +313,7 @@ def test_spectrum_with_a_smaller_low_block_matches_oracle(monkeypatch, low_bits)
     # A small low-bit budget lowers the low block below k - 1 rows, down to
     # a = 0 (one low combination, every codeword a high part).
     monkeypatch.setattr(codes_module, "_LOW_BITS", low_bits)
-    codes_module._spectrum_counts.cache_clear()
+    clear_spectrum_caches()
     rng = SplitMix64(low_bits)
     try:
         for q, n, k in [(2, 10, 5), (3, 6, 4), (4, 5, 3), (5, 4, 2), (7, 3, 1)]:
@@ -321,12 +321,38 @@ def test_spectrum_with_a_smaller_low_block_matches_oracle(monkeypatch, low_bits)
             rows = random_full_rank_rows(rng, gf, n, k)
             assert spectrum(LinearCode(gf, rows)).counts == oracle_counts(gf, rows)
     finally:
-        codes_module._spectrum_counts.cache_clear()
+        clear_spectrum_caches()
+
+
+def clear_spectrum_caches():
+    """Empty the spectrum cache and the value-bitmap cache under it, so the
+    next spectrum builds its bitmaps again."""
+    codes_module._spectrum_counts.cache_clear()
+    codes_module._value_bitmaps.cache_clear()
+
+
+@pytest.mark.parametrize("q, longest", [(2, 3), (3, 3), (4, 3), (9, 3), (8, 2)])
+def test_value_bitmaps_match_inner_products(q, longest):
+    # Every column g of length 0..longest, every message m < q^len(g): m's bit
+    # is set in exactly one bitmap, the one of <m, g> taken digit by digit
+    # (and a value no message takes has no bitmap).
+    gf = make_field(q)
+    for length in range(longest + 1):
+        for g in itertools.product(range(q), repeat=length):
+            expected = {}
+            for m in range(q**length):
+                value, rest = 0, m
+                for x in g:
+                    rest, digit = divmod(rest, q)
+                    value = gf.add(value, gf.mul(digit, x))
+                expected[value] = expected.get(value, 0) | 1 << m
+            assert codes_module._value_bitmaps(gf, g) == expected, g
 
 
 def traced_spectrum(code):
-    """The spectrum and the peak bytes Python allocated while computing it."""
-    codes_module._spectrum_counts.cache_clear()
+    """The spectrum and the peak bytes Python allocated while computing it,
+    value bitmaps included."""
+    clear_spectrum_caches()
     tracemalloc.start()
     try:
         result = spectrum(code).nonzero()
@@ -364,6 +390,22 @@ def test_spectrum_of_a_large_field_two_row_code():
     counts, peak = traced_spectrum(code)
     assert counts == {0: 1, 10: 4095, 15: 2 * 4095, 20: 4094 * 4095}
     assert peak < 4 << 20
+
+
+def test_walk_over_a_large_field_stays_small():
+    # The rows of the GF(4096) [20,2] code above: each row is scaled once per
+    # distinct step ((a+1) - a takes at most m = 12 values), not q times.
+    r0 = (1,) * 10 + (0,) * 5 + (1,) * 5
+    r1 = (0,) * 10 + (1,) * 5 + (1,) * 5
+    gf = make_field(4096)
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in projective_codewords(gf, (r0, r1)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 4097
+    assert peak < 640 << 10
 
 
 def poly_mul(a, b):
