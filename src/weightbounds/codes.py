@@ -13,9 +13,12 @@ built once per (field, low column) and shared across spectra in a
 bounded LRU (`_value_bitmaps`; 1024 entries of at most 64 KiB, about
 0.3 MiB for the whole 1000-code selftest corpus).  Each high part H,
 taken only up to scalars, reads one bitmap per coordinate (the L with
-L_j = H_j) and a ripple-carry counter adds them into log2(n) bit planes,
-which split the q^a combinations by weight.  So a spectrum costs about
-q^(k-a)/(q-1) * n*log2(n) Python-level operations on q^a-bit integers.
+L_j = H_j) and a carry-save counter adds them into at most
+bit_length(n) bit planes, which split the q^a combinations by weight.
+The counter's full adders (5 operations each) take three bitmaps of one
+weight and leave two, so at most n of them run; the split takes under
+4n operations and n+1 popcounts.  So a spectrum costs about
+q^(k-a)/(q-1) * 10n Python-level operations on q^a-bit integers.
 a is k - 1, lowered until the low bitmaps, q^(a+1) bits per distinct low
 column, fit in _LOW_BITS (64 KiB; down to a = 0).
 
@@ -287,7 +290,7 @@ def _value_bitmaps(gf: GF, g: Vector) -> dict[int, int]:
     return values
 
 
-@functools.lru_cache(maxsize=4096)
+@functools.lru_cache(maxsize=8192)
 def _spectrum_counts(code: LinearCode) -> tuple[int, ...]:
     """Meet in the middle, bit-sliced: all low combinations L at once against
     each projective high part H.
@@ -296,9 +299,12 @@ def _spectrum_counts(code: LinearCode) -> tuple[int, ...]:
     (message order).  For each low column g, _value_bitmaps(gf, g)[v] has
     bit m set iff <m, g> = v, so the one for g_j and H_j marks the L with
     (L - H)_j = 0.
-    A ripple-carry counter adds those n bitmaps into bit planes of each L's
-    zero count, and splitting all L by the planes counts every weight; as
-    L -> -L permutes the low combinations, these are the weights of L + H.
+    A carry-save counter adds those n bitmaps into bit planes of each L's
+    zero count: level by level, a running sum takes in the bitmaps of one
+    weight two at a time through a full adder, ends as that weight's plane
+    and passes the carries on as the next level.  Splitting all L by the
+    planes counts every weight; as L -> -L permutes the low combinations,
+    these are the weights of L + H.
     Nonzero H is taken only up to scalars (its last nonzero digit is 1):
     L + cH ranges over c * (L' + H), so each such H stands for q-1.
     """
@@ -315,14 +321,19 @@ def _spectrum_counts(code: LinearCode) -> tuple[int, ...]:
     for scale, highs in ((1, [(0,) * n]), (q - 1, projective_codewords(gf, code.rows[a:]))):
         for h in highs:
             planes: list[int] = []  # planes[i]: bit i of each L's zero count
-            for z in filter(None, map(dict.get, lows, h, repeat(0))):
-                for i, p in enumerate(planes):
-                    planes[i] = p ^ z
-                    z &= p
-                    if not z:
-                        break
-                else:
-                    planes.append(z)
+            level = list(filter(None, map(dict.get, lows, h, repeat(0))))
+            while len(level) > 1:  # the bitmaps of weight 2^len(planes)
+                s = level.pop() if len(level) % 2 else 0  # then pairs remain
+                carries, pairs = [], iter(level)
+                for x, y in zip(pairs, pairs):  # full adder: s + x + y = s' + 2c
+                    t = s ^ x
+                    c = s & x | t & y
+                    s = t ^ y
+                    if c:
+                        carries.append(c)
+                planes.append(s)
+                level = carries
+            planes += level  # a lone last bitmap is the top plane
             parts = [every]  # parts[c]: the L whose planes read so far give c zeros
             for p in planes:
                 ones = [s & p for s in parts]

@@ -324,6 +324,27 @@ def test_spectrum_with_a_smaller_low_block_matches_oracle(monkeypatch, low_bits)
         clear_spectrum_caches()
 
 
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 15, 16, 17, 63, 64, 65])
+def test_spectrum_counter_edge_cases_match_oracle(q, n):
+    # A k = 1 code has a = 0: one low combination, so every value bitmap is
+    # the single bit 1, and a coordinate gives the counter a bitmap only
+    # where the high part is 0.  The zero high part gives n bitmaps (an odd
+    # number for odd n), with a zero count of n: a power of two, so a new
+    # top plane, for n = 1, 2, 8, 16, 64.  The row, zero on `zeros` of its
+    # coordinates, gives that many: 0 (nonzero on every coordinate) to 3.
+    # k = 2 and 3 put several low combinations in each bitmap, and L = 0
+    # against the zero high part again has zero count n.
+    gf, top = make_field(q), q - 1
+    rng = SplitMix64(100 * q + n)
+    for zeros in range(min(n - 1, 3) + 1):
+        rows = ((top,) * (n - zeros) + (0,) * zeros,)
+        assert spectrum(LinearCode(gf, rows)).counts == oracle_counts(gf, rows)
+    for k in range(2, min(n, 3) + 1):
+        rows = random_full_rank_rows(rng, gf, n, k)
+        assert spectrum(LinearCode(gf, rows)).counts == oracle_counts(gf, rows)
+
+
 def clear_spectrum_caches():
     """Empty the spectrum cache and the value-bitmap cache under it, so the
     next spectrum builds its bitmaps again."""

@@ -102,6 +102,15 @@ def test_run_selftest_results_are_pinned():
     assert cold == warm == pinned
 
 
+def test_spectrum_cache_holds_a_whole_selftest_run():
+    # run_selftest(1000, 777) meets 4228 distinct codes: every one is
+    # enumerated once and none is evicted, so no kernel call repeats.
+    codes._spectrum_counts.cache_clear()
+    run_selftest(1000, 777)
+    info = codes._spectrum_counts.cache_info()
+    assert info.misses == info.currsize
+
+
 # Each home rule made one step too strict: the window claimed for one more
 # weight, the weight cap lowered by one, the ratio bound made strict.
 STRICTER = {
