@@ -29,12 +29,7 @@ from .codes import (
     row_reduce,
     spectrum,
 )
-from .corpus import (
-    TableRow,
-    random_code,
-    random_corpus,
-    table_rows,
-)
+from .corpus import random_code, random_corpus
 from .errors import WeightBoundsError
 from .exclusion import (
     AuditViolation,
@@ -46,6 +41,7 @@ from .exclusion import (
     singleton_excluded,
 )
 from .gf import GF, make_field
+from .tables import TableRow, table_rows
 
 __version__ = "0.1.0"
 

@@ -9,7 +9,8 @@ All output is deterministic for fixed inputs and seed.
 
 Integer options are ASCII digits 0-9 with at most one leading '-'.  A
 code file with more than --limit, else WEIGHTBOUNDS_ENUM_LIMIT, else 2^26
-codewords is refused before its field is built; the library takes no limit.
+codewords is refused before its field is built, and `exclude` refuses a
+weight window wider than that limit; the library takes no limit.
 """
 
 from __future__ import annotations
@@ -24,17 +25,17 @@ import os
 import sys
 import warnings
 
-from .bounds import BoundVerdict, parameter_verdicts
+from .bounds import BoundVerdict, max_window_weight, parameter_verdicts
 from .codes import (
     CodeParams, LinearCode, ResidualWindowWarning, WeightSpectrum, _read_matrix,
     code_from_matrix, code_params, find_codeword_of_weight, generator_text, residual, spectrum,
 )
-from .corpus import DEFAULT_SELFTEST_SEED, DEFAULT_SELFTEST_TRIALS, format_weights
+from .corpus import DEFAULT_SELFTEST_SEED, DEFAULT_SELFTEST_TRIALS
 from .errors import EnumerationTooLargeError, WeightBoundsError
 from .exclusion import CRITERIA, AuditViolation, ExclusionReport, compare_methods
 from .gf import check_field_order, make_field
 from .selfcheck import run_selftest
-from .tables import CLAMPED, EXACT, MISMATCH, compare_table
+from .tables import CLAMPED, EXACT, MISMATCH, compare_table, format_weights
 
 ENV_LIMIT = "WEIGHTBOUNDS_ENUM_LIMIT"
 DEFAULT_ENUMERATION_LIMIT = 1 << 26
@@ -169,6 +170,13 @@ def render_exclusion_report(
 def cmd_exclude(args) -> int:
     params = CodeParams(n=args.n, k=args.k, d=args.d, q=args.q)
     check_field_order(args.q)
+    # Every criterion's weights lie in this window, so its width bounds the sets.
+    lo, hi = min(args.n - args.k + 2, args.d), max_window_weight(args.d, args.q)
+    size, limit = (hi if args.raw else min(hi, args.n)) - lo + 1, _enum_limit(None)
+    if size > limit:
+        raise EnumerationTooLargeError(
+            f"the excluded-weight window holds {size} weights, more than the limit {limit}"
+        )
     report = compare_methods(params, clamp=not args.raw)
     sys.stdout.write(render_exclusion_report(report, args.format, args.method))
     return 0
@@ -369,8 +377,8 @@ def integer(token: str) -> int:
     return int(token)
 
 
-def _enum_limit(args) -> int:
-    limit = args.limit
+def _enum_limit(limit: int | None) -> int:
+    """`limit` (the --limit value), else WEIGHTBOUNDS_ENUM_LIMIT, else 2^26."""
     if limit is None:
         env = os.environ.get(ENV_LIMIT)
         if env is None:
@@ -389,7 +397,7 @@ def _read_code(args) -> LinearCode:
     only enumeration check: a command enumerates this code and its residuals."""
     q, rows = _read_matrix(args.file)
     check_field_order(q)  # caps q before q^k is taken
-    limit, size = _enum_limit(args), q ** len(rows)
+    limit, size = _enum_limit(args.limit), q ** len(rows)
     if size > limit:
         try:
             size_text = str(size)

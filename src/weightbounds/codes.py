@@ -291,9 +291,9 @@ def _value_bitmaps(gf: GF, g: Vector) -> dict[int, int]:
 
 
 @functools.lru_cache(maxsize=8192)
-def _spectrum_counts(code: LinearCode) -> tuple[int, ...]:
-    """Meet in the middle, bit-sliced: all low combinations L at once against
-    each projective high part H.
+def spectrum(code: LinearCode) -> WeightSpectrum:
+    """Exact weight distribution, one shared object per code (an LRU): meet in
+    the middle, bit-sliced, each projective high part H against all low L.
 
     Bit m of a bitmap stands for the m-th combination L of the low rows
     (message order).  For each low column g, _value_bitmaps(gf, g)[v] has
@@ -340,12 +340,7 @@ def _spectrum_counts(code: LinearCode) -> tuple[int, ...]:
                 parts = [s ^ t for s, t in zip(parts, ones)] + ones
             for w, s in zip(range(n, -1, -1), parts):
                 counts[w] += s.bit_count() * scale
-    return tuple(counts)
-
-
-def spectrum(code: LinearCode) -> WeightSpectrum:
-    """Exact weight distribution over all q^k codewords (see module docstring)."""
-    return WeightSpectrum(_spectrum_counts(code))
+    return WeightSpectrum(tuple(counts))
 
 
 def min_distance(code: LinearCode) -> int:

@@ -32,7 +32,7 @@ class RankDeficientError(WeightBoundsError):
 
 
 class EnumerationTooLargeError(WeightBoundsError):
-    """Codeword enumeration would exceed the configured limit."""
+    """Codeword enumeration or an `exclude` window would exceed the configured limit."""
 
 
 class NotACodewordError(WeightBoundsError):

@@ -13,7 +13,6 @@ from weightbounds.bounds import (
     residual_singleton_max_d,
 )
 from weightbounds.codes import CodeParams, LinearCode, min_distance, spectrum
-from weightbounds.corpus import table_rows
 from weightbounds.exclusion import (
     chen_xie_excluded,
     griesmer_excluded,
@@ -26,7 +25,7 @@ from weightbounds.selfcheck import (
     check_global_weight,
     check_residual_lemma,
 )
-from weightbounds.tables import CLAMPED, EXACT, MISMATCH, compare_table
+from weightbounds.tables import CLAMPED, EXACT, MISMATCH, compare_table, table_rows
 
 
 def _ok(num: int, label: str) -> None:

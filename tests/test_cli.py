@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -146,12 +147,12 @@ def test_audit_builds_one_report_and_enumerates_once(monkeypatch, capsys):
     # cli and exclusion each look the name up in their own globals.
     monkeypatch.setattr(cli, "compare_methods", counted)
     monkeypatch.setattr(exclusion, "compare_methods", counted)
-    codes._spectrum_counts.cache_clear()
+    codes.spectrum.cache_clear()
     status, out, _ = main_in_process(["audit", str(FIXTURES / "hamming_13_10_3_ternary.gen")],
                                      capsys)
     assert (status, out.splitlines()[-1]) == (0, "no violations")
     assert len(calls) == 1
-    assert codes._spectrum_counts.cache_info().misses == 1
+    assert codes.spectrum.cache_info().misses == 1
 
 
 def test_selftest_deterministic():
@@ -291,6 +292,37 @@ def test_enumeration_limit_env_takes_ascii_digits_only():
     assert result.stderr == (
         "error: WEIGHTBOUNDS_ENUM_LIMIT must be an integer, got ' 8_0 '\n"
     )
+
+
+def test_exclude_refuses_a_window_wider_than_the_limit_at_once(monkeypatch, capsys):
+    # range(2, 2^40 + 1) alone once exhausted memory; the window's width settles it.
+    from weightbounds import cli
+
+    monkeypatch.delenv("WEIGHTBOUNDS_ENUM_LIMIT", raising=False)
+    start = time.perf_counter()
+    assert cli.main(["exclude", *(f"--{p}={2**40}" for p in "nkd"), "--q=2"]) == 2
+    assert time.perf_counter() - start < 0.5
+    assert capsys.readouterr() == ("", (
+        f"error: the excluded-weight window holds {2**40 - 1} weights, "
+        f"more than the limit {2**26}\n"))
+
+
+def test_exclude_window_counts_to_n_unless_raw(monkeypatch, capsys):
+    # [93,5,48]_2: weights 48..95, or 48..93 once cut at n.
+    from weightbounds import cli
+
+    argv = ["exclude", "--n", "93", "--k", "5", "--d", "48", "--q", "2"]
+    monkeypatch.setenv("WEIGHTBOUNDS_ENUM_LIMIT", "46")
+    assert cli.main(argv) == 0
+    assert cli.main([*argv, "--raw"]) == 2
+    monkeypatch.setenv("WEIGHTBOUNDS_ENUM_LIMIT", "48")
+    assert cli.main([*argv, "--raw"]) == 0
+    monkeypatch.setenv("WEIGHTBOUNDS_ENUM_LIMIT", "x")
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: the excluded-weight window holds 48 weights, more than the limit 46",
+        "error: WEIGHTBOUNDS_ENUM_LIMIT must be an integer, got 'x'",
+    ]
 
 
 def test_integer_token_rule():

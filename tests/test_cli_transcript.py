@@ -4,8 +4,9 @@ Each record is one `weightbounds` invocation with its exit status,
 stdout and stderr.  The replay runs `cli.main` in-process from the
 repository root, with WEIGHTBOUNDS_ENUM_LIMIT unset.  Left out are
 argparse's own usage errors (their wording varies between Python
-versions) and invocations that emit a Python warning, which reaches
-stderr differently inside and outside pytest.
+versions).  No invocation may emit a Python warning, which reaches
+stderr differently inside and outside pytest: regeneration fails with
+the argv of one that does, and the replay asserts that none does.
 
 Regenerate with `PYTHONPATH=src python tests/test_cli_transcript.py`, only
 for an intended output change, and review the diff.
@@ -174,8 +175,9 @@ def main() -> None:
     parts = []
     for argv in invocations():
         code, out, err, warned = run(argv)
-        if not warned:
-            parts.append(record(argv, code, out, err))
+        if warned:
+            raise RuntimeError(f"{shlex.join(argv)}: emitted a Python warning")
+        parts.append(record(argv, code, out, err))
     TRANSCRIPT.write_text("".join(parts), encoding="utf-8")
     print(f"wrote {len(parts)} records to {TRANSCRIPT}")
 

@@ -348,7 +348,7 @@ def test_spectrum_counter_edge_cases_match_oracle(q, n):
 def clear_spectrum_caches():
     """Empty the spectrum cache and the value-bitmap cache under it, so the
     next spectrum builds its bitmaps again."""
-    codes_module._spectrum_counts.cache_clear()
+    codes_module.spectrum.cache_clear()
     codes_module._value_bitmaps.cache_clear()
 
 

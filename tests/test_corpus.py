@@ -5,17 +5,10 @@ from conftest import FIXTURES, fixture_code, ratio_rows
 
 from weightbounds.bounds import global_weight_max, griesmer_min_n
 from weightbounds.codes import LinearCode, dual, min_distance, spectrum
-from weightbounds.corpus import (
-    EXTERNAL_SPECTRA,
-    SplitMix64,
-    parse_weights,
-    format_weights,
-    random_code,
-    random_corpus,
-    table_rows,
-)
+from weightbounds.corpus import EXTERNAL_SPECTRA, SplitMix64, random_code, random_corpus
 from weightbounds.errors import ParamRangeError
 from weightbounds.gf import make_field
+from weightbounds.tables import format_weights, parse_weights, table_rows
 
 # The 13 projective points of PG(2, 3), normalized to leading coefficient 1
 # and ordered lexicographically, as the columns of a 3x13 check matrix.

@@ -10,7 +10,7 @@ from weightbounds import exclusion
 from weightbounds.bounds import griesmer_min_n, max_window_weight, residual_griesmer_min_n
 from weightbounds.cli import render_audit
 from weightbounds.codes import CodeParams, LinearCode, code_params, spectrum
-from weightbounds.corpus import EXTERNAL_SPECTRA, parse_weights
+from weightbounds.corpus import EXTERNAL_SPECTRA
 from weightbounds.errors import ParamRangeError
 from weightbounds.exclusion import (
     ExclusionReport,
@@ -23,6 +23,7 @@ from weightbounds.exclusion import (
 )
 from weightbounds.gf import make_field
 from weightbounds.selfcheck import check_exclusion_soundness
+from weightbounds.tables import parse_weights
 
 
 def chen_xie_excluded_by_slack(params: CodeParams, clamp: bool = True) -> set[int]:

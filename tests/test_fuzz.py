@@ -17,12 +17,10 @@ import os
 import tempfile
 from unittest import mock
 
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weightbounds import cli
-from weightbounds.errors import WeightBoundsError
-from weightbounds.gf import check_field_order
 
 HUGE = [65535, 65536, 65537, 2**31, 2**40]
 # Tokens int() reads differently or not at all: sign, ARABIC-INDIC DIGIT
@@ -157,27 +155,6 @@ def test_file_commands_and_limits_succeed_or_exit_cleanly(
 # --- bounds and exclude ------------------------------------------------
 
 
-def as_int(token):
-    try:
-        return cli.integer(token)  # what the parser's type= does
-    except ValueError:
-        return None
-
-
-def unguarded_exclusion(n, k, d, q):
-    """Whether `exclude` gets a tuple CodeParams accepts, over a field, with d > 2^17.
-    Its Griesmer evaluations no longer grow with d, but the excluded sets it
-    builds still do and no guard bounds them yet, so such a tuple can run for
-    minutes or exhaust memory; skipped until then."""
-    if None in (n, k, d, q) or not (1 <= k <= n and 1 <= d <= n):
-        return False
-    try:
-        check_field_order(q)
-    except WeightBoundsError:
-        return False
-    return d > 2**17
-
-
 @settings(max_examples=1000)
 @given(
     command=st.sampled_from(["bounds", "exclude"]),
@@ -191,18 +168,21 @@ def test_parameter_arguments_succeed_or_exit_2(command, nkdq, w, method, raw, fm
     argv = [command]
     for flag, token in zip(("--n", "--k", "--d", "--q"), nkdq):
         argv.append(f"{flag}={token}")
+    env = {}
     if command == "bounds":
         allowed = (0, 1, 2)
         if w is not None:
             argv.append(f"--w={w}")
     else:
-        allowed = (0, 2)
-        assume(not unguarded_exclusion(*map(as_int, nkdq)))
+        # A window of up to 2^17 weights runs in well under a second; a wider
+        # one, such as that of d = 2^40, is refused before any set is built.
+        allowed, env = (0, 2), {cli.ENV_LIMIT: str(2**17)}
         argv.append(f"--method={method}")
         if raw:
             argv.append("--raw")
     argv.append(f"--format={fmt}")
-    check_clean(*run(argv), allowed)
+    with mock.patch.dict(os.environ, env):
+        check_clean(*run(argv), allowed)
 
 
 # --- tables and selftest -----------------------------------------------

@@ -92,11 +92,11 @@ def test_run_selftest_results_are_pinned():
         ("distance-ratio", 200, 0),
         ("exclusion-soundness", 200, 0),
     ]
-    codes._spectrum_counts.cache_clear()
+    codes.spectrum.cache_clear()
     codes._value_bitmaps.cache_clear()
     cold = [(r.name, r.checked, len(r.violations)) for r in run_selftest(200, 12345)]
     built = codes._value_bitmaps.cache_info().misses
-    codes._spectrum_counts.cache_clear()
+    codes.spectrum.cache_clear()
     warm = [(r.name, r.checked, len(r.violations)) for r in run_selftest(200, 12345)]
     assert codes._value_bitmaps.cache_info().misses == built > 0  # every bitmap reused
     assert cold == warm == pinned
@@ -105,9 +105,9 @@ def test_run_selftest_results_are_pinned():
 def test_spectrum_cache_holds_a_whole_selftest_run():
     # run_selftest(1000, 777) meets 4228 distinct codes: every one is
     # enumerated once and none is evicted, so no kernel call repeats.
-    codes._spectrum_counts.cache_clear()
+    codes.spectrum.cache_clear()
     run_selftest(1000, 777)
-    info = codes._spectrum_counts.cache_info()
+    info = codes.spectrum.cache_info()
     assert info.misses == info.currsize
 
 

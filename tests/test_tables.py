@@ -1,9 +1,29 @@
+from hypothesis import given
+from hypothesis import strategies as st
+
 from weightbounds.bounds import max_window_weight
 from weightbounds.codes import CodeParams
-from weightbounds.corpus import TableRow
 from weightbounds.tables import (
-    CLAMPED, EXACT, MISMATCH, CellComparison, RowComparison, compare_table,
+    CLAMPED, EXACT, MISMATCH, CellComparison, RowComparison, TableRow, compare_table,
+    format_weights, parse_weights,
 )
+
+
+# Sets in [1, 400] drawn as unions of runs, so that long, adjacent and
+# overlapping runs are common rather than rare.
+weight_sets = st.lists(st.tuples(st.integers(1, 400), st.integers(0, 30))).map(
+    lambda runs: frozenset(w for a, span in runs for w in range(a, min(a + span, 400) + 1))
+)
+
+
+@given(weight_sets)
+def test_printed_cells_read_back_as_formatted(weights):
+    ranged = format_weights(weights, ranges=True)
+    assert parse_weights(format_weights(weights)) == weights
+    assert parse_weights(ranged) == weights
+    # One part per maximal run of consecutive weights ("-" for no weights).
+    runs = sum(w + 1 not in weights for w in weights)
+    assert len(ranged.split(",")) == max(runs, 1)
 
 
 def test_verdicts_and_flags_are_derived_from_the_cells():
