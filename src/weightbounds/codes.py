@@ -10,8 +10,8 @@ The spectrum kernel meets in the middle, the same way for every q, and is
 bit-sliced: bit m of an integer stands for the m-th combination L of the
 first a rows.  Each low column has up to q value bitmaps of q^a bits,
 built once per (field, low column) and shared across spectra in a
-bounded LRU (`_value_bitmaps`; 1024 entries of at most 64 KiB, about
-0.3 MiB for the whole 1000-code selftest corpus).  Each high part H,
+bounded LRU (`_value_bitmaps`; 1024 entries of at most _LOW_BITS / q bits,
+about 0.3 MiB for the whole 1000-code selftest corpus).  Each high part H,
 taken only up to scalars, reads one bitmap per coordinate (the L with
 L_j = H_j) and a carry-save counter adds them into at most
 bit_length(n) bit planes, which split the q^a combinations by weight.
@@ -19,8 +19,9 @@ The counter's full adders (5 operations each) take three bitmaps of one
 weight and leave two, so at most n of them run; the split takes under
 4n operations and n+1 popcounts.  So a spectrum costs about
 q^(k-a)/(q-1) * 10n Python-level operations on q^a-bit integers.
-a is k - 1, lowered until the low bitmaps, q^(a+1) bits per distinct low
-column, fit in _LOW_BITS (64 KiB; down to a = 0).
+a is k - 1, lowered (down to 0) until D * q^(a+2) <= _LOW_BITS = 2^22 for D
+distinct low columns: a large field pays for q^2 build steps per low digit,
+and the low side holds at most _LOW_BITS / q bits (256 KiB over GF(2)).
 
 Codeword enumeration order is fixed: message integer m in [0, q^k)
 has base-q digits d_0 ... d_{k-1} (d_0 least significant), and the
@@ -259,7 +260,7 @@ def projective_codewords(gf: GF, rows: Sequence[Vector]) -> Iterator[Vector]:
         yield from _walk(gf, rows[:t], row)
 
 
-_LOW_BITS = 1 << 19  # value-bitmap bits the low side of a spectrum may hold (64 KiB)
+_LOW_BITS = 1 << 22  # cap on D * q^(a+2): the low side holds <= _LOW_BITS / q bitmap bits
 
 
 @functools.lru_cache(maxsize=1024)
@@ -270,7 +271,7 @@ def _value_bitmaps(gf: GF, g: Vector) -> dict[int, int]:
     Built one entry of g at a time, and cached per (field, column) so that
     spectra sharing a low column share its bitmaps: the returned dict must
     not be mutated.  The spectrum's budget keeps an entry to q^(a+1) <=
-    _LOW_BITS bits, so the cache retains at most 1024 x 64 KiB.
+    _LOW_BITS / q bits, so the cache retains at most 1024 x 256 KiB.
     """
     q = gf.q
     values, size = {0: 1}, 1  # over the size = q^i messages of the first i digits
@@ -284,8 +285,7 @@ def _value_bitmaps(gf: GF, g: Vector) -> dict[int, int]:
                     extended[u] = extended.get(u, 0) | b << d * size
             values = extended
         else:  # every digit keeps <m, g>: each bitmap repeats q times
-            repeat_mask = ((1 << size * q) - 1) // ((1 << size) - 1)
-            values = {v: b * repeat_mask for v, b in values.items()}
+            values = {v: sum(b << d * size for d in range(q)) for v, b in values.items()}
         size *= q
     return values
 
@@ -313,7 +313,7 @@ def spectrum(code: LinearCode) -> WeightSpectrum:
     # Not a = k: a last low row costs q^2 bitmap steps per low column, more
     # than the one projective high row it replaces.
     a = code.k - 1
-    while a and len({c[:a] for c in cols}) * q ** (a + 1) > _LOW_BITS:
+    while a and len({c[:a] for c in cols}) * q ** (a + 2) > _LOW_BITS:
         a -= 1
     lows = [_value_bitmaps(gf, c[:a]) for c in cols]
     every = (1 << q**a) - 1

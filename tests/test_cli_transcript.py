@@ -1,10 +1,10 @@
 """Byte-for-byte replay of the CLI transcript in tests/golden/cli.txt.
 
 Each record is one `weightbounds` invocation with its exit status,
-stdout and stderr.  The replay runs `cli.main` in-process from the
-repository root, with WEIGHTBOUNDS_ENUM_LIMIT unset.  Left out are
-argparse's own usage errors (their wording varies between Python
-versions).  No invocation may emit a Python warning, which reaches
+stdout and stderr, one per `invocations()` in its order.  The replay
+runs `cli.main` in-process from the repository root, with
+WEIGHTBOUNDS_ENUM_LIMIT unset.  Left out are argparse's own usage
+errors (their wording varies between Python versions).  No invocation may emit a Python warning, which reaches
 stderr differently inside and outside pytest: regeneration fails with
 the argv of one that does, and the replay asserts that none does.
 
@@ -154,7 +154,7 @@ def test_transcript_replays_byte_identical(monkeypatch):
     monkeypatch.chdir(ROOT)
     monkeypatch.delenv("WEIGHTBOUNDS_ENUM_LIMIT", raising=False)
     records = transcript_records()
-    assert len(records) > 900
+    assert [argv for argv, _ in records] == invocations()
     for argv, expected in records:
         code, out, err, warned = run(argv)
         assert not warned, argv

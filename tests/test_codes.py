@@ -319,7 +319,9 @@ def test_spectrum_with_a_smaller_low_block_matches_oracle(monkeypatch, low_bits)
         for q, n, k in [(2, 10, 5), (3, 6, 4), (4, 5, 3), (5, 4, 2), (7, 3, 1)]:
             gf = make_field(q)
             rows = random_full_rank_rows(rng, gf, n, k)
-            assert spectrum(LinearCode(gf, rows)).counts == oracle_counts(gf, rows)
+            code = LinearCode(gf, rows)
+            assert low_block(code) < max(k - 1, 1)
+            assert spectrum(code).counts == oracle_counts(gf, rows)
     finally:
         clear_spectrum_caches()
 
@@ -352,6 +354,66 @@ def clear_spectrum_caches():
     codes_module._value_bitmaps.cache_clear()
 
 
+def low_block(code):
+    """a, the number of low rows the spectrum kernel takes for the code: the
+    length of every low column it asks `_value_bitmaps` for.  The spectrum
+    is computed afresh, past its cache, which it leaves as it was."""
+    lengths = set()
+    cached = codes_module._value_bitmaps
+
+    def spy(gf, g):
+        lengths.add(len(g))
+        return cached(gf, g)
+
+    codes_module._value_bitmaps = spy
+    try:
+        codes_module.spectrum.__wrapped__(code)
+    finally:
+        codes_module._value_bitmaps = cached
+    (a,) = lengths
+    return a
+
+
+def test_every_selftest_code_keeps_the_full_low_block(corpus1000):
+    # The budget binds only past the selftest sizes (n <= 14, k <= 5, q <= 4).
+    for code in corpus1000:
+        assert low_block(code) == code.k - 1, code
+
+
+# (q, n, k) of the spectrum benchmark's random codes, with the low block a
+# that the budget D * q^(a+2) <= _LOW_BITS gives for D = n distinct low columns.
+BENCHMARK_LOW_BLOCKS = {
+    (2, 48, 21): 14,
+    (3, 16, 10): 9,
+    (5, 16, 7): 5,
+    (4, 30, 8): 6,
+    (256, 24, 2): 0,
+    (9, 20, 4): 3,
+    (25, 12, 3): 1,
+}
+
+
+@pytest.mark.parametrize("shape", sorted(BENCHMARK_LOW_BLOCKS))
+def test_low_block_of_the_benchmark_shapes(shape):
+    q, n, k = shape
+    gf = make_field(q)
+    rows = random_full_rank_rows(SplitMix64(q * n * k), gf, n, k)
+    assert low_block(LinearCode(gf, rows)) == BENCHMARK_LOW_BLOCKS[shape]
+
+
+def inner_product_bitmaps(gf, g):
+    """{v: bitmap} with bit m set iff <m, g> = v, taken digit by digit over
+    every message m < q^len(g)."""
+    q, expected = gf.q, {}
+    for m in range(q ** len(g)):
+        value, rest = 0, m
+        for x in g:
+            rest, digit = divmod(rest, q)
+            value = gf.add(value, gf.mul(digit, x))
+        expected[value] = expected.get(value, 0) | 1 << m
+    return expected
+
+
 @pytest.mark.parametrize("q, longest", [(2, 3), (3, 3), (4, 3), (9, 3), (8, 2)])
 def test_value_bitmaps_match_inner_products(q, longest):
     # Every column g of length 0..longest, every message m < q^len(g): m's bit
@@ -360,14 +422,19 @@ def test_value_bitmaps_match_inner_products(q, longest):
     gf = make_field(q)
     for length in range(longest + 1):
         for g in itertools.product(range(q), repeat=length):
-            expected = {}
-            for m in range(q**length):
-                value, rest = 0, m
-                for x in g:
-                    rest, digit = divmod(rest, q)
-                    value = gf.add(value, gf.mul(digit, x))
-                expected[value] = expected.get(value, 0) | 1 << m
-            assert codes_module._value_bitmaps(gf, g) == expected, g
+            assert codes_module._value_bitmaps(gf, g) == inner_product_bitmaps(gf, g), g
+
+
+@pytest.mark.parametrize("q, longest", [(2, 14), (3, 8), (4, 5), (9, 5)])
+def test_value_bitmaps_repeat_long_bitmaps_at_zero_entries(q, longest):
+    # Random columns whose last 1-3 entries are 0: each zero entry repeats
+    # bitmaps of q^i bits, up to q^(longest-1), where columns of length <= 3
+    # repeat at most q^2.
+    gf, rng = make_field(q), SplitMix64(q * longest)
+    for length in range(4, longest + 1):
+        zeros = 1 + rng.below(3)
+        g = tuple(rng.below(q) for _ in range(length - zeros)) + (0,) * zeros
+        assert codes_module._value_bitmaps(gf, g) == inner_product_bitmaps(gf, g), g
 
 
 def traced_spectrum(code):
@@ -383,12 +450,17 @@ def traced_spectrum(code):
 
 
 def test_spectrum_of_the_binary_48_21_code_stays_small():
-    # The largest shape of the spectrum benchmark: the low side holds at most
-    # _LOW_BITS bits of bitmaps, and the counter a few more of the same width.
-    rows = random_full_rank_rows(SplitMix64(4821), GF2, 48, 21)
-    counts, peak = traced_spectrum(LinearCode(GF2, rows))
+    # The largest shape of the spectrum benchmark.  The low side holds at most
+    # _LOW_BITS / q bits of bitmaps.  The counter's weight split holds at most
+    # 3(n + 1) more of one low bitmap's q^a bits: the old parts, their
+    # intersections with a plane and the new parts, each list with at most
+    # n + 1 nonzero members, one per zero count.
+    q, n = 2, 48
+    code = LinearCode(GF2, random_full_rank_rows(SplitMix64(4821), GF2, n, 21))
+    counts, peak = traced_spectrum(code)
     assert sum(counts.values()) == 2**21 and counts[0] == 1
-    assert peak < 256 << 10
+    width = q ** low_block(code)
+    assert peak < (codes_module._LOW_BITS // q + 3 * (n + 1) * width) // 8
 
 
 def test_spectrum_of_a_large_field_one_row_code():
