@@ -1,10 +1,10 @@
 """Linear codes as generator matrices over GF(q).
 
 Provides rank-checked construction, deterministic row reduction,
-membership and the dual code read from the reduced row-echelon form
-(RREF) that each code keeps, exhaustive weight spectra, minimum distance,
-and the residual-code construction (puncture a code at the support of
-one of its codewords).
+membership read from the reduced row-echelon form (RREF) that each code
+keeps, exhaustive weight spectra, minimum distance, and the
+residual-code construction (puncture a code at the support of one of
+its codewords).
 
 The spectrum kernel meets in the middle, the same way for every q, and is
 bit-sliced: bit m of an integer stands for the m-th combination L of the
@@ -206,18 +206,6 @@ def in_row_space(code: LinearCode, v: Sequence[int]) -> bool:
         if c:
             rest = list(gf.add_vec(rest, gf.scale_vec(gf.neg(c), row)))
     return not any(rest)
-
-
-def dual(code: LinearCode) -> LinearCode:
-    """The dual code, [-A^T | I] from the RREF [I | A] (up to column order):
-    one row per non-pivot column f, with 1 at f and -rref_i[f] at the pivot
-    of RREF row i.  A code with k = n has no dual rows: EmptyMatrixError."""
-    gf, n = code.gf, code.n
-    at = {row.index(1): row for row in code.rref}  # pivot: RREF rows lead with 1
-    return LinearCode(gf, tuple(
-        tuple(gf.neg(at[j][f]) if j in at else int(j == f) for j in range(n))
-        for f in range(n) if f not in at
-    ))
 
 
 def iter_codewords(code: LinearCode) -> Iterator[Vector]:

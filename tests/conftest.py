@@ -1,9 +1,10 @@
+from itertools import product
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, settings
 
-from weightbounds.codes import read_generator_file
+from weightbounds.codes import LinearCode, read_generator_file
 from weightbounds.corpus import DEFAULT_SELFTEST_SEED, random_corpus
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -28,7 +29,26 @@ def fixture_code(name):
     return read_generator_file(FIXTURES / f"{name}.gen")
 
 
+def dual(code):
+    """The dual code, [-A^T | I] from the RREF [I | A] (up to column order):
+    one row per non-pivot column f, with 1 at f and -rref_i[f] at the pivot
+    of RREF row i.  A code with k = n has no dual rows: EmptyMatrixError."""
+    gf, n = code.gf, code.n
+    at = {row.index(1): row for row in code.rref}  # pivot: RREF rows lead with 1
+    return LinearCode(gf, tuple(
+        tuple(gf.neg(at[j][f]) if j in at else int(j == f) for j in range(n))
+        for f in range(n) if f not in at
+    ))
+
+
 def ratio_rows(q):
     """Rows of the [q+1, 2, q]_q code attaining (q+1)*d = q*n: all ones then a
     zero, and every field element in encoding order then a one."""
     return ((1,) * q + (0,), tuple(range(q)) + (1,))
+
+
+def simplex_rows(q, k):
+    """Rows of the [(q^k - 1)/(q - 1), k]_q simplex code: one column per
+    point of PG(k-1, q), first nonzero entry 1, points in lexicographic order."""
+    points = [p for p in product(range(q), repeat=k) if next(filter(None, p), 0) == 1]
+    return tuple(tuple(pt[r] for pt in points) for r in range(k))

@@ -3,7 +3,7 @@ import re
 import tracemalloc
 
 import pytest
-from conftest import fixture_code
+from conftest import dual, fixture_code
 
 from weightbounds import codes as codes_module
 from weightbounds.codes import (
@@ -13,7 +13,6 @@ from weightbounds.codes import (
     WeightSpectrum,
     code_from_matrix,
     code_params,
-    dual,
     find_codeword_of_weight,
     generator_text,
     hamming_weight,

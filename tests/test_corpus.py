@@ -1,22 +1,11 @@
-from itertools import product
-
 import pytest
-from conftest import FIXTURES, fixture_code, ratio_rows
+from conftest import FIXTURES, dual, fixture_code, ratio_rows, simplex_rows
 
 from weightbounds.bounds import global_weight_max, griesmer_min_n
-from weightbounds.codes import LinearCode, dual, min_distance, spectrum
+from weightbounds.codes import LinearCode, min_distance, spectrum
 from weightbounds.corpus import EXTERNAL_SPECTRA, SplitMix64, random_code, random_corpus
 from weightbounds.errors import ParamRangeError
 from weightbounds.gf import make_field
-from weightbounds.tables import format_weights, parse_weights, table_rows
-
-# The 13 projective points of PG(2, 3), normalized to leading coefficient 1
-# and ordered lexicographically, as the columns of a 3x13 check matrix.
-PG23_POINTS = sorted(
-    p for p in product(range(3), repeat=3)
-    if any(p) and p[next(i for i, x in enumerate(p) if x)] == 1
-)
-PG23 = tuple(tuple(pt[r] for pt in PG23_POINTS) for r in range(3))
 
 
 def test_splitmix64_reference_vector():
@@ -98,47 +87,6 @@ def test_random_corpus_is_deterministic_and_in_range():
         assert code.k <= code.n <= 14
 
 
-def test_table_row_counts():
-    assert len(table_rows(1)) == 35
-    assert len(table_rows(2)) == 24
-    assert len(table_rows(3)) == 7
-    with pytest.raises(ParamRangeError):
-        table_rows(4)
-
-
-def test_table1_first_row():
-    row = table_rows(1)[0]
-    assert (row.params.n, row.params.k, row.params.d, row.params.q) == (15, 5, 7, 2)
-    assert row.printed[0] == {12, 13}
-    assert row.printed[1] == {11, 12, 13}
-    assert len(row.printed) == 2
-    assert row.printed_counts == (2, 3)
-
-
-def test_table2_first_row():
-    row = table_rows(2)[0]
-    assert (row.params.n, row.params.k, row.params.d, row.params.q) == (27, 4, 18, 3)
-    assert row.printed[1] == set(range(22, 27))
-
-
-def test_table3_counts_as_printed():
-    rows = table_rows(3)
-    assert [row.printed_counts[2] for row in rows] == [32, 33, 71, 34, 79, 83, 143]
-    assert len(rows[0].printed[2]) == 32
-    # Three published annotations disagree with their own printed sets.
-    actual_sizes = [len(row.printed[2]) for row in rows]
-    assert actual_sizes == [32, 33, 71, 34, 74, 75, 114]
-
-
-def test_parse_and_format_weights():
-    assert parse_weights("13, 12") == {12, 13}
-    assert parse_weights("145-147, 159") == {145, 146, 147, 159}
-    assert parse_weights("-") == frozenset()
-    assert format_weights({12, 13}) == "13, 12"
-    assert format_weights(set()) == "-"
-    assert format_weights({145, 146, 147, 159}, ranges=True) == "159, 145-147"
-
-
 def test_external_spectra_are_complete_distributions():
     assert sum(EXTERNAL_SPECTRA["ding_27_8_14_ternary"].values()) == 3**8
     assert sum(EXTERNAL_SPECTRA["cyclic_15_10_4_binary"].values()) == 2**10
@@ -153,8 +101,10 @@ def test_external_fixture_matches_published_spectrum(name):
 
 
 def test_shipped_fixture_files_match_independent_constructions():
-    # The ternary Hamming code is the dual of the PG(2, 3) point matrix, and
-    # ratio_4 is the q = 4 member of the ratio family.  The [11,3,6] and
-    # RM(1,4) files are pinned by their spectra and the CLI transcript.
-    assert fixture_code("hamming_13_10_3_ternary") == dual(LinearCode(make_field(3), PG23))
+    # The ternary Hamming code is the dual of the [13,3]_3 simplex code, whose
+    # columns are the points of PG(2, 3), and ratio_4 is the q = 4 member of
+    # the ratio family.  The [11,3,6] and RM(1,4) files are pinned by their
+    # spectra and the CLI transcript.
+    pg23 = LinearCode(make_field(3), simplex_rows(3, 3))
+    assert fixture_code("hamming_13_10_3_ternary") == dual(pg23)
     assert fixture_code("ratio_4") == LinearCode(make_field(4), ratio_rows(4))

@@ -1,4 +1,4 @@
-"""Closed-form code families as large-field oracles for the spectrum kernel.
+"""Closed-form code families as oracles for the spectrum kernel and the criteria.
 
 Reed-Solomon [n, k] codes, from the Vandermonde rows (x^i for the first n
 field elements x, 0 <= i < k), are MDS: d = n - k + 1, and their weight
@@ -6,13 +6,21 @@ distribution has a closed form (MacWilliams & Sloane, ch. 11, Thm 6).
 Over every field below they reach the kernel's large-field paths: the
 budget that lowers the low block, Zech addition for odd p, and the
 value-bitmap cache.
+
+Simplex codes (every nonzero weight q^(k-1)) meet the Griesmer bound, and
+first-order Reed-Muller codes RM(1, m) reach the weight cap q(n - d).
+Both repeat their low column prefixes heavily (few distinct low columns
+for their length), and on both the criteria exclude every weight above d
+that the code does not attain.
 """
 
 from math import comb
 
-from weightbounds.bounds import max_window_weight, parameter_verdicts
-from weightbounds.codes import LinearCode, spectrum
-from weightbounds.exclusion import audit_against_spectrum
+from conftest import simplex_rows
+
+from weightbounds.bounds import griesmer_min_n, max_window_weight, parameter_verdicts
+from weightbounds.codes import CodeParams, LinearCode, spectrum
+from weightbounds.exclusion import audit_against_spectrum, compare_methods
 from weightbounds.gf import make_field
 
 FIELDS = (4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32)
@@ -60,3 +68,43 @@ def test_reed_solomon_spectra_audits_and_verdicts():
     # `mds-weight` verdict per code.
     assert shapes == 309
     assert mds_verdicts == shapes
+
+
+def test_simplex_codes_meet_griesmer_and_every_criterion_is_sharp():
+    shapes = 0
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16):
+        gf = make_field(q)
+        for k in range(2, 13):
+            if q**k > 1 << 12:
+                break
+            code = LinearCode(gf, simplex_rows(q, k))
+            n, d = code.n, q ** (k - 1)
+            assert spectrum(code).nonzero() == {0: 1, d: q**k - 1}, (q, k)
+            assert n == griesmer_min_n(k, d, q), (q, k)
+            assert audit_against_spectrum(code) == [], (q, k)
+            verdicts = {v.name: v for v in parameter_verdicts(n, k, d, q, d)}
+            assert all(v.holds for v in verdicts.values()), (q, k)
+            assert verdicts["griesmer"].tight and verdicts["residual-griesmer"].tight, (q, k)
+            union = compare_methods(CodeParams(n, k, d, q)).union
+            assert union == set(range(d + 1, n + 1)), (q, k)
+            shapes += 1
+    assert shapes == 40
+
+
+def reed_muller_1_rows(m):
+    """Rows of RM(1, m): the all-ones row, then bit i of x for x < 2^m, i < m."""
+    n = 1 << m
+    return ((1,) * n,) + tuple(tuple(x >> i & 1 for x in range(n)) for i in range(m))
+
+
+def test_first_order_reed_muller_codes_reach_the_weight_cap():
+    gf = make_field(2)
+    for m in range(2, 12):
+        code = LinearCode(gf, reed_muller_1_rows(m))
+        n, k, d = code.n, m + 1, 1 << (m - 1)
+        assert spectrum(code).nonzero() == {0: 1, d: 2 ** (m + 1) - 2, n: 1}, m
+        assert audit_against_spectrum(code) == [], m
+        verdicts = {v.name: v for v in parameter_verdicts(n, k, d, 2, n)}
+        assert verdicts["global-weight"].holds and verdicts["global-weight"].tight, m
+        assert not verdicts["weight-window"].holds, m
+        assert compare_methods(CodeParams(n, k, d, 2)).union == set(range(d + 1, n)), m

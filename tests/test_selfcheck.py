@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 from conftest import ratio_rows
 
-from weightbounds import bounds, codes, selfcheck
+from weightbounds import bounds, cli, codes, selfcheck
 from weightbounds.codes import (
     LinearCode,
     hamming_weight,
@@ -79,6 +79,19 @@ def test_residual_lemma_walk_matches_a_full_codeword_walk(corpus1000, monkeypatc
     assert result.ok
     assert result.checked == expected_checked
     assert handed == expected_words
+
+
+def test_a_broken_residual_invariant_is_an_internal_error_not_a_violation(
+    corpus1000, monkeypatch, capsys
+):
+    def broken_residual(code, cw):
+        raise AssertionError("residual rank 0 != k-1 inside the window")
+
+    monkeypatch.setattr(selfcheck, "residual", broken_residual)
+    with pytest.raises(AssertionError, match="inside the window"):
+        check_residual_lemma(corpus1000[:5])
+    assert cli.main(["selftest", "--trials", "5"]) == 3
+    assert capsys.readouterr().err.startswith("internal error: residual rank 0")
 
 
 def test_run_selftest_results_are_pinned():

@@ -1,11 +1,13 @@
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from weightbounds.bounds import max_window_weight
 from weightbounds.codes import CodeParams
+from weightbounds.errors import ParamRangeError
 from weightbounds.tables import (
     CLAMPED, EXACT, MISMATCH, CellComparison, RowComparison, TableRow, compare_table,
-    format_weights, parse_weights,
+    format_weights, parse_weights, table_rows,
 )
 
 
@@ -155,3 +157,44 @@ def test_each_criterion_is_evaluated_once_per_cell(monkeypatch):
         width = max_window_weight(p.d, p.q) - p.d + 1
         expected += min(width, p.q ** (p.k - 1))
     assert len(calls) == expected
+
+
+def test_table_row_counts():
+    assert len(table_rows(1)) == 35
+    assert len(table_rows(2)) == 24
+    assert len(table_rows(3)) == 7
+    with pytest.raises(ParamRangeError):
+        table_rows(4)
+
+
+def test_table1_first_row():
+    row = table_rows(1)[0]
+    assert (row.params.n, row.params.k, row.params.d, row.params.q) == (15, 5, 7, 2)
+    assert row.printed[0] == {12, 13}
+    assert row.printed[1] == {11, 12, 13}
+    assert len(row.printed) == 2
+    assert row.printed_counts == (2, 3)
+
+
+def test_table2_first_row():
+    row = table_rows(2)[0]
+    assert (row.params.n, row.params.k, row.params.d, row.params.q) == (27, 4, 18, 3)
+    assert row.printed[1] == set(range(22, 27))
+
+
+def test_table3_counts_as_printed():
+    rows = table_rows(3)
+    assert [row.printed_counts[2] for row in rows] == [32, 33, 71, 34, 79, 83, 143]
+    assert len(rows[0].printed[2]) == 32
+    # Three published annotations disagree with their own printed sets.
+    actual_sizes = [len(row.printed[2]) for row in rows]
+    assert actual_sizes == [32, 33, 71, 34, 74, 75, 114]
+
+
+def test_parse_and_format_weights():
+    assert parse_weights("13, 12") == {12, 13}
+    assert parse_weights("145-147, 159") == {145, 146, 147, 159}
+    assert parse_weights("-") == frozenset()
+    assert format_weights({12, 13}) == "13, 12"
+    assert format_weights(set()) == "-"
+    assert format_weights({145, 146, 147, 159}, ranges=True) == "159, 145-147"
