@@ -60,12 +60,16 @@ def _csv_text(header, rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, quoting=csv.QUOTE_NONNUMERIC, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(rows)
+    writer.writerows(_csv_row(*row) for row in rows)
     return buf.getvalue()
 
 
-def _csv_bool(flag: bool) -> str:
-    return str(flag).lower()
+def _csv_row(*cells) -> tuple:
+    """Every CSV cell one way: a bool in lower case, a weight set descending
+    and space-separated ('-' if empty), any other cell as it is."""
+    return tuple(str(c).lower() if isinstance(c, bool) else
+                 (" ".join(map(str, _desc(c))) or "-") if isinstance(c, frozenset) else c
+                 for c in cells)
 
 
 def _json_text(obj) -> str:
@@ -74,11 +78,6 @@ def _json_text(obj) -> str:
 
 def _desc(weights) -> list[int]:
     return sorted(weights, reverse=True)
-
-
-def _csv_weights(weights) -> str:
-    """A weight set as one CSV cell: descending, space-separated, '-' if empty."""
-    return " ".join(map(str, _desc(weights))) or "-"
 
 
 def _json_sets(sets: dict) -> dict:
@@ -102,8 +101,7 @@ def render_verdicts(verdicts: list[BoundVerdict], fmt: str) -> str:
             {**dataclasses.asdict(v), "holds": v.holds, "tight": v.tight} for v in verdicts
         ]})
     if fmt == "csv":
-        rows = [(v.name, _csv_bool(v.holds), v.lhs, v.relation, v.rhs,
-                 _csv_bool(v.tight)) for v in verdicts]
+        rows = [(v.name, v.holds, v.lhs, v.relation, v.rhs, v.tight) for v in verdicts]
         return _csv_text(("bound", "holds", "lhs", "relation", "rhs", "tight"), rows)
     if fmt == "md":
         return _lines(_md_table(("bound", "holds", "check", "tight"), [
@@ -139,7 +137,7 @@ def render_exclusion_report(
             return _json_text({"params": dataclasses.asdict(p), "method": method,
                                "weights": _desc(weights), "clamped": report.clamped})
         if fmt == "csv":
-            return _csv_text(("method", "weights"), [(method, _csv_weights(weights))])
+            return _csv_text(("method", "weights"), [(method, weights)])
         return f"{method}: {format_weights(weights)}\n"
     sets = {**report.sets, "union": report.union}
     if fmt == "json":
@@ -148,8 +146,7 @@ def render_exclusion_report(
     if fmt == "csv":
         return _csv_text(
             ("n", "k", "d", "q", *(name.replace("-", "_") for name in sets), "clamped"),
-            [(*dataclasses.astuple(p), *map(_csv_weights, sets.values()),
-              _csv_bool(report.clamped))],
+            [(*dataclasses.astuple(p), *sets.values(), report.clamped)],
         )
     raw = "" if report.clamped else " (raw intervals)"
     title = f"excluded weights for {p}{raw}"
@@ -264,9 +261,8 @@ def render_table_comparison(which: int, comps, fmt: str) -> str:
     if fmt == "csv":
         rows = [
             (which, comp.row.source, *dataclasses.astuple(comp.row.params),
-             c.method, c.verdict, _csv_weights(c.printed),
-             _csv_weights(c.computed_raw), _csv_weights(c.computed_clamped),
-             c.printed_count, _csv_bool(c.count_consistent))
+             c.method, c.verdict, c.printed, c.computed_raw, c.computed_clamped,
+             c.printed_count, c.count_consistent)
             for comp in comps
             for c in comp.cells
         ]

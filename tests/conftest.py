@@ -1,9 +1,13 @@
+import contextlib
+import io
+import warnings
 from itertools import product
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, settings
 
+from weightbounds import cli
 from weightbounds.codes import LinearCode, read_generator_file
 from weightbounds.corpus import DEFAULT_SELFTEST_SEED, random_corpus
 
@@ -27,6 +31,45 @@ def corpus1000():
 def fixture_code(name):
     """The code in fixtures/<name>.gen, the one home of the paper's named codes."""
     return read_generator_file(FIXTURES / f"{name}.gen")
+
+
+def run_main(argv):
+    """(exit status, stdout, stderr, warned) of `cli.main(argv)` in this
+    process; `warned` says whether it emitted any Python warning."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        try:
+            status = cli.main(list(argv))
+        except SystemExit as exc:  # argparse exits on usage errors and --help
+            status = exc.code
+    return status, out.getvalue(), err.getvalue(), bool(caught)
+
+
+def brute_codewords(gf, rows):
+    """Independent enumeration oracle: all coefficient combinations, naively.
+
+    Matches the documented message order (digit 0 scales rows[0] and is
+    least significant), so product() tuples pair with reversed rows.
+    """
+    n = len(rows[0])
+    out = []
+    for coeffs in product(range(gf.q), repeat=len(rows)):
+        cw = [0] * n
+        for c, row in zip(coeffs, reversed(rows)):
+            for j, x in enumerate(row):
+                cw[j] = gf.add(cw[j], gf.mul(c, x))
+        out.append(tuple(cw))
+    return out
+
+
+def oracle_counts(gf, rows):
+    """Weight distribution counted over brute_codewords, with no package helper."""
+    counts = [0] * (len(rows[0]) + 1)
+    for cw in brute_codewords(gf, rows):
+        counts[sum(x != 0 for x in cw)] += 1
+    return tuple(counts)
 
 
 def dual(code):

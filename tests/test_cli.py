@@ -6,6 +6,7 @@ import time
 from pathlib import Path
 
 import pytest
+from conftest import run_main
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -134,7 +135,7 @@ def test_audit_fixture_passes():
     assert "no violations" in result.stdout
 
 
-def test_audit_builds_one_report_and_enumerates_once(monkeypatch, capsys):
+def test_audit_builds_one_report_and_enumerates_once(monkeypatch):
     from weightbounds import cli, codes, exclusion
 
     calls = []
@@ -148,8 +149,7 @@ def test_audit_builds_one_report_and_enumerates_once(monkeypatch, capsys):
     monkeypatch.setattr(cli, "compare_methods", counted)
     monkeypatch.setattr(exclusion, "compare_methods", counted)
     codes.spectrum.cache_clear()
-    status, out, _ = main_in_process(["audit", str(FIXTURES / "hamming_13_10_3_ternary.gen")],
-                                     capsys)
+    status, out, _, _ = run_main(["audit", str(FIXTURES / "hamming_13_10_3_ternary.gen")])
     assert (status, out.splitlines()[-1]) == (0, "no violations")
     assert len(calls) == 1
     assert codes.spectrum.cache_info().misses == 1
@@ -373,19 +373,7 @@ def test_a_failed_internal_invariant_exits_3_with_one_line(monkeypatch, capsys):
     assert err == "internal error: residual rank 1 != k-1 = 2 inside the window\n"
 
 
-def main_in_process(argv, capsys):
-    """Exit status, stdout and stderr of `cli.main(argv)` in this process."""
-    from weightbounds import cli
-
-    try:
-        status = cli.main(argv)
-    except SystemExit as exc:  # argparse exits on usage errors and --help
-        status = exc.code
-    out, err = capsys.readouterr()
-    return status, out, err
-
-
-def test_the_cached_parser_answers_each_call_like_a_fresh_process(monkeypatch, capsys):
+def test_the_cached_parser_answers_each_call_like_a_fresh_process(monkeypatch):
     from weightbounds import cli
 
     assert cli.build_parser() is cli.build_parser()
@@ -398,17 +386,17 @@ def test_the_cached_parser_answers_each_call_like_a_fresh_process(monkeypatch, c
         bounds,
     ):
         fresh = run_cli(*argv)
-        assert main_in_process(argv, capsys) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        assert run_main(argv)[:3] == (fresh.returncode, fresh.stdout, fresh.stderr)
 
 
-def test_help_follows_a_width_set_after_the_parser_was_built(monkeypatch, capsys):
+def test_help_follows_a_width_set_after_the_parser_was_built(monkeypatch):
     from weightbounds import cli
 
     cli.build_parser()
     helps = {}
     for columns in ("40", "120"):
         monkeypatch.setenv("COLUMNS", columns)
-        status, helps[columns], err = main_in_process(["exclude", "--help"], capsys)
+        status, helps[columns], err, _ = run_main(["exclude", "--help"])
         assert (status, err) == (0, "")
         assert helps[columns] == run_cli("exclude", "--help").stdout
     assert helps["40"] != helps["120"]

@@ -2,9 +2,10 @@
 
 Each record is one `weightbounds` invocation with its exit status,
 stdout and stderr, one per `invocations()` in its order.  The replay
-runs `cli.main` in-process from the repository root, with
-WEIGHTBOUNDS_ENUM_LIMIT unset.  Left out are argparse's own usage
-errors (their wording varies between Python versions).  No invocation may emit a Python warning, which reaches
+runs `cli.main` in-process through `conftest.run_main`, from the
+repository root, with WEIGHTBOUNDS_ENUM_LIMIT unset.  Left out are
+argparse's own usage errors (their wording varies between Python
+versions).  No invocation may emit a Python warning, which reaches
 stderr differently inside and outside pytest: regeneration fails with
 the argv of one that does, and the replay asserts that none does.
 
@@ -14,12 +15,11 @@ for an intended output change, and review the diff.
 
 from __future__ import annotations
 
-import contextlib
-import io
 import os
 import shlex
-import warnings
 from pathlib import Path
+
+from conftest import run_main
 
 ROOT = Path(__file__).resolve().parent.parent
 TRANSCRIPT = ROOT / "tests" / "golden" / "cli.txt"
@@ -107,21 +107,6 @@ def invocations() -> list[tuple[str, ...]]:
     return out
 
 
-def run(argv: tuple[str, ...]) -> tuple[int, str, str, bool]:
-    """(exit status, stdout, stderr, warned) of one in-process invocation."""
-    from weightbounds import cli
-
-    out, err = io.StringIO(), io.StringIO()
-    with warnings.catch_warnings(record=True) as caught, \
-            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        warnings.simplefilter("always")
-        try:
-            code = cli.main(list(argv))
-        except SystemExit as exc:
-            code = exc.code
-    return code, out.getvalue(), err.getvalue(), bool(caught)
-
-
 def record(argv: tuple[str, ...], code: int, out: str, err: str) -> str:
     for name, text in (("stdout", out), ("stderr", err)):
         if text and not text.endswith("\n"):
@@ -156,7 +141,7 @@ def test_transcript_replays_byte_identical(monkeypatch):
     records = transcript_records()
     assert [argv for argv, _ in records] == invocations()
     for argv, expected in records:
-        code, out, err, warned = run(argv)
+        code, out, err, warned = run_main(argv)
         assert not warned, argv
         assert record(argv, code, out, err) == expected
 
@@ -174,7 +159,7 @@ def main() -> None:
     os.environ.pop("WEIGHTBOUNDS_ENUM_LIMIT", None)
     parts = []
     for argv in invocations():
-        code, out, err, warned = run(argv)
+        code, out, err, warned = run_main(argv)
         if warned:
             raise RuntimeError(f"{shlex.join(argv)}: emitted a Python warning")
         parts.append(record(argv, code, out, err))

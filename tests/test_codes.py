@@ -3,7 +3,7 @@ import re
 import tracemalloc
 
 import pytest
-from conftest import dual, fixture_code
+from conftest import brute_codewords, dual, fixture_code, oracle_counts
 
 from weightbounds import codes as codes_module
 from weightbounds.codes import (
@@ -49,23 +49,6 @@ G_11_3_6 = (
     (1, 1, 1, 1, 0, 0, 0, 0, 1, 1, 0),
     (1, 1, 0, 0, 1, 1, 0, 0, 1, 0, 1),
 )
-
-
-def brute_codewords(gf, rows):
-    """Independent enumeration oracle: all coefficient combinations, naively.
-
-    Matches the documented message order (digit 0 scales rows[0] and is
-    least significant), so product() tuples pair with reversed rows.
-    """
-    n = len(rows[0])
-    out = []
-    for coeffs in itertools.product(range(gf.q), repeat=len(rows)):
-        cw = [0] * n
-        for c, row in zip(coeffs, reversed(rows)):
-            for j, x in enumerate(row):
-                cw[j] = gf.add(cw[j], gf.mul(c, x))
-        out.append(tuple(cw))
-    return out
 
 
 def test_row_reduce_identity():
@@ -241,14 +224,6 @@ def test_spectrum_sum_invariant_small_random_codes():
         spec = spectrum(LinearCode(gf, tuple(rows)))
         assert sum(spec.counts) == q**k
         assert spec.counts[0] == 1
-
-
-def oracle_counts(gf, rows):
-    """Weight distribution counted over brute_codewords."""
-    counts = [0] * (len(rows[0]) + 1)
-    for cw in brute_codewords(gf, rows):
-        counts[hamming_weight(cw)] += 1
-    return tuple(counts)
 
 
 def random_full_rank_rows(rng, gf, n, k):

@@ -1,5 +1,7 @@
 """Every small code, not a random sample: the spectrum kernel against a
-brute-force count, and the three criteria sound and sharp in the window.
+brute-force count (`conftest.oracle_counts`, which uses no enumeration
+or weight helper of the package), and the three criteria sound and sharp
+in the window.
 
 A k-dimensional code has one RREF generator matrix, so listing every
 k x n RREF with k nonzero rows (2 <= k <= n - 1) lists every code of
@@ -10,21 +12,20 @@ length n once.  For each tuple (n, k, d, q) that some listed code has:
   every weight that no criterion excludes is attained by some code.
 
 Together they pin the union of the criteria exactly on those tuples.
+The number of nonzero weights is bounded too: no code has more distinct
+nonzero weights than [d, min(n, q(n - d))] holds weights outside the
+union.  That follows from soundness and the weight cap w <= q(n - d), so
+what is new is the pinned number of tuples on which some code meets it.
 """
 
 import itertools
 from collections import defaultdict
 
 import pytest
+from conftest import oracle_counts
 
 from weightbounds.bounds import max_window_weight
-from weightbounds.codes import (
-    CodeParams,
-    LinearCode,
-    hamming_weight,
-    iter_codewords,
-    spectrum,
-)
+from weightbounds.codes import CodeParams, LinearCode, spectrum
 from weightbounds.exclusion import audit_against_spectrum, compare_methods
 from weightbounds.gf import make_field
 
@@ -51,17 +52,15 @@ def gaussian_binomial(n, k, q):
     return top // bottom
 
 
-def brute_counts(code):
-    counts = [0] * (code.n + 1)
-    for cw in iter_codewords(code):
-        counts[hamming_weight(cw)] += 1
-    return tuple(counts)
+# q -> the number of tuples on which some code meets the count bound
+COUNT_BOUND_MET = {2: 11, 3: 11, 4: 6}
 
 
 @pytest.mark.parametrize("q, longest, tuples", [(2, 6, 24), (3, 5, 14), (4, 4, 7)])
 def test_every_small_code_sound_and_sharp(q, longest, tuples):
     gf = make_field(q)
     attained = defaultdict(set)  # (n, k, d) -> the weights codes with them attain
+    most = defaultdict(int)  # (n, k, d) -> the most distinct nonzero weights of a code
     for n in range(3, longest + 1):
         for k in range(2, n):
             listed = 0
@@ -69,14 +68,22 @@ def test_every_small_code_sound_and_sharp(q, longest, tuples):
                 code = LinearCode(gf, rows)
                 spec = spectrum(code)
                 counts = spec.counts
-                assert counts == brute_counts(code), rows
+                assert counts == oracle_counts(gf, rows), rows
                 assert audit_against_spectrum(code) == [], rows
-                attained[n, k, spec.min_distance].update(w for w, c in enumerate(counts) if c)
+                weights = [w for w, c in enumerate(counts) if c and w]
+                key = n, k, spec.min_distance
+                attained[key].update(weights)
+                most[key] = max(most[key], len(weights))
                 listed += 1
             assert listed == gaussian_binomial(n, k, q), (n, k)
     assert len(attained) == tuples
+    bound_met = 0
     for (n, k, d), weights in attained.items():
         excluded = compare_methods(CodeParams(n, k, d, q)).union
         window = range(d, min(n, max_window_weight(d, q)) + 1)
         missing = [w for w in window if w not in excluded and w not in weights]
         assert missing == [], (n, k, d, q)
+        bound = len(set(range(d, min(n, q * (n - d)) + 1)) - excluded)
+        assert most[n, k, d] <= bound, (n, k, d, q)
+        bound_met += most[n, k, d] == bound
+    assert bound_met == COUNT_BOUND_MET[q]

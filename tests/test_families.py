@@ -5,7 +5,9 @@ field elements x, 0 <= i < k), are MDS: d = n - k + 1, and their weight
 distribution has a closed form (MacWilliams & Sloane, ch. 11, Thm 6).
 Over every field below they reach the kernel's large-field paths: the
 budget that lowers the low block, Zech addition for odd p, and the
-value-bitmap cache.
+value-bitmap cache.  Doubly extended Reed-Solomon [q+1, k] codes add the
+column at infinity to the rows over all q elements; they are MDS too, and
+at k = 2 they are the one shape where the MDS weight rule w <= q binds.
 
 Simplex codes (every nonzero weight q^(k-1)) meet the Griesmer bound, and
 first-order Reed-Muller codes RM(1, m) reach the weight cap q(n - d).
@@ -68,6 +70,30 @@ def test_reed_solomon_spectra_audits_and_verdicts():
     # `mds-weight` verdict per code.
     assert shapes == 309
     assert mds_verdicts == shapes
+
+
+def test_doubly_extended_reed_solomon_codes_where_the_mds_rule_binds():
+    shapes = 0
+    for q in (2, 3, *FIELDS):
+        gf = make_field(q)
+        for k in range(2, q + 1):
+            if q**k > 1 << 16:
+                break
+            rows = reed_solomon_rows(gf, q, k)
+            code = LinearCode(gf, tuple(r + (int(i == k - 1),) for i, r in enumerate(rows)))
+            n = q + 1
+            counts = spectrum(code).counts
+            assert counts == mds_counts(n, k, q), (q, k)
+            assert audit_against_spectrum(code) == [], (q, k)
+            if k == 2:
+                # d = q, so w = n = q + 1 is in the window (only k <= 2 puts it
+                # there), and the rule excludes the weight no such code attains.
+                verdicts = {v.name: v for v in parameter_verdicts(n, 2, q, q, n)}
+                assert not verdicts["mds-weight"].holds, q
+                assert counts[n] == 0, q
+                assert n in compare_methods(CodeParams(n, 2, q, q)).singleton, q
+            shapes += 1
+    assert shapes == 37
 
 
 def test_simplex_codes_meet_griesmer_and_every_criterion_is_sharp():

@@ -11,12 +11,11 @@ The CLI runs in-process, so an uncaught exception fails the test with
 its traceback.
 """
 
-import contextlib
-import io
 import os
 import tempfile
 from unittest import mock
 
+from conftest import run_main
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,18 +27,9 @@ HUGE = [65535, 65536, 65537, 2**31, 2**40]
 HOSTILE_TOKENS = ["-1", "+1", "١", "٣", "0x1", "1_0", "1e3", ""]
 
 
-def run(argv):
-    """(exit status, stderr) of one in-process CLI run."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            status = cli.main(argv)
-        except SystemExit as exc:  # argparse rejects the arguments
-            status = exc.code
-    return status, err.getvalue()
-
-
-def check_clean(status, stderr, allowed):
+def check_clean(result, allowed):
+    """`result` is run_main's; a status outside `allowed` fails with stderr."""
+    status, _, stderr, _ = result
     assert status in allowed, stderr
     if status == 2:
         assert stderr.strip() and "Traceback" not in stderr
@@ -94,7 +84,7 @@ def generator_texts(draw, clean=False):
 
 
 def run_on_file(text, argv, env_limit=None):
-    """run() with `text` written to a file that replaces "{file}" in argv,
+    """run_main() with `text` written to a file that replaces "{file}" in argv,
     and WEIGHTBOUNDS_ENUM_LIMIT set to env_limit unless that is None."""
     env = {} if env_limit is None else {cli.ENV_LIMIT: env_limit}
     with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, env):
@@ -103,13 +93,13 @@ def run_on_file(text, argv, env_limit=None):
         path = os.path.join(tmp, "code.gen")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-        return run([path if arg == "{file}" else arg for arg in argv])
+        return run_main([path if arg == "{file}" else arg for arg in argv])
 
 
 @settings(max_examples=1000)
 @given(text=generator_texts())
 def test_generator_files_succeed_or_exit_2(text):
-    check_clean(*run_on_file(text, ["spectrum", "{file}", "--limit", "4096"]),
+    check_clean(run_on_file(text, ["spectrum", "{file}", "--limit", "4096"]),
                 allowed=(0, 2))
 
 
@@ -149,7 +139,7 @@ def test_file_commands_and_limits_succeed_or_exit_cleanly(
     if flag is not None:
         argv.append(f"--limit={flag}")
     allowed = (0, 2) if command == "spectrum" else (0, 1, 2)
-    check_clean(*run_on_file(text, argv, env_limit), allowed)
+    check_clean(run_on_file(text, argv, env_limit), allowed)
 
 
 # --- bounds and exclude ------------------------------------------------
@@ -182,7 +172,7 @@ def test_parameter_arguments_succeed_or_exit_2(command, nkdq, w, method, raw, fm
             argv.append("--raw")
     argv.append(f"--format={fmt}")
     with mock.patch.dict(os.environ, env):
-        check_clean(*run(argv), allowed)
+        check_clean(run_main(argv), allowed)
 
 
 # --- tables and selftest -----------------------------------------------
@@ -215,4 +205,4 @@ def test_tables_and_selftest_arguments_succeed_or_exit_cleanly(
         argv.append(f"--trials={trials}")
         if seed is not None:
             argv.append(f"--seed={seed}")
-    check_clean(*run(argv), allowed=(0, 1, 2))
+    check_clean(run_main(argv), allowed=(0, 1, 2))
