@@ -16,9 +16,12 @@ taken only up to scalars, reads one bitmap per coordinate (the L with
 L_j = H_j) and a carry-save counter adds them into at most
 bit_length(n) bit planes, which split the q^a combinations by weight.
 The counter's full adders (5 operations each) take three bitmaps of one
-weight and leave two, so at most n of them run; the split takes under
-4n operations and n+1 popcounts.  So a spectrum costs about
-q^(k-a)/(q-1) * 10n Python-level operations on q^a-bit integers.
+weight and leave two, so at most n of them run.  The split reads the
+planes top plane first, carries each part's popcount and drops empty
+parts: an AND and a popcount per part and plane, an XOR only where both
+halves are nonempty, so it follows the number of distinct zero counts,
+not 2^bit_length(n), and stays under 5n operations.  So a spectrum costs
+under q^(k-a)/(q-1) * 10n Python-level operations on q^a-bit integers.
 a is k - 1, lowered (down to 0) until D * q^(a+2) <= _LOW_BITS = 2^22 for D
 distinct low columns: a large field pays for q^2 build steps per low digit,
 and the low side holds at most _LOW_BITS / q bits (256 KiB over GF(2)).
@@ -290,9 +293,9 @@ def spectrum(code: LinearCode) -> WeightSpectrum:
     A carry-save counter adds those n bitmaps into bit planes of each L's
     zero count: level by level, a running sum takes in the bitmaps of one
     weight two at a time through a full adder, ends as that weight's plane
-    and passes the carries on as the next level.  Splitting all L by the
-    planes counts every weight; as L -> -L permutes the low combinations,
-    these are the weights of L + H.
+    and passes the carries on as the next level.  Read top first, the planes
+    split the L into nonempty parts that carry their popcounts, one per weight;
+    as L -> -L permutes the low combinations, these are the weights of L + H.
     Nonzero H is taken only up to scalars (its last nonzero digit is 1):
     L + cH ranges over c * (L' + H), so each such H stands for q-1.
     """
@@ -322,12 +325,19 @@ def spectrum(code: LinearCode) -> WeightSpectrum:
                 planes.append(s)
                 level = carries
             planes += level  # a lone last bitmap is the top plane
-            parts = [every]  # parts[c]: the L whose planes read so far give c zeros
-            for p in planes:
-                ones = [s & p for s in parts]
-                parts = [s ^ t for s, t in zip(parts, ones)] + ones
-            for w, s in zip(range(n, -1, -1), parts):
-                counts[w] += s.bit_count() * scale
+            parts = [(n, every, q**a)]  # (n - zeros read so far, those L, how many)
+            for i in range(len(planes) - 1, -1, -1):  # top plane first
+                p, split = planes[i], []
+                for w, s, c in parts:
+                    t = s & p
+                    u = t.bit_count()
+                    if u:
+                        split.append((w - (1 << i), t, u))
+                    if u < c:  # an empty part is dropped, a full one kept as is
+                        split.append((w, s ^ t if u else s, c - u))
+                parts = split
+            for w, s, c in parts:
+                counts[w] += c * scale
     return WeightSpectrum(tuple(counts))
 
 

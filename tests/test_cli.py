@@ -232,7 +232,7 @@ def test_default_enumeration_limit_refuses_a_file_before_enumerating(argv, tmp_p
     assert "a limit of at least 134217728 is required" in result.stderr
 
 
-def test_an_over_limit_file_is_refused_before_its_field_is_built(monkeypatch, capsys, tmp_path):
+def test_an_over_limit_file_is_refused_before_its_field_is_built(monkeypatch, tmp_path):
     # The header alone settles 65536^4 = 2^64 > 2^26; GF(65536) takes about a second.
     from weightbounds import cli, codes
 
@@ -242,8 +242,8 @@ def test_an_over_limit_file_is_refused_before_its_field_is_built(monkeypatch, ca
     monkeypatch.setattr(codes, "make_field", no_field)
     monkeypatch.setattr(cli, "make_field", no_field)
     monkeypatch.delenv("WEIGHTBOUNDS_ENUM_LIMIT", raising=False)
-    assert cli.main(["spectrum", identity_file(tmp_path, 65536, 4)]) == 2
-    out, err = capsys.readouterr()
+    status, out, err, _ = run_main(["spectrum", identity_file(tmp_path, 65536, 4)])
+    assert status == 2
     assert out == ""
     assert err == (
         f"error: enumerating q^k = {2**64} codewords exceeds the limit {2**26}; "
@@ -253,18 +253,16 @@ def test_an_over_limit_file_is_refused_before_its_field_is_built(monkeypatch, ca
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                     reason="this Python has no int-to-str digit cap")
-def test_a_count_too_long_to_print_in_decimal_is_named_as_a_power(capsys, tmp_path):
+def test_a_count_too_long_to_print_in_decimal_is_named_as_a_power(tmp_path):
     # 65536^134 has 646 decimal digits, past a cap of 640.
-    from weightbounds import cli
-
     cap = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
     try:
-        status = cli.main(["spectrum", identity_file(tmp_path, 65536, 134), "--limit", "10"])
+        status, out, err, _ = run_main(
+            ["spectrum", identity_file(tmp_path, 65536, 134), "--limit", "10"])
     finally:
         sys.set_int_max_str_digits(cap)
     assert status == 2
-    out, err = capsys.readouterr()
     assert out == ""
     assert err == (
         "error: enumerating q^k = 65536^134 codewords exceeds the limit 10; "
@@ -294,35 +292,34 @@ def test_enumeration_limit_env_takes_ascii_digits_only():
     )
 
 
-def test_exclude_refuses_a_window_wider_than_the_limit_at_once(monkeypatch, capsys):
+def test_exclude_refuses_a_window_wider_than_the_limit_at_once(monkeypatch):
     # range(2, 2^40 + 1) alone once exhausted memory; the window's width settles it.
-    from weightbounds import cli
-
     monkeypatch.delenv("WEIGHTBOUNDS_ENUM_LIMIT", raising=False)
     start = time.perf_counter()
-    assert cli.main(["exclude", *(f"--{p}={2**40}" for p in "nkd"), "--q=2"]) == 2
+    status, out, err, _ = run_main(["exclude", *(f"--{p}={2**40}" for p in "nkd"), "--q=2"])
     assert time.perf_counter() - start < 0.5
-    assert capsys.readouterr() == ("", (
+    assert (status, out, err) == (2, "", (
         f"error: the excluded-weight window holds {2**40 - 1} weights, "
         f"more than the limit {2**26}\n"))
 
 
-def test_exclude_window_counts_to_n_unless_raw(monkeypatch, capsys):
+def test_exclude_window_counts_to_n_unless_raw(monkeypatch):
     # [93,5,48]_2: weights 48..95, or 48..93 once cut at n.
-    from weightbounds import cli
-
     argv = ["exclude", "--n", "93", "--k", "5", "--d", "48", "--q", "2"]
+
+    def status_and_err(args):
+        status, _, err, _ = run_main(args)
+        return status, err
+
     monkeypatch.setenv("WEIGHTBOUNDS_ENUM_LIMIT", "46")
-    assert cli.main(argv) == 0
-    assert cli.main([*argv, "--raw"]) == 2
+    assert status_and_err(argv) == (0, "")
+    assert status_and_err([*argv, "--raw"]) == (
+        2, "error: the excluded-weight window holds 48 weights, more than the limit 46\n")
     monkeypatch.setenv("WEIGHTBOUNDS_ENUM_LIMIT", "48")
-    assert cli.main([*argv, "--raw"]) == 0
+    assert status_and_err([*argv, "--raw"]) == (0, "")
     monkeypatch.setenv("WEIGHTBOUNDS_ENUM_LIMIT", "x")
-    assert cli.main(argv) == 2
-    assert capsys.readouterr().err.splitlines() == [
-        "error: the excluded-weight window holds 48 weights, more than the limit 46",
-        "error: WEIGHTBOUNDS_ENUM_LIMIT must be an integer, got 'x'",
-    ]
+    assert status_and_err(argv) == (
+        2, "error: WEIGHTBOUNDS_ENUM_LIMIT must be an integer, got 'x'\n")
 
 
 def test_integer_token_rule():
@@ -360,15 +357,15 @@ def test_parameters_over_a_field_that_does_not_exist_exit_2(command, q, message)
     assert result.stderr == f"error: {message}\n"
 
 
-def test_a_failed_internal_invariant_exits_3_with_one_line(monkeypatch, capsys):
+def test_a_failed_internal_invariant_exits_3_with_one_line(monkeypatch):
     from weightbounds import cli
 
     def broken(trials, seed):
         raise AssertionError("residual rank 1 != k-1 = 2 inside the window")
 
     monkeypatch.setattr(cli, "run_selftest", broken)
-    assert cli.main(["selftest", "--trials", "1"]) == 3
-    out, err = capsys.readouterr()
+    status, out, err, _ = run_main(["selftest", "--trials", "1"])
+    assert status == 3
     assert out == ""
     assert err == "internal error: residual rank 1 != k-1 = 2 inside the window\n"
 

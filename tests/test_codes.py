@@ -3,7 +3,7 @@ import re
 import tracemalloc
 
 import pytest
-from conftest import brute_codewords, dual, fixture_code, oracle_counts
+from conftest import brute_codewords, dual, fixture_code, oracle_counts, simplex_rows
 
 from weightbounds import codes as codes_module
 from weightbounds.codes import (
@@ -300,6 +300,34 @@ def test_spectrum_with_a_smaller_low_block_matches_oracle(monkeypatch, low_bits)
         clear_spectrum_caches()
 
 
+@pytest.mark.parametrize("q, shapes", [
+    (2, [(10, 5), (16, 6), (17, 4)]), (3, [(7, 4), (9, 3)]), (4, [(6, 3), (8, 3)]),
+    (9, [(5, 3), (4, 2)]),
+])
+def test_spectrum_at_every_low_block_size_matches_oracle(monkeypatch, q, shapes):
+    # The weight split reads a different number of low combinations at each
+    # a.  A budget of exactly D * q^(a+2), for the D distinct low columns of
+    # length a, stops the rule at that a.  The simplex codes have one nonzero
+    # weight, so each high part's L + H take one or two weights, and the split
+    # drops every other part as soon as it empties.
+    gf = make_field(q)
+    rng = SplitMix64(q * 1009)
+    matrices = [random_full_rank_rows(rng, gf, n, k) for n, k in shapes]
+    clear_spectrum_caches()
+    try:
+        for rows in matrices + [simplex_rows(q, 3)]:
+            cols = list(zip(*rows))
+            for a in range(len(rows)):
+                monkeypatch.setattr(
+                    codes_module, "_LOW_BITS", len({c[:a] for c in cols}) * q ** (a + 2))
+                code = LinearCode(gf, rows)
+                assert low_block(code) == a
+                assert spectrum(code).counts == oracle_counts(gf, rows)
+                clear_spectrum_caches()
+    finally:
+        clear_spectrum_caches()
+
+
 @pytest.mark.parametrize("q", [2, 3])
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 15, 16, 17, 63, 64, 65])
 def test_spectrum_counter_edge_cases_match_oracle(q, n):
@@ -425,10 +453,10 @@ def traced_spectrum(code):
 
 def test_spectrum_of_the_binary_48_21_code_stays_small():
     # The largest shape of the spectrum benchmark.  The low side holds at most
-    # _LOW_BITS / q bits of bitmaps.  The counter's weight split holds at most
-    # 3(n + 1) more of one low bitmap's q^a bits: the old parts, their
-    # intersections with a plane and the new parts, each list with at most
-    # n + 1 nonzero members, one per zero count.
+    # _LOW_BITS / q bits of bitmaps.  The counter and its weight split hold at
+    # most 3(n + 1) more of one low bitmap's q^a bits: the bit_length(n)
+    # planes, and the split's parts of the planes read so far and of the next
+    # plane, two lists of at most n + 1 nonempty parts, one per zero count.
     q, n = 2, 48
     code = LinearCode(GF2, random_full_rank_rows(SplitMix64(4821), GF2, n, 21))
     counts, peak = traced_spectrum(code)
