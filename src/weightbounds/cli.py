@@ -228,10 +228,17 @@ def cmd_residual(args) -> int:
 
 # --- tables -----------------------------------------------------------
 
+# A table cell's columns, in csv order; json names its cell keys by them.
+CELL_COLUMNS = ("method", "verdict", "printed", "computed_raw", "computed_clamped",
+                "printed_count", "count_consistent")
+
 
 def render_table_comparison(which: int, comps, fmt: str) -> str:
     all_flags = [flag for comp in comps for flag in comp.flags]
     tallies = {v: sum(c.verdict == v for c in comps) for v in (EXACT, CLAMPED, MISMATCH)}
+
+    def columns(cell) -> tuple:
+        return tuple(getattr(cell, col) for col in CELL_COLUMNS)
 
     def shown(cell) -> str:
         # Display the variant the printed table used; raw when neither matches.
@@ -246,12 +253,8 @@ def render_table_comparison(which: int, comps, fmt: str) -> str:
                 "verdict": comp.verdict,
                 "flags": list(comp.flags),
                 "cells": [
-                    {"method": c.method, "verdict": c.verdict,
-                     "printed": _desc(c.printed),
-                     "computed_raw": _desc(c.computed_raw),
-                     "computed_clamped": _desc(c.computed_clamped),
-                     "printed_count": c.printed_count,
-                     "count_consistent": c.count_consistent}
+                    {col: _desc(v) if isinstance(v, frozenset) else v
+                     for col, v in zip(CELL_COLUMNS, columns(c))}
                     for c in comp.cells
                 ],
             }
@@ -260,18 +263,11 @@ def render_table_comparison(which: int, comps, fmt: str) -> str:
         return _json_text({"table": which, "rows": rows, "tallies": tallies})
     if fmt == "csv":
         rows = [
-            (which, comp.row.source, *dataclasses.astuple(comp.row.params),
-             c.method, c.verdict, c.printed, c.computed_raw, c.computed_clamped,
-             c.printed_count, c.count_consistent)
+            (which, comp.row.source, *dataclasses.astuple(comp.row.params), *columns(c))
             for comp in comps
             for c in comp.cells
         ]
-        return _csv_text(
-            ("table", "source", "n", "k", "d", "q", "method", "verdict",
-             "printed", "computed_raw", "computed_clamped", "printed_count",
-             "count_consistent"),
-            rows,
-        )
+        return _csv_text(("table", "source", "n", "k", "d", "q", *CELL_COLUMNS), rows)
     if fmt == "md":
         lines = _md_table(
             ("parameters", *(c.method for c in comps[0].cells), "match"),

@@ -105,10 +105,10 @@ class WeightSpectrum:
 class LinearCode:
     """A linear [n, k] code given by k independent generator rows over a field.
 
-    Rows are kept exactly as supplied; construction rejects rank-deficient
-    matrices (use `code_from_matrix(..., auto_reduce=True)` to accept any
-    matrix and keep a row-space basis instead).  `rref` is their RREF, the
-    `rows` object itself when the rows are already reduced.
+    Rows are stored as a tuple of tuples, whatever sequences they came in.
+    Construction rejects rank-deficient matrices (`code_from_matrix(...,
+    auto_reduce=True)` keeps a row-space basis of any matrix instead).
+    `rref` is their RREF, the `rows` object itself when already reduced.
     """
 
     gf: GF
@@ -116,6 +116,7 @@ class LinearCode:
     rref: tuple[Vector, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))
         _check_matrix(self.gf, self.rows)
         rref, rank = row_reduce(self.gf, self.rows)
         if rank != len(self.rows):
@@ -190,8 +191,8 @@ def code_from_matrix(
     By default the rows must already be independent; with auto_reduce a
     row-space basis (RREF) is kept instead.
     """
-    rows = tuple(tuple(r) for r in rows)
     if auto_reduce:
+        rows = tuple(map(tuple, rows))
         _check_matrix(gf, rows)
         rows = row_reduce(gf, rows)[0]
         if not rows:

@@ -76,14 +76,9 @@ class AuditViolation:
         return f"{self.criterion} excludes attained weight {self.weight} (A_w = {self.count})"
 
 
-def chen_xie_upper(d: int, q: int) -> int:
-    """Largest integer <= q*d/(q-1) - 1, i.e. floor(q*d/(q-1)) - 1."""
-    return (q * d) // (q - 1) - 1
-
-
 def chen_xie_excluded(params: CodeParams, clamp: bool = True) -> frozenset[int]:
     """The Chen-Xie interval [n-k+2, floor(q*d/(q-1)) - 1] (may be empty)."""
-    lo, hi = params.n - params.k + 2, chen_xie_upper(params.d, params.q)
+    lo, hi = params.n - params.k + 2, (params.q * params.d) // (params.q - 1) - 1
     return frozenset(range(lo, (min(hi, params.n) if clamp else hi) + 1))
 
 
@@ -133,10 +128,11 @@ def griesmer_excluded(params: CodeParams, clamp: bool = True) -> frozenset[int]:
 def compare_methods(params: CodeParams, clamp: bool = True) -> ExclusionReport:
     """Evaluate all three criteria side by side.
 
-    Records the left-endpoint relation: whenever (q-1)*(n-k+2) < q*d and
-    d respects the Singleton bound d <= n-k+1 (tuples violating it admit
-    no code at all), the Singleton set must contain the Chen-Xie set, and
-    that containment is checked here rather than assumed.
+    Notes the left-endpoint relation in the first regime that applies:
+    k < 2 (the residual-based criteria are skipped); void (the Chen-Xie
+    interval is empty); d > n-k+1 (no code at all: the Singleton bound
+    fails); else it holds, and the Singleton set must contain the Chen-Xie
+    set, which is checked here rather than assumed.
     """
     n, k, d, q = params.n, params.k, params.d, params.q
     cx = chen_xie_excluded(params, clamp)
@@ -149,18 +145,18 @@ def compare_methods(params: CodeParams, clamp: bool = True) -> ExclusionReport:
         )
     if k < 2:
         notes.append("residual-based criteria skipped: they need k >= 2")
-    if n - k + 2 > max_window_weight(d, q):
+    elif n - k + 2 > max_window_weight(d, q):
         notes.append("left-endpoint condition void: chen-xie interval is empty")
-    elif k >= 2 and d <= n - k + 1:
+    elif d > n - k + 1:
+        notes.append(
+            "left-endpoint comparison inapplicable: no code has these parameters"
+        )
+    else:
         if not cx <= si:
             raise AssertionError(
                 f"singleton set fails to contain chen-xie set at {params}"
             )
         notes.append("left-endpoint condition holds: singleton contains chen-xie")
-    else:
-        notes.append(
-            "left-endpoint comparison inapplicable: no code has these parameters"
-        )
     if not clamp:
         for name, s in zip(CRITERIA, (cx, si, gr)):
             over = sorted(w for w in s if w > n)

@@ -208,22 +208,25 @@ def test_spectrum_repetition_code():
     assert spectrum(code).nonzero() == {0: 1, 5: 1}
 
 
-def test_spectrum_sum_invariant_small_random_codes():
+def test_spectrum_small_random_codes_match_the_oracle():
+    # The whole distribution, so also sum(A_w) = q^k and A_0 = 1.
     rng = SplitMix64(99)
     for _ in range(40):
         q = (2, 3, 4)[rng.below(3)]
         k = 1 + rng.below(3)
         n = k + rng.below(8)
-        rows = []
         gf = make_field(q)
-        while len(rows) < k:
-            row = tuple(rng.below(q) for _ in range(n))
-            _, rank = row_reduce(gf, rows + [row])
-            if rank == len(rows) + 1:
-                rows.append(row)
-        spec = spectrum(LinearCode(gf, tuple(rows)))
-        assert sum(spec.counts) == q**k
-        assert spec.counts[0] == 1
+        rows = random_full_rank_rows(rng, gf, n, k)
+        assert spectrum(LinearCode(gf, rows)).counts == oracle_counts(gf, rows)
+
+
+def test_list_rows_and_tuple_rows_give_the_same_code():
+    rows = ((1, 0, 1), (0, 1, 1))
+    as_lists = LinearCode(GF2, [list(row) for row in rows])
+    as_tuples = LinearCode(GF2, rows)
+    assert as_lists == as_tuples and hash(as_lists) == hash(as_tuples)
+    assert as_lists.rows == rows
+    assert spectrum(as_lists) == spectrum(as_tuples)
 
 
 def random_full_rank_rows(rng, gf, n, k):

@@ -1,5 +1,7 @@
+import math
 import time
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from conftest import fixture_code
@@ -16,7 +18,6 @@ from weightbounds.exclusion import (
     ExclusionReport,
     audit_against_spectrum,
     chen_xie_excluded,
-    chen_xie_upper,
     compare_methods,
     griesmer_excluded,
     singleton_excluded,
@@ -31,10 +32,11 @@ def chen_xie_excluded_by_slack(params: CodeParams, clamp: bool = True) -> set[in
 
     Scans every slack v >= 0 with (n-k+2+v)*(q-1) < q*d and unions the
     integer weights in [q*d/(q-1) - v - 1, q*d/(q-1) - 1].  Must agree
-    with the closed-form interval; kept to guard endpoint off-by-ones.
+    with the closed-form interval; kept to guard endpoint off-by-ones, so it
+    computes its upper endpoint in exact rationals, not with the package.
     """
     n, k, d, q = params.n, params.k, params.d, params.q
-    hi = chen_xie_upper(d, q)
+    hi = math.floor(Fraction(q * d, q - 1) - 1)
     out: set[int] = set()
     v = 0
     while (n - k + 2 + v) * (q - 1) < q * d:
@@ -194,17 +196,6 @@ def test_singleton_contains_chen_xie_when_feasible(params):
         assert chen_xie_excluded(params) <= singleton_excluded(params)
 
 
-def test_endpoint_dominance_over_grid():
-    for q in (2, 3, 4):
-        for d in range(1, 41):
-            for k in range(2, 9):
-                for n in range(k, 61):
-                    if d > n - k + 1 or (q - 1) * (n - k + 2) >= q * d:
-                        continue
-                    params = CodeParams(n, k, d, q)
-                    assert chen_xie_excluded(params) <= singleton_excluded(params)
-
-
 def test_residual_criteria_require_dimension_2():
     # The [5,1,5] repetition code attains w = 5 although the interval
     # formula would exclude it; both residual-based criteria demand k >= 2.
@@ -215,6 +206,20 @@ def test_residual_criteria_require_dimension_2():
     report = compare_methods(CodeParams(5, 1, 5, 2))
     assert report.singleton == frozenset() and report.griesmer == frozenset()
     assert any("k >= 2" in note for note in report.notes)
+
+
+@pytest.mark.parametrize("clamp", [True, False])
+@pytest.mark.parametrize("params, expected", [
+    (CodeParams(5, 1, 5, 2), "residual-based criteria skipped: they need k >= 2"),
+    (CodeParams(10, 5, 7, 2), "no code has these parameters"),
+    (CodeParams(10, 2, 2, 2), "left-endpoint condition void"),
+    (CodeParams(11, 3, 6, 2), "left-endpoint condition holds"),
+], ids=["k=1", "no-code", "void", "holds"])
+def test_compare_methods_notes_one_left_endpoint_regime(params, expected, clamp):
+    # The [5,1,5] repetition code exists, so no note may say that no code does.
+    regimes = ("skipped", "void", "no code", "holds")
+    notes = [n for n in compare_methods(params, clamp).notes if any(r in n for r in regimes)]
+    assert len(notes) == 1 and expected in notes[0]
 
 
 def test_compare_methods_progression_on_the_11_3_6_example():
