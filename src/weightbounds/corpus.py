@@ -3,9 +3,9 @@
 The paper's named example codes live only as generator files under
 `fixtures/`, and its comparison tables in `tables`.  Two externally
 published codes (a ternary [27, 8, 14] and a binary cyclic [15, 10, 4])
-are represented here only by their published weight enumerators;
-generator matrices for them are optional fixtures loaded from files
-when present.
+are kept here as their published weight enumerators.  The cyclic code's
+generator matrix is `fixtures/cyclic_15_10_4_binary.gen`; no generator
+matrix of the ternary code is shipped.
 
 Random codes use SplitMix64 so the corpus is reproducible bit-for-bit
 across platforms and Python versions.
@@ -89,9 +89,9 @@ def random_corpus(trials: int, seed: int) -> Iterator[LinearCode]:
         yield random_code(stream.next_u64(), q, n, k)
 
 
-# Published weight enumerators of codes referenced without printed
-# generator matrices.  A matching generator matrix may be supplied as an
-# optional fixture file fixtures/<name>.gen; tests skip when absent.
+# Published weight enumerators of two codes the paper does not print.
+# fixtures/cyclic_15_10_4_binary.gen holds the cyclic code; the ternary
+# code has no generator matrix here, so only tests of its spectrum read it.
 EXTERNAL_SPECTRA: dict[str, dict[int, int]] = {
     "ding_27_8_14_ternary": {
         0: 1, 14: 810, 15: 702, 17: 1404, 18: 780,

@@ -14,7 +14,9 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(*args, env=None):
-    # The child process imports the package from this checkout's src/.
+    # The child process imports the package from this checkout's src/ when it
+    # exists; otherwise from the environment, as the installed package when
+    # the suite runs with src/ removed.
     env = dict(os.environ if env is None else env)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
