@@ -10,7 +10,7 @@ assumes a code exists.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ParamRangeError, WindowViolatedError
 
@@ -37,8 +37,7 @@ def ceil_div_sum(a: int, q: int, terms: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class BoundVerdict:
+class BoundVerdict(NamedTuple):
     """One evaluated bound, the comparison `lhs relation rhs`.
 
     `holds` is that comparison and `tight` is lhs == rhs, both derived

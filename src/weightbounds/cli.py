@@ -98,7 +98,7 @@ def _spectrum_line(counts: dict[int, int]) -> str:
 def render_verdicts(verdicts: list[BoundVerdict], fmt: str) -> str:
     if fmt == "json":
         return _json_text({"bounds": [
-            {**dataclasses.asdict(v), "holds": v.holds, "tight": v.tight} for v in verdicts
+            {**v._asdict(), "holds": v.holds, "tight": v.tight} for v in verdicts
         ]})
     if fmt == "csv":
         rows = [(v.name, v.holds, v.lhs, v.relation, v.rhs, v.tight) for v in verdicts]

@@ -8,8 +8,10 @@ Three methods are implemented:
 * Griesmer criterion: weights w with d <= w < q*d/(q-1) vanish whenever
   n < f(w) = residual_griesmer_min_n(k, d, q, w).  Since
   f(w + q^(k-1)) = f(w) + 1, the set is, within each residue class mod
-  q^(k-1), a suffix of the window; so it need not be an interval, and
-  it takes at most q^(k-1) evaluations of f, not one per window weight.
+  q^(k-1), a suffix of the window; so it need not be an interval.  With
+  r = d - w + ceil(w/q), f(w+1) is f(w) + 1 when q divides w and else
+  f(w) - #{1 <= i <= k-2 : q^i divides r - 1}; so one evaluation of f,
+  at w = d, and a step per residue class give the whole set.
 
 Endpoint logic is exact-integer throughout.  Both upper endpoints use
 the strict window w*(q-1) < q*d; the Chen-Xie endpoint additionally
@@ -24,7 +26,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .bounds import max_window_weight, residual_griesmer_min_n
+from .bounds import ceil_div, max_window_weight, residual_griesmer_min_n
 from .codes import CodeParams, LinearCode, code_params, spectrum
 from .errors import ParamRangeError
 
@@ -104,10 +106,13 @@ def griesmer_excluded(params: CodeParams, clamp: bool = True) -> frozenset[int]:
     exceeds n.  Lemma: with P = q^(k-1), f(w + P) = f(w) + 1, because
     ceil(w/q) grows by q^(k-2) while the k-2 terms of the sum lose
     q^(k-2) - 1 together.  So in the residue class of w0 the weights
-    w0 + j*P are excluded exactly from j = n - f(w0) + 1 on: one
-    evaluation per class, and gaps between the classes.  Any P wider than
-    the window serves too (no class has a second weight), so for large k
-    P stays near the window width.  Requires k >= 2.
+    w0 + j*P are excluded exactly from j = n - f(w0) + 1 on, with gaps
+    between the classes.  Any P wider than the window serves too (no class
+    has a second weight), so for large k P stays near the window width.
+    Lemma: f(w+1) = f(w) + 1 when q | w, since ceil(w/q) grows and r =
+    d - w + ceil(w/q) stays; else r drops by one and f loses one per
+    1 <= i <= k-2 with q^i | r - 1.  So f is evaluated once, at w0 = d,
+    and stepped to each next class.  Requires k >= 2.
     """
     n, k, d, q = params.n, params.k, params.d, params.q
     if k < 2:
@@ -115,13 +120,20 @@ def griesmer_excluded(params: CodeParams, clamp: bool = True) -> frozenset[int]:
     hi = max_window_weight(d, q)
     stop = (min(hi, n) if clamp else hi) + 1
     period = q ** min(k - 1, (stop - d).bit_length())
-    # A class with one weight in the window is tested as it stands; a range
-    # per class is built only where the class has more weights.
-    out = {w for w in range(max(d, stop - period), min(d + period, stop))
-           if n < residual_griesmer_min_n(k, d, q, w)}
-    for w0 in range(d, min(d + period, stop - period)):
-        first = w0 + max(0, n + 1 - residual_griesmer_min_n(k, d, q, w0)) * period
-        out.update(range(first, stop, period))
+    f, rest, out = residual_griesmer_min_n(k, d, q, d), ceil_div(d, q), set()
+    for w0 in range(d, min(d + period, stop)):
+        # A class with more weights in the window gets a range, one weight a test.
+        if w0 < stop - period:
+            out.update(range(w0 + max(0, n + 1 - f) * period, stop, period))
+        elif n < f:
+            out.add(w0)
+        if w0 % q == 0:
+            f += 1
+        else:
+            rest, m, i = rest - 1, rest - 1, 0
+            while i < k - 2 and m % q == 0:
+                m, i = m // q, i + 1
+            f -= i
     return frozenset(out)
 
 

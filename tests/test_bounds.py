@@ -60,6 +60,17 @@ def test_bound_verdict_derives_holds_and_tight():
     assert BoundVerdict("b", 2, "<", 3).holds
 
 
+def test_bound_verdict_is_an_immutable_hashable_record():
+    v = BoundVerdict("b", 3, "<=", 4)
+    with pytest.raises(AttributeError):
+        v.lhs = 5
+    assert list(v._asdict().items()) == [
+        ("name", "b"), ("lhs", 3), ("relation", "<="), ("rhs", 4)
+    ]
+    twin = BoundVerdict("b", 3, "<=", 4)
+    assert v == twin and hash(v) == hash(twin) and len({v, twin}) == 1
+
+
 def mds_weight_ok(q: int, d: int, w: int) -> bool:
     """Oracle: whether a weight w is admissible for an MDS code, w <= q.
 
@@ -221,6 +232,18 @@ def test_residual_griesmer_has_period_q_to_the_k_minus_1(q, k, d):
     for w in range(1, top - step + 1):
         assert residual_griesmer_min_n(k, d, q, w + step) == (
             residual_griesmer_min_n(k, d, q, w) + 1
+        )
+
+
+@given(griesmer_qs, griesmer_ks, griesmer_ds)
+def test_residual_griesmer_steps_by_one_weight(q, k, d):
+    # With r = d - w + ceil(w/q): w -> w+1 raises the floor by one when q | w
+    # (r stays), else lowers it by #{1 <= i <= k-2 : q^i | r - 1} (r drops by one).
+    for w in range(1, max_window_weight(d, q)):
+        r = d - w + ceil_div(w, q)
+        step = 1 if w % q == 0 else -sum((r - 1) % q**i == 0 for i in range(1, k - 1))
+        assert residual_griesmer_min_n(k, d, q, w + 1) == (
+            residual_griesmer_min_n(k, d, q, w) + step
         )
 
 

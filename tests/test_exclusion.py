@@ -121,10 +121,12 @@ def griesmer_excluded_by_scan(params: CodeParams, clamp: bool = True) -> set[int
 @st.composite
 def griesmer_params(draw):
     # Small q and k give a period q^(k-1) below the window width (about
-    # d/(q-1)): far below for large d, within a factor of two for small d.
-    # Large k gives a period far above it.  n spans the forced lengths at
-    # the ends of the window, so the set runs from the whole window to empty.
-    q = draw(st.sampled_from([2, 3]))
+    # d/(q-1)): far below for large d, near or above it for small d.
+    # Large k gives a period far above it.  q = 4 and 9 are prime powers
+    # p^m with m > 1, where the unit step's divisibility by powers of q
+    # differs from divisibility by powers of p.  n spans the forced lengths
+    # at the ends of the window, so the set runs from the whole window to empty.
+    q = draw(st.sampled_from([2, 3, 4, 9]))
     k = draw(st.integers(2, 4) | st.integers(5, 60))
     d = draw(st.integers(1, 60) | st.integers(1, 2000))
     lo = residual_griesmer_min_n(k, d, q, d)
@@ -139,8 +141,8 @@ def test_griesmer_by_period_equals_the_scan(params, clamp):
 
 
 def test_griesmer_evaluations_do_not_grow_with_the_window(monkeypatch):
-    # The window holds 2 million weights; the period q^(k-1) = 4 needs four
-    # evaluations per pass, one pass clamped and one raw.
+    # The window holds 2 million weights; each pass, one clamped and one
+    # raw, evaluates f once at w = d and steps to the other classes.
     calls = []
     original = exclusion.residual_griesmer_min_n
 
@@ -151,7 +153,7 @@ def test_griesmer_evaluations_do_not_grow_with_the_window(monkeypatch):
     monkeypatch.setattr(exclusion, "residual_griesmer_min_n", counted)
     for clamp in (True, False):
         compare_methods(CodeParams(4000000, 3, 2000000, 2), clamp)
-    assert len(calls) <= 2 * 4
+    assert len(calls) == 2
 
 
 @given(params_strategy())

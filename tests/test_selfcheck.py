@@ -1,4 +1,3 @@
-import dataclasses
 
 import pytest
 from conftest import ratio_rows
@@ -131,8 +130,8 @@ STRICTER = {
                           lambda d, q: bounds.max_window_weight(d, q) + 1),
     "global_weight_max": (check_global_weight,
                           lambda n, d, q: bounds.global_weight_max(n, d, q) - 1),
-    "distance_ratio_holds": (check_distance_ratio, lambda n, d, q: dataclasses.replace(
-        bounds.distance_ratio_holds(n, d, q), relation="<")),
+    "distance_ratio_holds": (check_distance_ratio, lambda n, d, q:
+                             bounds.distance_ratio_holds(n, d, q)._replace(relation="<")),
 }
 
 

@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from weightbounds.bounds import max_window_weight
 from weightbounds.codes import CodeParams
 from weightbounds.errors import ParamRangeError
 from weightbounds.tables import (
@@ -149,14 +148,9 @@ def test_each_criterion_is_evaluated_once_per_cell(monkeypatch):
 
     monkeypatch.setattr(exclusion, "residual_griesmer_min_n", counted)
     comps = compare_table(3)
-    # One raw Griesmer pass per row, evaluated once per residue class mod
-    # q^(k-1) of its window d..max_window_weight(d, q).
-    expected = 0
-    for comp in comps:
-        p = comp.row.params
-        width = max_window_weight(p.d, p.q) - p.d + 1
-        expected += min(width, p.q ** (p.k - 1))
-    assert len(calls) == expected
+    # One raw Griesmer pass per row, which evaluates f once, at w = d, and
+    # steps to the rest of its window.
+    assert len(calls) == len(comps)
 
 
 def test_table_row_counts():
