@@ -5,12 +5,12 @@ selftest.  Generator matrices are exchanged in the text format of
 `codes.parse_generator_text`.  Exit status: 0 on success, 1 on a
 violated check or mismatch, 2 on usage errors, 3 on a broken internal
 invariant (an AssertionError, reported as one `internal error:` line).
-All output is deterministic for fixed inputs and seed.
+Output depends only on argv and the files it names.
 
-Integer options are ASCII digits 0-9 with at most one leading '-'.  A
-code file with more than --limit, else WEIGHTBOUNDS_ENUM_LIMIT, else 2^26
-codewords is refused before its field is built, and `exclude` refuses a
-weight window wider than that limit; the library takes no limit.
+Integer options are ASCII digits 0-9 with at most one leading '-'.  One
+limit, --limit (default 2^26), refuses a code file with more codewords
+before its field is built and an `exclude` window with more weights
+before any set is built; the library takes no limit.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import dataclasses
 import functools
 import io
 import json
-import os
 import sys
 import warnings
 
@@ -37,7 +36,6 @@ from .gf import check_field_order, make_field
 from .selfcheck import run_selftest
 from .tables import CLAMPED, EXACT, MISMATCH, compare_table, format_weights
 
-ENV_LIMIT = "WEIGHTBOUNDS_ENUM_LIMIT"
 DEFAULT_ENUMERATION_LIMIT = 1 << 26
 FORMATS = ("text", "md", "csv", "json")
 
@@ -169,7 +167,7 @@ def cmd_exclude(args) -> int:
     check_field_order(args.q)
     # Every criterion's weights lie in this window, so its width bounds the sets.
     lo, hi = min(args.n - args.k + 2, args.d), max_window_weight(args.d, args.q)
-    size, limit = (hi if args.raw else min(hi, args.n)) - lo + 1, _enum_limit(None)
+    size, limit = (hi if args.raw else min(hi, args.n)) - lo + 1, _limit(args)
     if size > limit:
         raise EnumerationTooLargeError(
             f"the excluded-weight window holds {size} weights, more than the limit {limit}"
@@ -369,19 +367,11 @@ def integer(token: str) -> int:
     return int(token)
 
 
-def _enum_limit(limit: int | None) -> int:
-    """`limit` (the --limit value), else WEIGHTBOUNDS_ENUM_LIMIT, else 2^26."""
-    if limit is None:
-        env = os.environ.get(ENV_LIMIT)
-        if env is None:
-            return DEFAULT_ENUMERATION_LIMIT
-        try:
-            limit = integer(env)
-        except ValueError:
-            raise ValueError(f"{ENV_LIMIT} must be an integer, got {env!r}") from None
-    if limit < 1:
-        raise ValueError(f"--limit (or {ENV_LIMIT}) must be >= 1, got {limit}")
-    return limit
+def _limit(args) -> int:
+    """The --limit of a guarded command, checked when the command reads it."""
+    if args.limit < 1:
+        raise ValueError(f"--limit must be >= 1, got {args.limit}")
+    return args.limit
 
 
 def _read_code(args) -> LinearCode:
@@ -389,7 +379,7 @@ def _read_code(args) -> LinearCode:
     only enumeration check: a command enumerates this code and its residuals."""
     q, rows = _read_matrix(args.file)
     check_field_order(q)  # caps q before q^k is taken
-    limit, size = _enum_limit(args.limit), q ** len(rows)
+    limit, size = _limit(args), q ** len(rows)
     if size > limit:
         try:
             size_text = str(size)
@@ -406,11 +396,15 @@ def _add_format(sub) -> None:
     sub.add_argument("--format", choices=FORMATS, default="text")
 
 
+def _add_limit(sub) -> None:
+    sub.add_argument("--limit", type=integer, default=DEFAULT_ENUMERATION_LIMIT,
+                     help="most codewords in a code, or weights in a window (default 2^26)")
+
+
 def _add_code_file(sub) -> None:
     """The arguments `_read_code` reads."""
     sub.add_argument("file")
-    sub.add_argument("--limit", type=integer,
-                     help=f"max enumerated codewords (default {ENV_LIMIT} or 2^26)")
+    _add_limit(sub)
 
 
 @functools.cache
@@ -435,6 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(flag, type=integer, required=True)
     p.add_argument("--method", choices=(*CRITERIA, "all"), default="all")
     p.add_argument("--raw", action="store_true", help="keep formula intervals even past n")
+    _add_limit(p)
     _add_format(p)
     p.set_defaults(func=cmd_exclude)
 

@@ -423,7 +423,8 @@ def residual(code: LinearCode, codeword: Sequence[int]) -> LinearCode:
 # Text, UTF-8, read past a leading byte-order mark.  First data line:
 # "q n k"; then k lines of n integers in [0, q) using the field element
 # encoding.  '#' starts a comment line.  Every number is a run of ASCII
-# digits 0-9: no sign, '_' or other script.
+# digits 0-9: no sign, '_' or other script.  At most MAX_FILE_CHARS characters.
+MAX_FILE_CHARS = 1 << 22  # a binary [n, k] matrix takes about 2nk of them
 
 
 def _parse_matrix(text: str) -> tuple[int, list[list[int]]]:
@@ -455,7 +456,10 @@ def _parse_matrix(text: str) -> tuple[int, list[list[int]]]:
 
 def _read_matrix(path) -> tuple[int, list[list[int]]]:
     with open(path, "r", encoding="utf-8-sig") as fh:
-        return _parse_matrix(fh.read())
+        text = fh.read(MAX_FILE_CHARS + 1)
+    if len(text) > MAX_FILE_CHARS:
+        raise ValueError(f"{path}: more than {MAX_FILE_CHARS} characters")
+    return _parse_matrix(text)
 
 
 def parse_generator_text(text: str) -> LinearCode:

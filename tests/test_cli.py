@@ -8,12 +8,14 @@ from pathlib import Path
 import pytest
 from conftest import run_main
 
+from weightbounds.codes import MAX_FILE_CHARS
+
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
-def run_cli(*args, env=None):
+def run_cli(*args, env=None, **kwargs):
     # The child process imports the package from this checkout's src/ when it
     # exists; otherwise from the environment, as the installed package when
     # the suite runs with src/ removed.
@@ -27,6 +29,7 @@ def run_cli(*args, env=None):
         text=True,
         env=env,
         cwd=ROOT,
+        **kwargs,
     )
 
 
@@ -202,16 +205,29 @@ def test_generator_file_with_a_byte_order_mark_is_read(tmp_path):
     assert (result.returncode, result.stdout, result.stderr) == (0, plain.stdout, "")
 
 
-def test_enumeration_limit_env_override():
-    env = dict(os.environ)
-    env["WEIGHTBOUNDS_ENUM_LIMIT"] = "100"
-    result = run_cli("spectrum", "fixtures/hamming_13_10_3_ternary.gen", env=env)
-    assert result.returncode == 2
-    assert "59049" in result.stderr
-    # An explicit flag takes precedence over the environment.
-    result = run_cli("spectrum", "fixtures/hamming_13_10_3_ternary.gen",
-                     "--limit", "59049", env=env)
-    assert result.returncode == 0
+def test_the_environment_sets_no_limit():
+    # Output depends on argv alone: the variable that earlier versions read is ignored.
+    env = {k: v for k, v in os.environ.items() if k != "WEIGHTBOUNDS_ENUM_LIMIT"}
+    for argv in (("spectrum", "fixtures/rm_1_4.gen"),
+                 ("exclude", "--n", "93", "--k", "5", "--d", "48", "--q", "2")):
+        plain = run_cli(*argv, env=env)
+        result = run_cli(*argv, env={**env, "WEIGHTBOUNDS_ENUM_LIMIT": "1"})
+        assert plain.returncode == 0
+        assert (result.returncode, result.stdout, result.stderr) == (0, plain.stdout, "")
+
+
+@pytest.mark.parametrize("argv", [("spectrum",), ("residual", "--weight", "1"), ("audit",)])
+def test_an_endless_file_is_refused_in_bounded_memory(argv):
+    # An endless file is refused after MAX_FILE_CHARS characters, well within
+    # a 256 MiB address-space cap.
+    resource = pytest.importorskip("resource")
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))
+
+    result = run_cli(argv[0], "/dev/zero", *argv[1:], preexec_fn=cap_memory, timeout=60)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == f"error: /dev/zero: more than {MAX_FILE_CHARS} characters\n"
 
 
 def identity_file(tmp_path, q, k):
@@ -227,8 +243,7 @@ def identity_file(tmp_path, q, k):
     ("audit", "fixtures/example_11_3_6.gen"),
 ])
 def test_default_enumeration_limit_refuses_a_file_before_enumerating(argv, tmp_path):
-    env = {k: v for k, v in os.environ.items() if k != "WEIGHTBOUNDS_ENUM_LIMIT"}
-    result = run_cli(argv[0], identity_file(tmp_path, 2, 27), *argv[2:], env=env)
+    result = run_cli(argv[0], identity_file(tmp_path, 2, 27), *argv[2:])
     assert result.returncode == 2
     assert result.stdout == ""
     assert "a limit of at least 134217728 is required" in result.stderr
@@ -243,7 +258,6 @@ def test_an_over_limit_file_is_refused_before_its_field_is_built(monkeypatch, tm
 
     monkeypatch.setattr(codes, "make_field", no_field)
     monkeypatch.setattr(cli, "make_field", no_field)
-    monkeypatch.delenv("WEIGHTBOUNDS_ENUM_LIMIT", raising=False)
     status, out, err, _ = run_main(["spectrum", identity_file(tmp_path, 65536, 4)])
     assert status == 2
     assert out == ""
@@ -285,18 +299,8 @@ def test_integer_options_take_ascii_digits_and_a_leading_minus_only(argv):
     assert "invalid integer value" in result.stderr
 
 
-def test_enumeration_limit_env_takes_ascii_digits_only():
-    env = dict(os.environ, WEIGHTBOUNDS_ENUM_LIMIT=" 8_0 ")
-    result = run_cli("spectrum", "fixtures/example_11_3_6.gen", env=env)
-    assert (result.returncode, result.stdout) == (2, "")
-    assert result.stderr == (
-        "error: WEIGHTBOUNDS_ENUM_LIMIT must be an integer, got ' 8_0 '\n"
-    )
-
-
-def test_exclude_refuses_a_window_wider_than_the_limit_at_once(monkeypatch):
+def test_exclude_refuses_a_window_wider_than_the_limit_at_once():
     # range(2, 2^40 + 1) alone once exhausted memory; the window's width settles it.
-    monkeypatch.delenv("WEIGHTBOUNDS_ENUM_LIMIT", raising=False)
     start = time.perf_counter()
     status, out, err, _ = run_main(["exclude", *(f"--{p}={2**40}" for p in "nkd"), "--q=2"])
     assert time.perf_counter() - start < 0.5
@@ -305,23 +309,34 @@ def test_exclude_refuses_a_window_wider_than_the_limit_at_once(monkeypatch):
         f"more than the limit {2**26}\n"))
 
 
-def test_exclude_window_counts_to_n_unless_raw(monkeypatch):
+def test_exclude_window_counts_to_n_unless_raw():
     # [93,5,48]_2: weights 48..95, or 48..93 once cut at n.
     argv = ["exclude", "--n", "93", "--k", "5", "--d", "48", "--q", "2"]
 
-    def status_and_err(args):
-        status, _, err, _ = run_main(args)
+    def status_and_err(*args):
+        status, _, err, _ = run_main([*argv, *args])
         return status, err
 
-    monkeypatch.setenv("WEIGHTBOUNDS_ENUM_LIMIT", "46")
-    assert status_and_err(argv) == (0, "")
-    assert status_and_err([*argv, "--raw"]) == (
+    assert status_and_err("--limit", "46") == (0, "")
+    assert status_and_err("--limit", "46", "--raw") == (
         2, "error: the excluded-weight window holds 48 weights, more than the limit 46\n")
-    monkeypatch.setenv("WEIGHTBOUNDS_ENUM_LIMIT", "48")
-    assert status_and_err([*argv, "--raw"]) == (0, "")
-    monkeypatch.setenv("WEIGHTBOUNDS_ENUM_LIMIT", "x")
-    assert status_and_err(argv) == (
-        2, "error: WEIGHTBOUNDS_ENUM_LIMIT must be an integer, got 'x'\n")
+    assert status_and_err("--limit", "48", "--raw") == (0, "")
+
+
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "fixtures/example_11_3_6.gen"),
+    ("residual", "fixtures/example_11_3_6.gen", "--weight", "6"),
+    ("audit", "fixtures/example_11_3_6.gen"),
+    ("exclude", "--n", "11", "--k", "3", "--d", "6", "--q", "2"),
+])
+@pytest.mark.parametrize("limit", ["--limit=0", "--limit=1_0"])
+def test_every_guarded_command_refuses_a_bad_limit_with_one_error(argv, limit, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    status, out, err, _ = run_main([*argv, limit])
+    assert (status, out) == (2, "")
+    assert err.count("error:") == 1
+    if limit == "--limit=0":
+        assert err == "error: --limit must be >= 1, got 0\n"
 
 
 def test_integer_token_rule():

@@ -3,11 +3,11 @@
 Each record is one `weightbounds` invocation with its exit status,
 stdout and stderr, one per `invocations()` in its order.  The replay
 runs `cli.main` in-process through `conftest.run_main`, from the
-repository root, with WEIGHTBOUNDS_ENUM_LIMIT unset.  Left out are
-argparse's own usage errors (their wording varies between Python
-versions).  No invocation may emit a Python warning, which reaches
-stderr differently inside and outside pytest: regeneration fails with
-the argv of one that does, and the replay asserts that none does.
+repository root.  Left out are argparse's own usage errors (their
+wording varies between Python versions).  No invocation may emit a
+Python warning, which reaches stderr differently inside and outside
+pytest: regeneration fails with the argv of one that does, and the
+replay asserts that none does.
 
 Regenerate with `PYTHONPATH=src python tests/test_cli_transcript.py`, only
 for an intended output change, and review the diff.
@@ -62,6 +62,7 @@ ERRORS = (
     ("spectrum", "does-not-exist.gen"),
     ("spectrum", "fixtures/hamming_13_10_3_ternary.gen", "--limit", "100"),
     ("spectrum", "fixtures/rm_1_4.gen", "--limit", "0"),
+    ("exclude", "--n", "93", "--k", "5", "--d", "48", "--q", "2", "--limit", "0"),
     ("audit", "fixtures/hamming_13_10_3_ternary.gen", "--limit", "59048"),
     ("audit", "does-not-exist.gen", "--format", "json"),
     ("residual", "fixtures/hamming_13_10_3_ternary.gen", "--weight", "3",
@@ -98,6 +99,12 @@ def invocations() -> list[tuple[str, ...]]:
             for index in range(3):
                 out.append(("residual", path, "--weight", str(weight),
                             "--index", str(index)))
+    # [93,5,48]_2 has 46 window weights clamped at n and 48 raw: each under,
+    # at and over the limit.
+    for raw, width in (((), 46), (("--raw",), 48)):
+        for limit in (width + 1, width, width - 1):
+            out.append(("exclude", "--n", "93", "--k", "5", "--d", "48", "--q", "2",
+                        *raw, "--limit", str(limit)))
     for which in (1, 2, 3):
         for fmt in FORMATS:
             out.append(("tables", "--which", str(which), "--format", fmt))
@@ -137,7 +144,6 @@ def transcript_records() -> list[tuple[tuple[str, ...], str]]:
 
 def test_transcript_replays_byte_identical(monkeypatch):
     monkeypatch.chdir(ROOT)
-    monkeypatch.delenv("WEIGHTBOUNDS_ENUM_LIMIT", raising=False)
     records = transcript_records()
     assert [argv for argv, _ in records] == invocations()
     for argv, expected in records:
@@ -156,7 +162,6 @@ def test_transcript_covers_every_report_and_format():
 
 def main() -> None:
     os.chdir(ROOT)
-    os.environ.pop("WEIGHTBOUNDS_ENUM_LIMIT", None)
     parts = []
     for argv in invocations():
         code, out, err, warned = run_main(argv)

@@ -866,6 +866,18 @@ def test_generator_file_may_start_with_a_byte_order_mark(tmp_path):
         read_generator_file(path)
 
 
+def test_generator_file_of_more_than_max_file_chars_is_refused(tmp_path):
+    # A comment pads the file to the bound, where it still reads, then past it.
+    text = generator_text(LinearCode(GF2, G_11_3_6))
+    path = tmp_path / "long.gen"
+    padding = "# " + "x" * (codes_module.MAX_FILE_CHARS - len(text) - 3) + "\n"
+    path.write_text(padding + text, encoding="utf-8")
+    assert read_generator_file(path) == parse_generator_text(text)
+    path.write_text("#" + padding + text, encoding="utf-8")
+    with pytest.raises(ValueError, match=f"more than {codes_module.MAX_FILE_CHARS} characters"):
+        read_generator_file(path)
+
+
 def test_weight_spectrum_properties():
     spec = WeightSpectrum((1, 0, 0, 4, 0, 3))
     assert len(spec.counts) - 1 == 5

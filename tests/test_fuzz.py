@@ -13,13 +13,10 @@ its traceback.
 
 import os
 import tempfile
-from unittest import mock
 
 from conftest import run_main
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-from weightbounds import cli
 
 HUGE = [65535, 65536, 65537, 2**31, 2**40]
 # Tokens int() reads differently or not at all: sign, ARABIC-INDIC DIGIT
@@ -83,13 +80,9 @@ def generator_texts(draw, clean=False):
     return "".join(" ".join(line) + "\n" for line in lines)
 
 
-def run_on_file(text, argv, env_limit=None):
-    """run_main() with `text` written to a file that replaces "{file}" in argv,
-    and WEIGHTBOUNDS_ENUM_LIMIT set to env_limit unless that is None."""
-    env = {} if env_limit is None else {cli.ENV_LIMIT: env_limit}
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, env):
-        if env_limit is None:
-            os.environ.pop(cli.ENV_LIMIT, None)
+def run_on_file(text, argv):
+    """run_main() with `text` written to a file that replaces "{file}" in argv."""
+    with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "code.gen")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -124,22 +117,20 @@ limit_tokens = (st.sampled_from(["0", "1", *HOSTILE_TOKENS])
     command=st.sampled_from(["spectrum", "residual", "audit"]),
     weight=st.integers(0, 7).map(str) | tokens,  # n <= 6: most weights exist
     index=st.none() | st.integers(0, 3).map(str) | tokens,
-    limits=st.tuples(st.none() | limit_tokens, limit_tokens)
-    | st.tuples(limit_tokens, st.none() | limit_tokens),
+    limit=st.none() | limit_tokens,
 )
 def test_file_commands_and_limits_succeed_or_exit_cleanly(
-    text, command, weight, index, limits
+    text, command, weight, index, limit
 ):
-    flag, env_limit = limits
     argv = [command, "{file}"]
     if command == "residual":
         argv.append(f"--weight={weight}")
         if index is not None:
             argv.append(f"--index={index}")
-    if flag is not None:
-        argv.append(f"--limit={flag}")
+    if limit is not None:
+        argv.append(f"--limit={limit}")
     allowed = (0, 2) if command == "spectrum" else (0, 1, 2)
-    check_clean(run_on_file(text, argv, env_limit), allowed)
+    check_clean(run_on_file(text, argv), allowed)
 
 
 # --- bounds and exclude ------------------------------------------------
@@ -158,7 +149,6 @@ def test_parameter_arguments_succeed_or_exit_2(command, nkdq, w, method, raw, fm
     argv = [command]
     for flag, token in zip(("--n", "--k", "--d", "--q"), nkdq):
         argv.append(f"{flag}={token}")
-    env = {}
     if command == "bounds":
         allowed = (0, 1, 2)
         if w is not None:
@@ -166,13 +156,12 @@ def test_parameter_arguments_succeed_or_exit_2(command, nkdq, w, method, raw, fm
     else:
         # A window of up to 2^17 weights runs in well under a second; a wider
         # one, such as that of d = 2^40, is refused before any set is built.
-        allowed, env = (0, 2), {cli.ENV_LIMIT: str(2**17)}
-        argv.append(f"--method={method}")
+        allowed = (0, 2)
+        argv += [f"--method={method}", f"--limit={2**17}"]
         if raw:
             argv.append("--raw")
     argv.append(f"--format={fmt}")
-    with mock.patch.dict(os.environ, env):
-        check_clean(run_main(argv), allowed)
+    check_clean(run_main(argv), allowed)
 
 
 # --- tables and selftest -----------------------------------------------

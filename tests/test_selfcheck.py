@@ -1,8 +1,8 @@
 
 import pytest
-from conftest import ratio_rows
+from conftest import ratio_rows, run_main
 
-from weightbounds import bounds, cli, codes, selfcheck
+from weightbounds import bounds, codes, selfcheck
 from weightbounds.codes import (
     LinearCode,
     hamming_weight,
@@ -81,7 +81,7 @@ def test_residual_lemma_walk_matches_a_full_codeword_walk(corpus1000, monkeypatc
 
 
 def test_a_broken_residual_invariant_is_an_internal_error_not_a_violation(
-    corpus1000, monkeypatch, capsys
+    corpus1000, monkeypatch
 ):
     def broken_residual(code, cw):
         raise AssertionError("residual rank 0 != k-1 inside the window")
@@ -89,8 +89,9 @@ def test_a_broken_residual_invariant_is_an_internal_error_not_a_violation(
     monkeypatch.setattr(selfcheck, "residual", broken_residual)
     with pytest.raises(AssertionError, match="inside the window"):
         check_residual_lemma(corpus1000[:5])
-    assert cli.main(["selftest", "--trials", "5"]) == 3
-    assert capsys.readouterr().err.startswith("internal error: residual rank 0")
+    status, _, err, _ = run_main(["selftest", "--trials", "5"])
+    assert status == 3
+    assert err.startswith("internal error: residual rank 0")
 
 
 def test_run_selftest_results_are_pinned():
