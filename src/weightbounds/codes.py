@@ -421,40 +421,41 @@ def residual(code: LinearCode, codeword: Sequence[int]) -> LinearCode:
 # --- generator-matrix file format -----------------------------------
 #
 # Text, UTF-8, read past a leading byte-order mark.  First data line:
-# "q n k"; then k lines of n integers in [0, q) using the field element
-# encoding.  '#' starts a comment line.  Every number is a run of ASCII
-# digits 0-9: no sign, '_' or other script.  At most MAX_FILE_CHARS characters.
+# "q n k" with 1 <= k <= n; then k lines of n integers in [0, q) using the
+# field element encoding.  '#' starts a comment line.  Every number is a run
+# of ASCII digits 0-9: no sign, '_' or other script.  At most MAX_FILE_CHARS
+# characters, so k <= 1448 (k * k <= n * k <= MAX_FILE_CHARS / 2).
 MAX_FILE_CHARS = 1 << 22  # a binary [n, k] matrix takes about 2nk of them
 
 
-def _parse_matrix(text: str) -> tuple[int, list[list[int]]]:
+def _parse_matrix(text: str) -> tuple[int, list[tuple[int, ...]]]:
     """q and the rows of the exchange format, with the token, header and
     shape checks; field entries and rank are checked when the code is built."""
-    lines = []
+    header, rows = "", []
     for number, line in enumerate(text.splitlines(), 1):
-        if not line.strip() or line.lstrip().startswith("#"):
+        if not (tokens := line.split()) or tokens[0].startswith("#"):
             continue
-        for t in line.split():
+        for t in tokens:
             if not (t.isascii() and t.isdigit()):
                 raise ValueError(f"line {number}: {t!r} is not an ASCII digit string")
-        lines.append((line.strip(), [int(t) for t in line.split()]))
-    if not lines:
+        header = header or line.strip()  # kept for its error message only
+        rows.append(tuple(map(int, tokens)))
+    if not rows:
         raise ValueError("no data lines in generator file")
-    header, numbers = lines[0]
-    if len(numbers) != 3:
+    if len(rows[0]) != 3:
         raise ValueError(f"header must be 'q n k', got {header!r}")
-    q, n, k = numbers
-    if len(lines) - 1 != k:
-        raise ValueError(f"expected {k} rows, found {len(lines) - 1}")
-    # Shapes before the field: building GF(65536) takes about a second.
-    rows = [row for _, row in lines[1:]]
-    for row in rows:
+    q, n, k = rows.pop(0)
+    if not 1 <= k <= n:
+        raise ValueError(f"header needs 1 <= k <= n, got n = {n}, k = {k}")
+    if len(rows) != k:
+        raise ValueError(f"expected {k} rows, found {len(rows)}")
+    for row in rows:  # shapes before the field: GF(65536) takes about a second
         if len(row) != n:
             raise ValueError(f"expected {n} entries per row, got {len(row)}")
     return q, rows
 
 
-def _read_matrix(path) -> tuple[int, list[list[int]]]:
+def _read_matrix(path) -> tuple[int, list[tuple[int, ...]]]:
     with open(path, "r", encoding="utf-8-sig") as fh:
         text = fh.read(MAX_FILE_CHARS + 1)
     if len(text) > MAX_FILE_CHARS:
@@ -469,6 +470,7 @@ def parse_generator_text(text: str) -> LinearCode:
 
 
 def read_generator_file(path) -> LinearCode:
+    """Read the exchange format from path: at most MAX_FILE_CHARS characters."""
     q, rows = _read_matrix(path)
     return code_from_matrix(make_field(q), rows)
 

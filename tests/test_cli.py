@@ -216,18 +216,33 @@ def test_the_environment_sets_no_limit():
         assert (result.returncode, result.stdout, result.stderr) == (0, plain.stdout, "")
 
 
-@pytest.mark.parametrize("argv", [("spectrum",), ("residual", "--weight", "1"), ("audit",)])
-def test_an_endless_file_is_refused_in_bounded_memory(argv):
-    # An endless file is refused after MAX_FILE_CHARS characters, well within
-    # a 256 MiB address-space cap.
+def run_cli_in_256_mib(*args):
     resource = pytest.importorskip("resource")
 
     def cap_memory():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))
 
-    result = run_cli(argv[0], "/dev/zero", *argv[1:], preexec_fn=cap_memory, timeout=60)
+    return run_cli(*args, preexec_fn=cap_memory, timeout=60)
+
+
+@pytest.mark.parametrize("argv", [("spectrum",), ("residual", "--weight", "1"), ("audit",)])
+def test_an_endless_file_is_refused_in_bounded_memory(argv):
+    # An endless file is refused after MAX_FILE_CHARS characters, well within
+    # a 256 MiB address-space cap.
+    result = run_cli_in_256_mib(argv[0], "/dev/zero", *argv[1:])
     assert (result.returncode, result.stdout) == (2, "")
     assert result.stderr == f"error: /dev/zero: more than {MAX_FILE_CHARS} characters\n"
+
+
+def test_a_file_of_many_rows_is_refused_in_bounded_memory(tmp_path):
+    # Just under MAX_FILE_CHARS: a header claiming 2097140 one-entry rows, and
+    # those rows.  No code has k > n, so q^k is never taken.
+    path = tmp_path / "tall.gen"
+    path.write_text("65521 1 2097140\n" + "0\n" * 2097140, encoding="utf-8")
+    assert path.stat().st_size <= MAX_FILE_CHARS
+    result = run_cli_in_256_mib("spectrum", str(path))
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == "error: header needs 1 <= k <= n, got n = 1, k = 2097140\n"
 
 
 def identity_file(tmp_path, q, k):

@@ -809,6 +809,10 @@ def test_generator_file_round_trip():
     parsed = parse_generator_text(text)
     assert parsed == code
     assert text.startswith("# round trip\n# second line\n4 4 2\n")
+    # An indented '#' line is a comment; '\r\n' and '\x0c' break lines like '\n'.
+    for variant in (text.replace("# ", " \t# "), text.replace("\n", "\r\n"),
+                    text.replace("\n", "\x0c")):
+        assert parse_generator_text(variant) == code
 
 
 def test_generator_file_errors():
@@ -822,6 +826,14 @@ def test_generator_file_errors():
         parse_generator_text("2 3 1\n1 0\n")
     with pytest.raises(EntryOutOfRangeError):
         parse_generator_text("2 3 1\n1 0 5\n")
+    # The header message quotes the stripped header line.
+    with pytest.raises(ValueError, match=re.escape("got '2  3'")):
+        parse_generator_text(" 2  3 \t\n1 0 1\n")
+    # A bad token anywhere comes first, then the row count, then the row lengths.
+    with pytest.raises(ValueError, match=re.escape("line 3: '+1'")):
+        parse_generator_text("2 3 1\n1 0 1\n1 +1 1\n")
+    with pytest.raises(ValueError, match="expected 2 rows, found 1"):
+        parse_generator_text("2 3 2\n1 0\n")
 
 
 def test_generator_file_shapes_are_checked_before_the_field_is_built(monkeypatch):
@@ -834,6 +846,11 @@ def test_generator_file_shapes_are_checked_before_the_field_is_built(monkeypatch
         parse_generator_text("65536 3 1\n0 0\n")
     with pytest.raises(ValueError, match="expected 1 rows, found 0"):
         parse_generator_text("65536 3 1\n")
+    # No code has k = 0 or k > n, whatever follows the header.
+    with pytest.raises(ValueError, match="1 <= k <= n, got n = 3, k = 0"):
+        parse_generator_text("65536 3 0\n")
+    with pytest.raises(ValueError, match="1 <= k <= n, got n = 1, k = 2097140"):
+        parse_generator_text("65521 1 2097140\n0\n0\n")
 
 
 def test_a_file_breaking_a_shape_and_a_field_rule_reports_the_shape():
