@@ -6,12 +6,14 @@ Three methods are implemented:
 * Singleton criterion: weights w with d <= w < q*d/(q-1) and
   w > q*(n-k-d+2) vanish; a consecutive interval.
 * Griesmer criterion: weights w with d <= w < q*d/(q-1) vanish whenever
-  n < f(w) = residual_griesmer_min_n(k, d, q, w).  Since
-  f(w + q^(k-1)) = f(w) + 1, the set is, within each residue class mod
-  q^(k-1), a suffix of the window; so it need not be an interval.  With
-  r = d - w + ceil(w/q), f(w+1) is f(w) + 1 when q divides w and else
-  f(w) - #{1 <= i <= k-2 : q^i divides r - 1}; so one evaluation of f,
-  at w = d, and a step per residue class give the whole set.
+  n < f(w) = residual_griesmer_min_n(k, d, q, w); in each residue class
+  mod q^(k-1) a suffix of the window, so not always an interval.
+
+No criterion excludes a weight once n >= C = d + k - 2 + ceil((d+1)/(q-1)).
+Proof: with r = d - w + ceil(w/q), each of the k-1 ceilings in f = d +
+ceil(w/q) + sum_{i=1}^{k-2} ceil(r/q^i) is below x + 1, and r < d + 1 -
+w*(q-1)/q; the w terms cancel, and f < d + k - 1 + (d+1)/(q-1) gives f <= C.
+The other two sets start past the window once n-k+2 >= d + (d+1)/(q-1).
 
 Endpoint logic is exact-integer throughout.  Both upper endpoints use
 the strict window w*(q-1) < q*d; the Chen-Xie endpoint additionally
@@ -32,6 +34,11 @@ from .errors import ParamRangeError
 
 # The criterion names, in the order of every report, table cell and audit.
 CRITERIA = ("chen-xie", "singleton", "griesmer")
+_EMPTY: frozenset[int] = frozenset()  # what a criterion excluding nothing returns
+
+
+def _interval(lo: int, hi: int) -> frozenset[int]:
+    return frozenset(range(lo, hi + 1)) if lo <= hi else _EMPTY
 
 
 @dataclass(frozen=True)
@@ -81,7 +88,7 @@ class AuditViolation:
 def chen_xie_excluded(params: CodeParams, clamp: bool = True) -> frozenset[int]:
     """The Chen-Xie interval [n-k+2, floor(q*d/(q-1)) - 1] (may be empty)."""
     lo, hi = params.n - params.k + 2, (params.q * params.d) // (params.q - 1) - 1
-    return frozenset(range(lo, (min(hi, params.n) if clamp else hi) + 1))
+    return _interval(lo, min(hi, params.n) if clamp else hi)
 
 
 def singleton_excluded(params: CodeParams, clamp: bool = True) -> frozenset[int]:
@@ -95,7 +102,7 @@ def singleton_excluded(params: CodeParams, clamp: bool = True) -> frozenset[int]
     if k < 2:
         raise ParamRangeError("the Singleton criterion needs k >= 2")
     lo, hi = max(d, q * (n - k - d + 2) + 1), max_window_weight(d, q)
-    return frozenset(range(lo, (min(hi, n) if clamp else hi) + 1))
+    return _interval(lo, min(hi, n) if clamp else hi)
 
 
 def griesmer_excluded(params: CodeParams, clamp: bool = True) -> frozenset[int]:
@@ -103,20 +110,25 @@ def griesmer_excluded(params: CodeParams, clamp: bool = True) -> frozenset[int]:
 
     Keeps each w in the window d <= w < q*d/(q-1) (and w <= n when
     clamping) whose forced length f(w) = residual_griesmer_min_n(k, d, q, w)
-    exceeds n.  Lemma: with P = q^(k-1), f(w + P) = f(w) + 1, because
-    ceil(w/q) grows by q^(k-2) while the k-2 terms of the sum lose
-    q^(k-2) - 1 together.  So in the residue class of w0 the weights
-    w0 + j*P are excluded exactly from j = n - f(w0) + 1 on, with gaps
-    between the classes.  Any P wider than the window serves too (no class
-    has a second weight), so for large k P stays near the window width.
-    Lemma: f(w+1) = f(w) + 1 when q | w, since ceil(w/q) grows and r =
-    d - w + ceil(w/q) stays; else r drops by one and f loses one per
-    1 <= i <= k-2 with q^i | r - 1.  So f is evaluated once, at w0 = d,
-    and stepped to each next class.  Requires k >= 2.
+    exceeds n.  Requires k >= 2.  With r = d - w + ceil(w/q), three lemmas:
+    Cap: f(w) <= C = d + k - 2 + ceil((d+1)/(q-1)), so n >= C excludes none.
+    Each of the k-1 ceilings in f is below x + 1, r < d + 1 - w*(q-1)/q,
+    and the w terms cancel, so f < d + k - 1 + (d+1)/(q-1).
+    Period: with P = q^(k-1), f(w + P) = f(w) + 1, because ceil(w/q)
+    grows by q^(k-2) while the k-2 terms of the sum lose q^(k-2) - 1
+    together.  So in the residue class of w0 the weights w0 + j*P are
+    excluded exactly from j = n - f(w0) + 1 on, with gaps between the
+    classes.  Any P wider than the window serves too (no class has a
+    second weight), so for large k P stays near the window width.
+    Step: f(w+1) = f(w) + 1 when q | w, since ceil(w/q) grows and r stays;
+    else r drops by one and f loses one per 1 <= i <= k-2 with q^i | r - 1.
+    So f is evaluated once, at w0 = d, and stepped to each next class.
     """
     n, k, d, q = params.n, params.k, params.d, params.q
     if k < 2:
         raise ParamRangeError("the Griesmer criterion needs k >= 2")
+    if n >= d + k - 2 + ceil_div(d + 1, q - 1):
+        return _EMPTY
     hi = max_window_weight(d, q)
     stop = (min(hi, n) if clamp else hi) + 1
     period = q ** min(k - 1, (stop - d).bit_length())
@@ -134,7 +146,7 @@ def griesmer_excluded(params: CodeParams, clamp: bool = True) -> frozenset[int]:
             while i < k - 2 and m % q == 0:
                 m, i = m // q, i + 1
             f -= i
-    return frozenset(out)
+    return frozenset(out) if out else _EMPTY
 
 
 def compare_methods(params: CodeParams, clamp: bool = True) -> ExclusionReport:
@@ -148,8 +160,8 @@ def compare_methods(params: CodeParams, clamp: bool = True) -> ExclusionReport:
     """
     n, k, d, q = params.n, params.k, params.d, params.q
     cx = chen_xie_excluded(params, clamp)
-    si = singleton_excluded(params, clamp) if k >= 2 else frozenset()
-    gr = griesmer_excluded(params, clamp) if k >= 2 else frozenset()
+    si = singleton_excluded(params, clamp) if k >= 2 else _EMPTY
+    gr = griesmer_excluded(params, clamp) if k >= 2 else _EMPTY
     notes = []
     if d > 1:
         notes.append(

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import os
 import warnings
 from itertools import product
 from pathlib import Path
@@ -13,13 +14,18 @@ from weightbounds.corpus import DEFAULT_SELFTEST_SEED, random_corpus
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
+# "repro" (the default) replays the same examples on every run; with
+# HYPOTHESIS_PROFILE=explore each run draws 1000 fresh examples per test.
 settings.register_profile(
     "repro",
     derandomize=True,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-settings.load_profile("repro")
+settings.register_profile(
+    "explore", settings.get_profile("repro"), derandomize=False, max_examples=1000
+)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "repro"))
 
 
 @pytest.fixture(scope="session")

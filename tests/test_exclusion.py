@@ -118,6 +118,33 @@ def griesmer_excluded_by_scan(params: CodeParams, clamp: bool = True) -> set[int
     }
 
 
+def griesmer_cap(k: int, d: int, q: int) -> int:
+    """C = d + k - 2 + ceil((d+1)/(q-1)), the cap on f over the window."""
+    return d + k - 2 + math.ceil(Fraction(d + 1, q - 1))
+
+
+def test_the_forced_length_never_exceeds_the_cap():
+    # The slow side of the cap: f at every window weight of a grid of tuples.
+    # At n = C every criterion, clamped or raw, excludes nothing.
+    for q in (2, 3, 4, 5, 7, 8, 9, 16, 27, 32, 256):
+        for k in range(2, 13):
+            for d in range(1, 81):
+                cap = griesmer_cap(k, d, q)
+                window = range(d, max_window_weight(d, q) + 1)
+                assert max(residual_griesmer_min_n(k, d, q, w) for w in window) <= cap
+                for clamp in (True, False):
+                    report = compare_methods(CodeParams(cap, k, d, q), clamp)
+                    assert report.union == frozenset(), (q, k, d, clamp)
+
+
+def test_the_cap_is_attained():
+    # (q, k, d) = (3, 2, 3): C = 3 + 0 + ceil(4/2) = 5 = f(4), so a cap one
+    # lower would wrongly skip the scan at n = 4.
+    assert griesmer_cap(2, 3, 3) == residual_griesmer_min_n(2, 3, 3, 4) == 5
+    assert griesmer_excluded(CodeParams(4, 2, 3, 3)) == {4}
+    assert griesmer_excluded(CodeParams(5, 2, 3, 3)) == frozenset()
+
+
 @st.composite
 def griesmer_params(draw):
     # Small q and k give a period q^(k-1) below the window width (about
@@ -125,13 +152,15 @@ def griesmer_params(draw):
     # Large k gives a period far above it.  q = 4 and 9 are prime powers
     # p^m with m > 1, where the unit step's divisibility by powers of q
     # differs from divisibility by powers of p.  n spans the forced lengths
-    # at the ends of the window, so the set runs from the whole window to empty.
+    # at the ends of the window, so the set runs from the whole window to
+    # empty, or sits next to the cap C where the scan is skipped.
     q = draw(st.sampled_from([2, 3, 4, 9]))
     k = draw(st.integers(2, 4) | st.integers(5, 60))
     d = draw(st.integers(1, 60) | st.integers(1, 2000))
     lo = residual_griesmer_min_n(k, d, q, d)
     hi = residual_griesmer_min_n(k, d, q, max_window_weight(d, q))
-    n = draw(st.integers(lo - 2, hi + 1))
+    cap = griesmer_cap(k, d, q)
+    n = draw(st.integers(lo - 2, hi + 1) | st.sampled_from([cap - 1, cap, cap + 1]))
     return CodeParams(max(n, k, d), k, d, q)
 
 
@@ -154,6 +183,26 @@ def test_griesmer_evaluations_do_not_grow_with_the_window(monkeypatch):
     for clamp in (True, False):
         compare_methods(CodeParams(4000000, 3, 2000000, 2), clamp)
     assert len(calls) == 2
+
+
+def test_griesmer_evaluates_nothing_from_the_cap_on(monkeypatch):
+    # n >= C: every criterion is empty and f is never evaluated, clamped
+    # or raw, however wide the window; the empty sets are one shared object.
+    calls = []
+    original = exclusion.residual_griesmer_min_n
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(exclusion, "residual_griesmer_min_n", counted)
+    for q, k, d in ((2, 3, 2000000), (3, 2, 3), (256, 12, 300), (9, 40, 1500)):
+        for n in (griesmer_cap(k, d, q), griesmer_cap(k, d, q) + 7):
+            for clamp in (True, False):
+                report = compare_methods(CodeParams(n, k, d, q), clamp)
+                assert report.chen_xie is report.singleton is report.griesmer
+                assert report.union == frozenset()
+    assert calls == []
 
 
 @given(params_strategy())
@@ -297,12 +346,18 @@ def test_audit_random_sample(corpus1000):
 
 
 def test_compare_methods_on_a_long_griesmer_sum_is_fast():
-    # The Griesmer scan sums 19998 terms for each of 200 window weights.
+    # f sums k - 2 = 19998 ceilings at each of 200 window weights.  n is the
+    # Griesmer length, below the cap C = 20399, so the loop runs: the largest
+    # f is 20398 and 148 weights are excluded.
+    params = CodeParams(n=20393, k=20000, d=200, q=2)
+    assert griesmer_min_n(20000, 200, 2) == 20393
     start = time.perf_counter()
-    report = compare_methods(CodeParams(n=40000, k=20000, d=200, q=2))
+    report = compare_methods(params)
     assert time.perf_counter() - start < 1.0
-    assert report.sets == {"chen-xie": frozenset(), "singleton": frozenset(),
-                           "griesmer": frozenset()}
+    assert len(report.griesmer) == 148
+    assert report.griesmer == griesmer_excluded_by_scan(params)
+    assert report.chen_xie == chen_xie_excluded_by_slack(params)
+    assert report.singleton == set(range(391, 400))
 
 
 def test_compare_methods_clamps_before_building_the_sets():
