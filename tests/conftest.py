@@ -12,6 +12,8 @@ from weightbounds import cli
 from weightbounds.codes import LinearCode, read_generator_file
 from weightbounds.corpus import DEFAULT_SELFTEST_SEED, random_corpus
 
+pytest_plugins = ["pytester"]
+
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 # "repro" (the default) replays the same examples on every run; with
