@@ -469,6 +469,9 @@ def main(argv=None) -> int:
     except (WeightBoundsError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:  # its message is empty
+        print("error: out of memory", file=sys.stderr)
+        return 2
     except AssertionError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3

@@ -1,10 +1,9 @@
 """Linear codes as generator matrices over GF(q).
 
 Provides rank-checked construction, deterministic row reduction,
-membership read from the reduced row-echelon form (RREF) that each code
-keeps, exhaustive weight spectra, minimum distance, and the
-residual-code construction (puncture a code at the support of one of
-its codewords).
+exhaustive weight spectra, minimum distance, and the residual-code
+construction (puncture a code at the support of one of its codewords),
+which checks membership by stacked rank.
 
 The spectrum kernel meets in the middle, the same way for every q, and is
 bit-sliced: bit m of an integer stands for the m-th combination L of the
@@ -38,7 +37,7 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
@@ -108,22 +107,19 @@ class LinearCode:
     Rows are stored as a tuple of tuples, whatever sequences they came in.
     Construction rejects rank-deficient matrices (`code_from_matrix(...,
     auto_reduce=True)` keeps a row-space basis of any matrix instead).
-    `rref` is their RREF, the `rows` object itself when already reduced.
     """
 
     gf: GF
     rows: tuple[Vector, ...]
-    rref: tuple[Vector, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))
         _check_matrix(self.gf, self.rows)
-        rref, rank = row_reduce(self.gf, self.rows)
+        rank = row_reduce(self.gf, self.rows)[1]
         if rank != len(self.rows):
             raise RankDeficientError(
                 f"supplied {len(self.rows)} rows but rank is {rank}"
             )
-        object.__setattr__(self, "rref", self.rows if rref == self.rows else rref)
 
     @property
     def n(self) -> int:
@@ -198,18 +194,6 @@ def code_from_matrix(
         if not rows:
             raise RankDeficientError("row space is zero")
     return LinearCode(gf, rows)
-
-
-def in_row_space(code: LinearCode, v: Sequence[int]) -> bool:
-    """Whether v lies in the code: clear v at each RREF pivot, then test for zero."""
-    gf, rest = code.gf, list(v)  # a list: see _walk on short tuples
-    if len(rest) != code.n:
-        return False
-    for row in code.rref:
-        c = rest[row.index(1)]  # the entry at the pivot: RREF rows lead with 1
-        if c:
-            rest = list(gf.add_vec(rest, gf.scale_vec(gf.neg(c), row)))
-    return not any(rest)
 
 
 def iter_codewords(code: LinearCode) -> Iterator[Vector]:
@@ -381,7 +365,8 @@ def residual(code: LinearCode, codeword: Sequence[int]) -> LinearCode:
     For a codeword of weight w inside the window w*(q-1) < q*d the result
     is guaranteed to have length n-w and dimension k-1, and that dimension
     is checked.  Outside the window the punctured code is still returned
-    with its actual rank, under a ResidualWindowWarning.
+    with its actual rank, under a ResidualWindowWarning.  A vector is a
+    codeword when stacking it under the rows leaves the rank at k.
     """
     vec = tuple(codeword)
     if len(vec) != code.n:
@@ -391,7 +376,7 @@ def residual(code: LinearCode, codeword: Sequence[int]) -> LinearCode:
     w = hamming_weight(vec)
     if w == 0:
         raise ZeroCodewordError("the residual is taken at a nonzero codeword")
-    if not in_row_space(code, vec):
+    if row_reduce(code.gf, code.rows + (vec,))[1] != code.k:
         raise NotACodewordError("vector is not in the code")
     keep = [j for j, x in enumerate(vec) if x == 0]
     if not keep:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from weightbounds import cli
-from weightbounds.codes import LinearCode, read_generator_file
+from weightbounds.codes import LinearCode, read_generator_file, row_reduce
 from weightbounds.corpus import DEFAULT_SELFTEST_SEED, random_corpus
 
 pytest_plugins = ["pytester"]
@@ -85,7 +85,8 @@ def dual(code):
     one row per non-pivot column f, with 1 at f and -rref_i[f] at the pivot
     of RREF row i.  A code with k = n has no dual rows: EmptyMatrixError."""
     gf, n = code.gf, code.n
-    at = {row.index(1): row for row in code.rref}  # pivot: RREF rows lead with 1
+    rref = row_reduce(gf, code.rows)[0]
+    at = {row.index(1): row for row in rref}  # pivot: RREF rows lead with 1
     return LinearCode(gf, tuple(
         tuple(gf.neg(at[j][f]) if j in at else int(j == f) for j in range(n))
         for f in range(n) if f not in at

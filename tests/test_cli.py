@@ -245,6 +245,18 @@ def test_a_file_of_many_rows_is_refused_in_bounded_memory(tmp_path):
     assert result.stderr == "error: header needs 1 <= k <= n, got n = 1, k = 2097140\n"
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_exclude_out_of_memory_is_one_error_line(fmt):
+    # A 4 M-weight window is inside the default limit but not a 256 MiB cap;
+    # a 400 k-weight window still fits.
+    argv = ("exclude", "--k", "2", "--q", "2", "--format", fmt)
+    result = run_cli_in_256_mib(*argv, "--n", "40000000", "--d", "36000000")
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == "error: out of memory\n"
+    result = run_cli_in_256_mib(*argv, "--n", "4000000", "--d", "3600000")
+    assert (result.returncode, result.stderr) == (0, "")
+
+
 def identity_file(tmp_path, q, k):
     path = tmp_path / f"eye{k}.gen"
     rows = "\n".join(" ".join(str(int(i == j)) for j in range(k)) for i in range(k))

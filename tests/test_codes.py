@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import re
 import tracemalloc
@@ -16,7 +17,6 @@ from weightbounds.codes import (
     find_codeword_of_weight,
     generator_text,
     hamming_weight,
-    in_row_space,
     iter_codewords,
     min_distance,
     parse_generator_text,
@@ -587,66 +587,70 @@ def test_code_params_str_is_the_bracket_label():
     assert str(CodeParams(15, 5, 7, 2)) == "[15,5,7]_2"
 
 
-def test_membership():
-    code = LinearCode(GF2, G_11_3_6)
-    words = brute_codewords(GF2, G_11_3_6)
-    for w in words:
-        assert in_row_space(code, w)
-    assert not in_row_space(code, (1,) + (0,) * 10)
+def refuses(code, v):
+    """Whether residual refuses v with NotACodewordError; another refusal
+    (the zero vector, a degenerate residual) or a residual is not that."""
+    try:
+        residual(code, v)
+    except NotACodewordError:
+        return True
+    except (ZeroCodewordError, DegenerateResidualError):
+        pass
+    return False
 
 
-def stacked_rank_member(code, v):
-    """Membership oracle: v is in the code iff stacking it keeps the rank at k."""
-    return row_reduce(code.gf, code.rows + (tuple(v),))[1] == code.k
+def field_sample(request, field):
+    """Every tenth code of the corpus, or random codes over GF(field)."""
+    if field == "corpus":
+        return request.getfixturevalue("corpus1000")[::10]
+    gf, rng = make_field(field), SplitMix64(700 + field)
+    shapes = [(3, 1), (4, 2), (5, 2)] + ([(5, 3)] if field <= 9 else [])
+    return [LinearCode(gf, random_full_rank_rows(rng, gf, n, k)) for n, k in shapes]
 
 
-def check_membership(code, sample):
-    """in_row_space on every codeword and on each with one coordinate changed.
-
-    Enumeration says which vectors are codewords; the stacked-rank oracle
-    must agree on the first `sample` codewords and their changed copies.
-    """
-    gf, n = code.gf, code.n
-    words = list(iter_codewords(code))
-    members = set(words)
-    for i, cw in enumerate(words):
-        j = i % n
-        changed = cw[:j] + (gf.add(cw[j], 1 + i % (gf.q - 1)),) + cw[j + 1:]
-        assert in_row_space(code, cw)
-        assert in_row_space(code, changed) == (changed in members)
-        if i < sample:
-            assert stacked_rank_member(code, cw)
-            assert stacked_rank_member(code, changed) == (changed in members)
-    assert not in_row_space(code, words[0] + (0,))
+@pytest.mark.filterwarnings("ignore::weightbounds.codes.ResidualWindowWarning")
+@pytest.mark.parametrize("field", ["corpus", 5, 7, 8, 9, 16, 25, 27])
+def test_residual_refuses_exactly_the_non_codewords(request, field):
+    # Every nonzero codeword, and a copy of each with one coordinate changed:
+    # refused exactly when enumeration does not list the vector.
+    for code in field_sample(request, field):
+        gf, n = code.gf, code.n
+        words = list(iter_codewords(code))
+        members = set(words)
+        for i, cw in enumerate(words[1:], 1):
+            j = i % n
+            changed = cw[:j] + (gf.add(cw[j], 1 + i % (gf.q - 1)),) + cw[j + 1:]
+            assert not refuses(code, cw)
+            assert refuses(code, changed) == (changed not in members)
 
 
-def test_membership_agrees_with_stacked_rank_oracle_on_corpus(corpus1000):
-    for code in corpus1000:
-        check_membership(code, sample=16)
+def test_residual_checks_length_and_entries_before_reducing(monkeypatch):
+    code = LinearCode(GF3, ((1, 0, 2, 1), (0, 1, 1, 2)))
+
+    def no_reduction(gf, rows):
+        raise AssertionError("row-reduced an unchecked vector")
+
+    monkeypatch.setattr(codes_module, "row_reduce", no_reduction)
+    for v in [(1, 0, 2), (1, 0, 2, 1, 0)]:
+        with pytest.raises(LengthMismatchError):
+            residual(code, v)
+    with pytest.raises(EntryOutOfRangeError):
+        residual(code, (1, 0, 3, 1))
 
 
-@pytest.mark.parametrize("q", [5, 7, 8, 9, 16, 25, 27])
-def test_membership_agrees_with_stacked_rank_oracle_over_other_fields(q):
-    gf = make_field(q)
-    rng = SplitMix64(700 + q)
-    for n, k in [(3, 1), (4, 2), (5, 2)] + ([(5, 3)] if q <= 9 else []):
-        check_membership(LinearCode(gf, random_full_rank_rows(rng, gf, n, k)), sample=200)
-
-
-def test_the_code_keeps_its_rref_and_shares_reduced_rows():
+def test_a_code_is_its_field_and_rows():
     rows = ((2, 1, 0, 2), (1, 2, 2, 0))
     code = LinearCode(GF3, rows)
-    assert code.rows == rows and code.rref == row_reduce(GF3, rows)[0]
+    assert code.rows == rows
+    assert [f.name for f in dataclasses.fields(LinearCode)] == ["gf", "rows"]
     reduced = code_from_matrix(GF3, rows, auto_reduce=True)
-    assert reduced.rref is reduced.rows == code.rref
-    res = residual(LinearCode(GF2, G_11_3_6), (1, 1, 1, 1, 0, 0, 0, 0, 1, 1, 0))
-    assert res.rref is res.rows
-    # Equality, hashing and repr read (gf, rows) only; rref is not an argument.
+    assert reduced.rows == row_reduce(GF3, rows)[0]
+    # Equality, hashing and repr read (gf, rows) only.
     same = LinearCode(GF3, rows)
     assert same == code and hash(same) == hash(code) and code != reduced
-    assert "rref" not in repr(code)
+    assert repr(code) == f"LinearCode(gf={GF3!r}, rows={rows!r})"
     with pytest.raises(TypeError):
-        LinearCode(GF3, rows, code.rref)
+        LinearCode(GF3, rows, rows)
 
 
 def check_dual(code):
@@ -659,7 +663,7 @@ def check_dual(code):
             for x, y in zip(g, row):
                 dot = gf.add(dot, gf.mul(x, y))
             assert dot == 0
-    assert dual(h).rref == code.rref
+    assert row_reduce(gf, dual(h).rows)[0] == row_reduce(gf, code.rows)[0]
 
 
 def test_dual_on_corpus(corpus1000):
@@ -732,27 +736,6 @@ def test_residual_rejections():
     short = LinearCode(GF2, ((1, 1, 0),))
     with pytest.raises(DegenerateResidualError):
         residual(short, (1, 1, 0))
-
-
-def test_residual_lemma_on_small_sample(corpus1000):
-    from weightbounds.bounds import ceil_div
-
-    for code in corpus1000[:120]:
-        q, n, k = code.q, code.n, code.k
-        d = min_distance(code)
-        seen = set()
-        for cw in iter_codewords(code):
-            w = hamming_weight(cw)
-            if w == 0 or w * (q - 1) >= q * d:
-                continue
-            support = tuple(j for j, x in enumerate(cw) if x)
-            if support in seen:
-                continue
-            seen.add(support)
-            res = residual(code, cw)
-            assert res.n == n - w
-            assert res.k == k - 1
-            assert min_distance(res) >= d - w + ceil_div(w, q)
 
 
 def test_find_codeword_of_weight():
