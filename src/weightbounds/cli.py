@@ -312,11 +312,10 @@ def render_audit(
             "params": dataclasses.asdict(report.params),
             "counts": {str(w): c for w, c in counts.items()},
             "excluded": _json_sets(report.sets),
-            "violations": [dataclasses.asdict(v) for v in violations],
+            "violations": [v._asdict() for v in violations],
         })
     if fmt == "csv":
-        return _csv_text(("criterion", "weight", "count"),
-                         [dataclasses.astuple(v) for v in violations])
+        return _csv_text(("criterion", "weight", "count"), violations)
     lines = [f"audit of {report.params}",
              f"spectrum: {_spectrum_line(counts)}", *_set_lines(report.sets)]
     if violations:

@@ -39,7 +39,7 @@ import functools
 import warnings
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .bounds import max_window_weight
 from .errors import (
@@ -82,8 +82,7 @@ class CodeParams:
         return f"[{self.n},{self.k},{self.d}]_{self.q}"
 
 
-@dataclass(frozen=True)
-class WeightSpectrum:
+class WeightSpectrum(NamedTuple):
     """Exact codeword counts per Hamming weight: counts[w] codewords of weight w."""
 
     counts: tuple[int, ...]

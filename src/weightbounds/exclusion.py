@@ -26,7 +26,7 @@ tables print those).
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bounds import ceil_div, max_window_weight, residual_griesmer_min_n
 from .codes import CodeParams, LinearCode, code_params, spectrum
@@ -41,16 +41,15 @@ def _interval(lo: int, hi: int) -> frozenset[int]:
     return frozenset(range(lo, hi + 1)) if lo <= hi else _EMPTY
 
 
-@dataclass(frozen=True)
-class ExclusionReport:
-    """Per-criterion excluded weights for one parameter tuple."""
+class ExclusionReport(NamedTuple):
+    """Per-criterion excluded weights for one parameter tuple; `sets`,
+    `union` and `notes` are derived from these five fields on access."""
 
     params: CodeParams
     chen_xie: frozenset[int]
     singleton: frozenset[int]
     griesmer: frozenset[int]
     clamped: bool
-    notes: tuple[str, ...]
 
     @property
     def sets(self) -> dict[str, frozenset[int]]:
@@ -61,20 +60,50 @@ class ExclusionReport:
     def union(self) -> frozenset[int]:
         return self.chen_xie | self.singleton | self.griesmer
 
+    @property
+    def notes(self) -> tuple[str, ...]:
+        """The weights below d, then the left-endpoint relation in the first
+        regime that applies: k < 2 (the residual-based criteria are skipped);
+        void (the Chen-Xie interval is empty); d > n-k+1 (no code at all: the
+        Singleton bound fails); else it holds, and the Singleton set contains
+        the Chen-Xie set (`compare_methods` checks that, not this text).  Raw
+        sets then name their weights past n."""
+        n, k, d, q = self.params.n, self.params.k, self.params.d, self.params.q
+        notes = []
+        if d > 1:
+            notes.append(
+                f"weights 1..{d - 1} are trivially absent (below the minimum distance)"
+            )
+        if k < 2:
+            notes.append("residual-based criteria skipped: they need k >= 2")
+        elif n - k + 2 > max_window_weight(d, q):
+            notes.append("left-endpoint condition void: chen-xie interval is empty")
+        elif d > n - k + 1:
+            notes.append(
+                "left-endpoint comparison inapplicable: no code has these parameters"
+            )
+        else:
+            notes.append("left-endpoint condition holds: singleton contains chen-xie")
+        if not self.clamped:
+            for name, s in self.sets.items():
+                over = sorted(w for w in s if w > n)
+                if over:
+                    notes.append(f"{name} raw interval exceeds n={n}: {over}")
+        return tuple(notes)
+
     def audit(self, counts: Sequence[int]) -> list[AuditViolation]:
         """Every excluded weight w that the spectrum attains, counts[w] = A_w > 0
         (as in `WeightSpectrum.counts`; raw weights past its end are not
         attained), in `sets` order, weights ascending.  Sound criteria give []."""
         return [
-            AuditViolation(criterion=name, weight=w, count=counts[w])
+            AuditViolation(name, w, counts[w])
             for name, excluded in self.sets.items()
             for w in sorted(excluded)
             if w < len(counts) and counts[w]
         ]
 
 
-@dataclass(frozen=True)
-class AuditViolation:
+class AuditViolation(NamedTuple):
     """A weight that a criterion excludes but the code actually attains."""
 
     criterion: str
@@ -152,48 +181,17 @@ def griesmer_excluded(params: CodeParams, clamp: bool = True) -> frozenset[int]:
 def compare_methods(params: CodeParams, clamp: bool = True) -> ExclusionReport:
     """Evaluate all three criteria side by side.
 
-    Notes the left-endpoint relation in the first regime that applies:
-    k < 2 (the residual-based criteria are skipped); void (the Chen-Xie
-    interval is empty); d > n-k+1 (no code at all: the Singleton bound
-    fails); else it holds, and the Singleton set must contain the Chen-Xie
-    set, which is checked here rather than assumed.
+    Where a code can exist, k >= 2 and d <= n-k+1, the Singleton set must
+    contain the Chen-Xie set (in the void regime the Chen-Xie set is empty);
+    that is checked here, on every report, rather than assumed.
     """
-    n, k, d, q = params.n, params.k, params.d, params.q
+    n, k, d = params.n, params.k, params.d
     cx = chen_xie_excluded(params, clamp)
     si = singleton_excluded(params, clamp) if k >= 2 else _EMPTY
     gr = griesmer_excluded(params, clamp) if k >= 2 else _EMPTY
-    notes = []
-    if d > 1:
-        notes.append(
-            f"weights 1..{d - 1} are trivially absent (below the minimum distance)"
-        )
-    if k < 2:
-        notes.append("residual-based criteria skipped: they need k >= 2")
-    elif n - k + 2 > max_window_weight(d, q):
-        notes.append("left-endpoint condition void: chen-xie interval is empty")
-    elif d > n - k + 1:
-        notes.append(
-            "left-endpoint comparison inapplicable: no code has these parameters"
-        )
-    else:
-        if not cx <= si:
-            raise AssertionError(
-                f"singleton set fails to contain chen-xie set at {params}"
-            )
-        notes.append("left-endpoint condition holds: singleton contains chen-xie")
-    if not clamp:
-        for name, s in zip(CRITERIA, (cx, si, gr)):
-            over = sorted(w for w in s if w > n)
-            if over:
-                notes.append(f"{name} raw interval exceeds n={n}: {over}")
-    return ExclusionReport(
-        params=params,
-        chen_xie=cx,
-        singleton=si,
-        griesmer=gr,
-        clamped=clamp,
-        notes=tuple(notes),
-    )
+    if k >= 2 and d <= n - k + 1 and not cx <= si:
+        raise AssertionError(f"singleton set fails to contain chen-xie set at {params}")
+    return ExclusionReport(params, cx, si, gr, clamp)
 
 
 def audit_against_spectrum(code: LinearCode) -> list[AuditViolation]:

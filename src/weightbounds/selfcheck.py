@@ -9,8 +9,7 @@ against true spectra.  Used both by the test suite and by the CLI
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .bounds import ceil_div, distance_ratio_holds, global_weight_max, max_window_weight
 from .codes import LinearCode, code_params, min_distance, projective_codewords, spectrum
@@ -18,8 +17,7 @@ from .corpus import random_corpus
 from .exclusion import audit_against_spectrum
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """Outcome of one property suite: items checked and violations found."""
 
     name: str

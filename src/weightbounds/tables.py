@@ -14,7 +14,7 @@ rather than silently reconciled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .codes import CodeParams
 from .errors import ParamRangeError
@@ -25,8 +25,7 @@ CLAMPED = "exact-after-clamp"
 MISMATCH = "mismatch"
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     """One comparison-table row: parameters plus the printed excluded sets.
 
     `printed` holds the printed cells and `printed_counts` their
@@ -195,8 +194,7 @@ def table_rows(which: int) -> list[TableRow]:
     ]
 
 
-@dataclass(frozen=True)
-class CellComparison:
+class CellComparison(NamedTuple):
     """One table cell versus the computed exclusion set."""
 
     method: str
@@ -219,8 +217,7 @@ class CellComparison:
         return self.printed_count == len(self.printed)
 
 
-@dataclass(frozen=True)
-class RowComparison:
+class RowComparison(NamedTuple):
     row: TableRow
     cells: tuple[CellComparison, ...]
 

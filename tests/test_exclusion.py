@@ -4,7 +4,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from conftest import fixture_code
+from conftest import fixture_code, run_main
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -273,6 +273,30 @@ def test_compare_methods_notes_one_left_endpoint_regime(params, expected, clamp)
     assert len(notes) == 1 and expected in notes[0]
 
 
+def _drop_the_top_singleton_weight(monkeypatch):
+    real = exclusion.singleton_excluded
+    monkeypatch.setattr(exclusion, "singleton_excluded",
+                        lambda params, clamp=True: (s := real(params, clamp)) - {max(s)})
+
+
+@pytest.mark.parametrize("clamp", [True, False])
+def test_compare_methods_checks_containment_before_any_note_is_read(monkeypatch, clamp):
+    # [11,3,6]_2: chen-xie {10, 11} must lie in singleton {9, 10, 11}.
+    _drop_the_top_singleton_weight(monkeypatch)
+    monkeypatch.setattr(ExclusionReport, "notes", property(lambda r: pytest.fail("notes read")))
+    with pytest.raises(AssertionError, match=r"fails to contain chen-xie set at \[11,3,6\]_2"):
+        compare_methods(CodeParams(11, 3, 6, 2), clamp)
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv"])  # csv prints no notes
+def test_exclude_exits_3_when_singleton_misses_chen_xie(monkeypatch, fmt):
+    _drop_the_top_singleton_weight(monkeypatch)
+    argv = ["exclude", "--n", "11", "--k", "3", "--d", "6", "--q", "2", "--format", fmt]
+    status, out, err, _ = run_main(argv)
+    assert (status, out) == (3, "")
+    assert err == "internal error: singleton set fails to contain chen-xie set at [11,3,6]_2\n"
+
+
 def test_compare_methods_progression_on_the_11_3_6_example():
     report = compare_methods(CodeParams(11, 3, 6, 2))
     assert report.chen_xie == {10, 11}
@@ -383,7 +407,6 @@ def test_audit_lists_violations_in_the_order_of_the_sets(monkeypatch):
         singleton=frozenset({8}),
         griesmer=frozenset({7, 6}),
         clamped=True,
-        notes=(),
     )
     monkeypatch.setattr(exclusion, "compare_methods", lambda params: fake)
     got = [(v.criterion, v.weight, v.count) for v in audit_against_spectrum(code)]
