@@ -31,7 +31,7 @@ from .codes import (
 )
 from .corpus import DEFAULT_SELFTEST_SEED, DEFAULT_SELFTEST_TRIALS
 from .errors import EnumerationTooLargeError, WeightBoundsError
-from .exclusion import CRITERIA, AuditViolation, ExclusionReport, compare_methods
+from .exclusion import AuditViolation, ExclusionReport, compare_methods
 from .gf import check_field_order, make_field
 from .selfcheck import run_selftest
 from .tables import CLAMPED, EXACT, MISMATCH, compare_table, format_weights
@@ -124,20 +124,10 @@ def cmd_bounds(args) -> int:
 # --- exclude ----------------------------------------------------------
 
 
-def render_exclusion_report(
-    report: ExclusionReport, fmt: str, method: str = "all"
-) -> str:
-    """All sets with notes, or with `method` the one set of that criterion."""
-    p = report.params
-    if method != "all":
-        weights = report.sets[method]
-        if fmt == "json":
-            return _json_text({"params": dataclasses.asdict(p), "method": method,
-                               "weights": _desc(weights), "clamped": report.clamped})
-        if fmt == "csv":
-            return _csv_text(("method", "weights"), [(method, weights)])
-        return f"{method}: {format_weights(weights)}\n"
-    sets = {**report.sets, "union": report.union}
+def render_exclusion_report(report: ExclusionReport, fmt: str) -> str:
+    """Every criterion's set, their union and the notes (never empty: each
+    report has one left-endpoint note)."""
+    p, sets = report.params, {**report.sets, "union": report.union}
     if fmt == "json":
         return _json_text({"params": dataclasses.asdict(p), **_json_sets(sets),
                            "clamped": report.clamped, "notes": list(report.notes)})
@@ -149,17 +139,12 @@ def render_exclusion_report(
     raw = "" if report.clamped else " (raw intervals)"
     title = f"excluded weights for {p}{raw}"
     if fmt == "md":
-        lines = [title, "", *_md_table(
+        return _lines([title, "", *_md_table(
             ("method", "weights", "count"),
             [(name, format_weights(s), len(s)) for name, s in sets.items()],
-        )]
-        if report.notes:
-            lines += ["", "notes:"] + [f"- {note}" for note in report.notes]
-        return _lines(lines)
-    lines = [title, *_set_lines(sets)]
-    if report.notes:
-        lines += ["notes:"] + [f"  - {note}" for note in report.notes]
-    return _lines(lines)
+        ), "", "notes:", *(f"- {note}" for note in report.notes)])
+    return _lines([title, *_set_lines(sets), "notes:",
+                   *(f"  - {note}" for note in report.notes)])
 
 
 def cmd_exclude(args) -> int:
@@ -173,7 +158,7 @@ def cmd_exclude(args) -> int:
             f"the excluded-weight window holds {size} weights, more than the limit {limit}"
         )
     report = compare_methods(params, clamp=not args.raw)
-    sys.stdout.write(render_exclusion_report(report, args.format, args.method))
+    sys.stdout.write(render_exclusion_report(report, args.format))
     return 0
 
 
@@ -426,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("exclude", help="excluded-weight sets for (n, k, d, q)")
     for flag in ("--n", "--k", "--d", "--q"):
         p.add_argument(flag, type=integer, required=True)
-    p.add_argument("--method", choices=(*CRITERIA, "all"), default="all")
     p.add_argument("--raw", action="store_true", help="keep formula intervals even past n")
     _add_limit(p)
     _add_format(p)

@@ -171,7 +171,8 @@ def griesmer_excluded(params: CodeParams, clamp: bool = True) -> frozenset[int]:
         if w0 % q == 0:
             f += 1
         else:
-            rest, m, i = rest - 1, rest - 1, 0
+            rest, m = rest - 1, rest - 1
+            i = 0 if m else k - 2  # r - 1 = 0 only past the window: every q^i divides it
             while i < k - 2 and m % q == 0:
                 m, i = m // q, i + 1
             f -= i

@@ -29,8 +29,15 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "fixtures", "pyproject.toml", "README.md")
-EXCLUSION = "src/weightbounds/exclusion.py"
+GF, CODES, BOUNDS, SELFCHECK, EXCLUSION, CLI = (
+    f"src/weightbounds/{name}.py"
+    for name in ("gf", "codes", "bounds", "selfcheck", "exclusion", "cli")
+)
+GF_TESTS = "tests/test_gf.py::"
+CODES_TESTS = "tests/test_codes.py::"
+SELFCHECK_TESTS = "tests/test_selfcheck.py::"
 TESTS = "tests/test_exclusion.py::"
+STRICTER = SELFCHECK_TESTS + "test_the_mask_suite_equals_the_oracle_under_a_stricter_rule"
 
 
 class Mutant(NamedTuple):
@@ -42,6 +49,125 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = (
+    Mutant(
+        GF,
+        "if z else 0",
+        "if z else 1",
+        (GF_TESTS + "test_zech_add_equals_digitwise_add_exhaustive[9]",
+         GF_TESTS + "test_neg_and_sub_are_additive_inverses[9]"),
+        "Zech addition gives 1, not 0, for a + (-a) in GF(p^m) with odd p",
+    ),
+    Mutant(
+        GF,
+        "self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]",
+        "self._exp[(self._log[a] + self._log[b]) % self.q]",
+        (GF_TESTS + "test_table_mul_equals_polynomial_mul_exhaustive[4]",
+         GF_TESTS + "test_arith_examples"),
+        "log/exp multiplication reduces the log sum mod q, not the group order q - 1",
+    ),
+    Mutant(
+        GF,
+        "return map(operator.mod, map(operator.add, x, y), repeat(self.p))",
+        "return map(operator.add, x, y)",
+        (GF_TESTS + "test_vector_ops_equal_elementwise_scalar_ops[3]",
+         CODES_TESTS + "test_iter_codewords_matches_naive_oracle"),
+        "prime-field vector addition never reduces mod p",
+    ),
+    Mutant(
+        GF,
+        "pow(a, self.p - 2, self.p)",
+        "pow(a, self.p - 1, self.p)",
+        (GF_TESTS + "test_field_axioms_exhaustive[3]",),
+        "the prime-field inverse by a^(p-1), which is 1, not a^(p-2)",
+    ),
+    Mutant(
+        CODES,
+        "sum(b << d * size for d in range(q))",
+        "sum(b << d * size for d in range(q - 1))",
+        (CODES_TESTS + "test_value_bitmaps_repeat_long_bitmaps_at_zero_entries[2-14]",
+         CODES_TESTS + "test_spectrum_kernel_branches_match_oracle[2]"),
+        "a zero entry of a low column repeats each value bitmap q - 1 times, not q",
+    ),
+    Mutant(
+        CODES,
+        "c = s & x | t & y",
+        "c = s & x",
+        (CODES_TESTS + "test_spectrum_of_the_11_3_6_code",
+         CODES_TESTS + "test_spectrum_kernel_branches_match_oracle[2]"),
+        "the carry-save counter drops the carry of s ^ x with y",
+    ),
+    Mutant(
+        CODES,
+        "split.append((w - (1 << i), t, u))",
+        "split.append((w - (i + 1), t, u))",
+        (CODES_TESTS + "test_spectrum_of_the_11_3_6_code",
+         CODES_TESTS + "test_spectrum_repetition_code"),
+        "the weight split takes i + 1 zeros for bit plane i, not 2^i (wrong from plane 2 on)",
+    ),
+    Mutant(
+        CODES,
+        "cw[:] = add_vec(cw, diff[i][q - 1])",
+        "cw[:] = add_vec(cw, diff[i][q - 2])",
+        (CODES_TESTS + "test_iter_codewords_matches_naive_oracle",
+         CODES_TESTS + "test_projective_codewords_are_one_per_scalar_class[4]"),
+        "the walk's carry steps a digit q-1 -> 0 by the step of q-2 -> q-1"
+        " (the same step in a prime field, a different one in GF(p^m))",
+    ),
+    Mutant(
+        BOUNDS,
+        "return total + terms - i",
+        "return total + terms - i - 1",
+        ("tests/test_bounds.py::test_ceil_div_sum_matches_naive_sum",
+         "tests/test_bounds.py::test_griesmer_min_n"),
+        "ceil_div_sum's early return counts one term of 1 too few",
+    ),
+    Mutant(
+        CODES,
+        "row_reduce(code.gf, code.rows + (vec,))[1] != code.k:",
+        "row_reduce(code.gf, code.rows + (vec,))[1] > code.k + 1:",
+        (CODES_TESTS + "test_residual_rejections",
+         CODES_TESTS + "test_residual_refuses_exactly_the_non_codewords[5]"),
+        "residual takes any vector as a codeword: the stacked rank never exceeds k + 1",
+    ),
+    Mutant(
+        SELFCHECK,
+        "if inside != 1:",
+        "if inside < 1:",
+        (STRICTER + "[max_window_weight]",
+         SELFCHECK_TESTS
+         + "test_a_broken_residual_invariant_is_an_internal_error_not_a_violation"),
+        "the mask suite misses a residual of dimension below k - 1",
+    ),
+    Mutant(
+        SELFCHECK,
+        "min(r for r in rest if r)",
+        "max(r for r in rest if r)",
+        (STRICTER + "[ceil_div]",),
+        "the mask suite reads the residual distance as the largest weight",
+    ),
+    Mutant(
+        SELFCHECK,
+        "m.bit_count() <= hi",
+        "m.bit_count() < hi",
+        (SELFCHECK_TESTS + "test_suites_read_the_rules_from_bounds[max_window_weight]",
+         STRICTER + "[max_window_weight]", STRICTER + "[ceil_div]"),
+        "the mask suite skips the supports of the top window weight",
+    ),
+    Mutant(
+        SELFCHECK,
+        "if inside == len(masks):",
+        "if inside == len(masks) - 1:",
+        (SELFCHECK_TESTS + "test_suites_read_the_rules_from_bounds[max_window_weight]",
+         STRICTER + "[max_window_weight]"),
+        "the mask suite calls a residual with one surviving class empty",
+    ),
+    Mutant(
+        SELFCHECK,
+        "residual dimension {k - t} != {k - 1}",
+        "residual dimension {k - t - 1} != {k - 1}",
+        (STRICTER + "[max_window_weight]",),
+        "the mask suite reports a residual dimension one too low",
+    ),
     Mutant(
         EXCLUSION,
         "    if k >= 2 and d <= n - k + 1 and not cx <= si:\n"
@@ -102,6 +228,23 @@ MUTANTS = (
         "range(w0 + max(0, n + 2 - f) * period, stop, period)",
         (TESTS + "test_griesmer_by_period_equals_the_scan",),
         "a class with several window weights misses the weight with f(w) = n + 1",
+    ),
+    Mutant(
+        EXCLUSION,
+        "elif d > n - k + 1:",
+        "if d > n - k + 1:",
+        (TESTS + "test_every_report_has_one_regime_note_and_the_low_weights_note_past_d_1",),
+        "a void or k = 1 report carries a second left-endpoint regime note",
+    ),
+    Mutant(
+        CLI,
+        "size, limit = (hi if args.raw else min(hi, args.n)) - lo + 1, _limit(args)\n"
+        "    if size > limit:",
+        "size, limit = (hi if args.raw else min(hi, args.n)) - lo + 1, _limit(args)\n"
+        "    if size >= limit:",
+        ("tests/test_cli.py::test_exclude_window_counts_to_n_unless_raw",
+         "tests/test_cli_transcript.py::test_transcript_replays_byte_identical"),
+        "exclude refuses a window of exactly --limit weights",
     ),
 )
 

@@ -65,10 +65,19 @@ def test_spectrum_json_omits_zero_counts():
 
 
 def test_exclude_reports_griesmer_set():
-    result = run_cli("exclude", "--n", "11", "--k", "3", "--d", "6", "--q", "2",
-                     "--method", "all")
+    result = run_cli("exclude", "--n", "11", "--k", "3", "--d", "6", "--q", "2")
     assert result.returncode == 0
     assert "griesmer  : 11, 10, 9, 7" in result.stdout
+
+
+def test_exclude_has_no_method_option():
+    result = run_cli("exclude", "--n", "11", "--k", "3", "--d", "6", "--q", "2",
+                     "--method", "griesmer")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert [line for line in result.stderr.splitlines()
+            if "unrecognized arguments" in line] == [
+        "weightbounds: error: unrecognized arguments: --method griesmer"]
 
 
 def test_exclude_csv_row_shape():
@@ -80,12 +89,14 @@ def test_exclude_csv_row_shape():
 
 
 def test_exclude_raw_mode_keeps_values_past_n():
-    result = run_cli("exclude", "--n", "93", "--k", "5", "--d", "48", "--q", "2",
-                     "--raw", "--method", "chen-xie")
-    assert result.stdout.strip() == "chen-xie: 95, 94, 93, 92, 91, 90"
-    clamped = run_cli("exclude", "--n", "93", "--k", "5", "--d", "48", "--q", "2",
-                      "--method", "chen-xie")
-    assert clamped.stdout.strip() == "chen-xie: 93, 92, 91, 90"
+    def chen_xie_line(*raw):
+        result = run_cli("exclude", "--n", "93", "--k", "5", "--d", "48", "--q", "2",
+                         *raw)
+        return next(line for line in result.stdout.splitlines()
+                    if line.startswith("chen-xie  :"))
+
+    assert chen_xie_line("--raw") == "chen-xie  : 95, 94, 93, 92, 91, 90"
+    assert chen_xie_line() == "chen-xie  : 93, 92, 91, 90"
 
 
 def test_bounds_text_output():

@@ -273,6 +273,23 @@ def test_compare_methods_notes_one_left_endpoint_regime(params, expected, clamp)
     assert len(notes) == 1 and expected in notes[0]
 
 
+REGIME_NOTES = (
+    "residual-based criteria skipped: they need k >= 2",
+    "left-endpoint condition void: chen-xie interval is empty",
+    "left-endpoint comparison inapplicable: no code has these parameters",
+    "left-endpoint condition holds: singleton contains chen-xie",
+)
+
+
+@given(params_strategy(), st.booleans())
+def test_every_report_has_one_regime_note_and_the_low_weights_note_past_d_1(params, clamp):
+    # `exclude` prints its notes block unguarded: it is never empty.
+    notes = compare_methods(params, clamp).notes
+    assert sum(note in REGIME_NOTES for note in notes) == 1
+    low = f"weights 1..{params.d - 1} are trivially absent (below the minimum distance)"
+    assert (low in notes) == (params.d > 1)
+
+
 def _drop_the_top_singleton_weight(monkeypatch):
     real = exclusion.singleton_excluded
     monkeypatch.setattr(exclusion, "singleton_excluded",
@@ -382,6 +399,18 @@ def test_compare_methods_on_a_long_griesmer_sum_is_fast():
     assert report.griesmer == griesmer_excluded_by_scan(params)
     assert report.chen_xie == chen_xie_excluded_by_slack(params)
     assert report.singleton == set(range(391, 400))
+
+
+@pytest.mark.parametrize("clamp", [True, False])
+def test_the_step_past_the_window_takes_no_loop_over_k(clamp):
+    # The last class steps f to the weight past the window, where r - 1 = 0:
+    # every q^i divides it, so f loses k - 2 at once, not in k - 2 = 2^31 - 2
+    # divisions by q.
+    params = CodeParams(n=2**31, k=2**31, d=23, q=2)
+    start = time.perf_counter()
+    report = compare_methods(params, clamp)
+    assert time.perf_counter() - start < 1.0
+    assert report.griesmer == griesmer_excluded_by_scan(params, clamp) == set(range(23, 46))
 
 
 def test_compare_methods_clamps_before_building_the_sets():

@@ -141,11 +141,10 @@ def test_file_commands_and_limits_succeed_or_exit_cleanly(
     command=st.sampled_from(["bounds", "exclude"]),
     nkdq=st.tuples(tokens, tokens, tokens, q_tokens),
     w=st.none() | tokens,
-    method=st.sampled_from(["all", "chen-xie", "singleton", "griesmer", "bogus"]),
     raw=st.booleans(),
     fmt=st.sampled_from(["text", "md", "csv", "json", "xml"]),
 )
-def test_parameter_arguments_succeed_or_exit_2(command, nkdq, w, method, raw, fmt):
+def test_parameter_arguments_succeed_or_exit_2(command, nkdq, w, raw, fmt):
     argv = [command]
     for flag, token in zip(("--n", "--k", "--d", "--q"), nkdq):
         argv.append(f"{flag}={token}")
@@ -157,7 +156,7 @@ def test_parameter_arguments_succeed_or_exit_2(command, nkdq, w, method, raw, fm
         # A window of up to 2^17 weights runs in well under a second; a wider
         # one, such as that of d = 2^40, is refused before any set is built.
         allowed = (0, 2)
-        argv += [f"--method={method}", f"--limit={2**17}"]
+        argv.append(f"--limit={2**17}")
         if raw:
             argv.append("--raw")
     argv.append(f"--format={fmt}")
