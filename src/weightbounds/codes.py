@@ -30,7 +30,8 @@ has base-q digits d_0 ... d_{k-1} (d_0 least significant), and the
 m-th codeword is sum_i element(d_i) * rows[i].  All "first codeword
 of weight w" semantics refer to this order.  The walk adds whole vectors
 (`GF.add_vec`); `projective_codewords`, one codeword per scalar class in
-this order, feeds the spectrum's high parts and the residual-lemma suite.
+this order, feeds the spectrum's high parts.  The residual-lemma suite
+builds the supports of the same classes, in the same order, from packed rows.
 """
 
 from __future__ import annotations

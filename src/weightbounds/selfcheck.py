@@ -9,12 +9,15 @@ against true spectra.  Used both by the test suite and by the CLI
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+import functools
+from collections import Counter
+from typing import Iterable, NamedTuple, Sequence
 
 from .bounds import ceil_div, distance_ratio_holds, global_weight_max, max_window_weight
-from .codes import LinearCode, code_params, min_distance, projective_codewords, spectrum
+from .codes import LinearCode, code_params, min_distance, spectrum
 from .corpus import random_corpus
 from .exclusion import audit_against_spectrum
+from .gf import GF, Vector
 
 
 class CheckResult(NamedTuple):
@@ -29,16 +32,50 @@ class CheckResult(NamedTuple):
         return not self.violations
 
 
+@functools.lru_cache(maxsize=16)
+def _lanes(gf: GF) -> tuple[int, tuple[bytes, ...]]:
+    """(B, each element's lane as bytes): digit i at bit B*i, with B = 1 for p = 2,
+    else wide enough that a digit sum stays below bit B - 1; the top bit is clear."""
+    p, m = gf.p, gf.m
+    b = 1 if p == 2 else (2 * p - 2).bit_length() + 1
+    lanes = [0]
+    for i in range(m):  # in encoding order: digit 0 least significant
+        lanes = [x + (d << b * i) for d in range(p) for x in lanes]
+    return b, tuple(x.to_bytes(m * b // 8 + 1, "little") for x in lanes)
+
+
+def _support_masks(gf: GF, rows: Sequence[Vector]) -> list[int]:
+    """The supports of `projective_codewords(gf, rows)` in its order, bit W*j for
+    coordinate j.  The messages of rows[:t+1] are those of rows[:t], then each
+    plus e * rows[t] for e = 1, 2, ...; the e = 1 block is row t's classes, all
+    the last row needs.  A nonzero W-bit lane plus 2^(W-1) - 1 sets its top bit."""
+    p, q, k, n = gf.p, gf.q, len(rows), len(rows[0])
+    b, table = _lanes(gf)
+    width = 8 * len(table[0])
+    ones, low = (int.from_bytes(table[e] * n, "little") for e in ((q - 1) // (p - 1), 1))
+    bias, fill = ones * ((1 << b - 1) - p), low * ((1 << width - 1) - 1)
+    level, masks = [0], []
+    for t, row in enumerate(rows):
+        ys = [int.from_bytes(b"".join(map(table.__getitem__, gf.scale_vec(e, row))), "little")
+              for e in range(1, q if t < k - 1 else 2)]
+        new = [x ^ y for y in ys for x in level] if p == 2 else [  # a digit sum >= p sheds p
+            (s := x + y) - ((s + bias) >> b - 1 & ones) * p for y in ys for x in level]
+        masks += [(v + fill) >> width - 1 & low for v in new[:len(level)]]
+        level += new
+    return masks
+
+
 def check_residual_lemma(codes: Iterable[LinearCode]) -> CheckResult:
     """Residual codes of in-window codewords: dimension k-1 and minimum
     distance at least d - w + ceil(w/q); the length n-w holds by construction.
 
-    The residual at c is the code punctured on supp(c), so both are read
-    from the support masks of one codeword per scalar class, and no residual
-    is built.  For each distinct window support S, (q^t - 1)/(q - 1) classes
-    have their mask inside S when the residual has dimension k - t, and the
-    least nonzero popcount(m & ~S) is its minimum distance.  Every window
-    codeword still counts as checked, read from the spectrum.
+    The residual at c is the code punctured on supp(c), so both are read from
+    the support masks of one codeword per scalar class (`_support_masks`), and
+    no residual is built.  For each distinct window support S, (q^t - 1)/(q - 1)
+    classes have their mask inside S when the residual has dimension k - t, and
+    the least nonzero popcount(m & ~S) is its minimum distance.  The popcount
+    histogram times q - 1 must be the spectrum, which counts the window
+    codewords checked.
     """
     checked = 0
     violations = []
@@ -46,10 +83,12 @@ def check_residual_lemma(codes: Iterable[LinearCode]) -> CheckResult:
         params = code_params(code)
         n, k, d, q = params.n, params.k, params.d, params.q
         hi = max_window_weight(d, q)
-        checked += sum(spectrum(code).counts[1:hi + 1])
-        # One byte per coordinate, so a popcount counts coordinates.
-        masks = [int.from_bytes(bytes(map(bool, cw)), "little")
-                 for cw in projective_codewords(code.gf, code.rows)]
+        counts = spectrum(code).counts
+        masks = _support_masks(code.gf, code.rows)
+        histogram = Counter(map(int.bit_count, masks))  # a mask per q - 1 codewords
+        if [histogram[w] * (q - 1) for w in range(1, n + 1)] != list(counts[1:]):
+            raise AssertionError(f"support masks of {params} disagree with its spectrum")
+        checked += sum(counts[1:hi + 1])
         for s in dict.fromkeys(m for m in masks if m.bit_count() <= hi):
             w = s.bit_count()
             if w == n:

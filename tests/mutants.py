@@ -6,7 +6,8 @@ project, and names the tests that must then fail.
 For each entry the script copies src/, tests/, fixtures/, pyproject.toml and
 README.md into a temporary directory, requires the entry's old text to occur
 exactly once in its file, writes the new text in its place, and runs
-`pytest -x` on the named tests there.  The mutant is killed when pytest
+`pytest -x` on the named tests there.  Two mutants run at a time, or one on
+a one-core machine.  The mutant is killed when pytest
 reports a failed test (exit 1); it survives when the tests pass, and any
 other exit (a test id that is not found, a collection error) is an error.
 The script exits 1 if a mutant survives or an entry errs.
@@ -24,6 +25,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
@@ -38,6 +40,7 @@ CODES_TESTS = "tests/test_codes.py::"
 SELFCHECK_TESTS = "tests/test_selfcheck.py::"
 TESTS = "tests/test_exclusion.py::"
 STRICTER = SELFCHECK_TESTS + "test_the_mask_suite_equals_the_oracle_under_a_stricter_rule"
+PACKED = SELFCHECK_TESTS + "test_packed_masks_equal_the_walked_masks"
 
 
 class Mutant(NamedTuple):
@@ -90,6 +93,27 @@ MUTANTS = (
     ),
     Mutant(
         CODES,
+        "extended[u] = extended.get(u, 0) | b << d * size",
+        "extended[u] = b << d * size",
+        (CODES_TESTS + "test_value_bitmaps_match_inner_products[3-3]",),
+        "a nonzero low-column entry keeps one message per value, not the union",
+    ),
+    Mutant(
+        CODES,
+        "(q - 1, projective_codewords(gf, code.rows[a:]))",
+        "(1, projective_codewords(gf, code.rows[a:]))",
+        (CODES_TESTS + "test_spectrum_matches_brute_force_oracle_other_fields[3]",),
+        "the spectrum counts each projective high part once, not for its q - 1 multiples",
+    ),
+    Mutant(
+        CODES,
+        "len({c[:a] for c in cols}) * q ** (a + 2) > _LOW_BITS",
+        "len({c[:a] for c in cols}) * q ** (a + 1) > _LOW_BITS",
+        (CODES_TESTS + "test_low_block_of_the_benchmark_shapes",),
+        "the low-block budget charges q^(a+1), not q^(a+2), bits per distinct low column",
+    ),
+    Mutant(
+        CODES,
         "c = s & x | t & y",
         "c = s & x",
         (CODES_TESTS + "test_spectrum_of_the_11_3_6_code",
@@ -128,6 +152,34 @@ MUTANTS = (
         (CODES_TESTS + "test_residual_rejections",
          CODES_TESTS + "test_residual_refuses_exactly_the_non_codewords[5]"),
         "residual takes any vector as a codeword: the stacked rank never exceeds k + 1",
+    ),
+    Mutant(
+        SELFCHECK,
+        "ones * ((1 << b - 1) - p)",
+        "ones * ((1 << b - 1) - p + 1)",
+        (PACKED + "[3]", PACKED + "[9]"),
+        "the packed digit-wise add reduces a digit sum of p - 1 as well",
+    ),
+    Mutant(
+        SELFCHECK,
+        "& ones) * p for y in ys",
+        "& ones) * (p - 1) for y in ys",
+        (PACKED + "[5]", PACKED + "[25]"),
+        "the packed digit-wise add subtracts p - 1, not p, from a digit sum of p or more",
+    ),
+    Mutant(
+        SELFCHECK,
+        "low * ((1 << width - 1) - 1)",
+        "low * ((1 << width - 2) - 1)",
+        (PACKED + "[2]", PACKED + "[4]"),
+        "the lane fold misses a nonzero lane whose value stays below 2^(W-2) + 1",
+    ),
+    Mutant(
+        SELFCHECK,
+        "histogram[w] * (q - 1) for w",
+        "histogram[w] for w",
+        (SELFCHECK_TESTS + "test_the_mask_suite_equals_the_residual_oracle",),
+        "the mask histogram is read as the spectrum without its q - 1 codewords per mask",
     ),
     Mutant(
         SELFCHECK,
@@ -231,6 +283,14 @@ MUTANTS = (
     ),
     Mutant(
         EXCLUSION,
+        "i = 0 if m else k - 2",
+        "i = 0",
+        ("tests/test_fuzz.py::test_parameter_arguments_succeed_or_exit_2",),
+        "the Griesmer step past the window divides 0 by q k - 2 times: over the"
+        " fuzz budget at k = 2^31",
+    ),
+    Mutant(
+        EXCLUSION,
         "elif d > n - k + 1:",
         "if d > n - k + 1:",
         (TESTS + "test_every_report_has_one_regime_note_and_the_low_weights_note_past_d_1",),
@@ -275,16 +335,21 @@ def run(mutant: Mutant, tmp: Path) -> tuple[str, str]:
     return "error", f"pytest exited {proc.returncode}\n{proc.stdout}{proc.stderr}"
 
 
+def timed(mutant: Mutant) -> tuple[str, str, float]:
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory() as tmp:
+        outcome, detail = run(mutant, Path(tmp))
+    return outcome, detail, time.perf_counter() - start
+
+
 def main() -> int:
     bad = 0
-    for mutant in MUTANTS:
-        start = time.perf_counter()
-        with tempfile.TemporaryDirectory() as tmp:
-            outcome, detail = run(mutant, Path(tmp))
-        bad += outcome != "killed"
-        print(f"{outcome:<9} {time.perf_counter() - start:5.1f} s  {mutant.path}: {mutant.why}")
-        if detail:
-            print(detail, file=sys.stderr)
+    with ThreadPoolExecutor(max_workers=min(2, os.cpu_count() or 1)) as pool:
+        for mutant, (outcome, detail, seconds) in zip(MUTANTS, pool.map(timed, MUTANTS)):
+            bad += outcome != "killed"
+            print(f"{outcome:<9} {seconds:5.1f} s  {mutant.path}: {mutant.why}", flush=True)
+            if detail:
+                print(detail, file=sys.stderr)
     print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants killed")
     return 1 if bad else 0
 

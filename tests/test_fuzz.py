@@ -9,19 +9,55 @@ also exit 1, their verdict on a failed bound, a missing codeword, an
 attained excluded weight, a table mismatch or a violated property.
 The CLI runs in-process, so an uncaught exception fails the test with
 its traceback.
+
+Every example runs under a budget of BUDGET_S seconds of process time, so
+a slow path fails its example instead of only slowing the suite down.
 """
 
+import functools
 import os
+import signal
 import tempfile
 
 from conftest import run_main
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 HUGE = [65535, 65536, 65537, 2**31, 2**40]
 # Tokens int() reads differently or not at all: sign, ARABIC-INDIC DIGIT
 # ONE and THREE, hex, digit separator, exponent, empty.
 HOSTILE_TOKENS = ["-1", "+1", "١", "٣", "0x1", "1_0", "1e3", ""]
+
+
+# Process seconds per example.  The slowest example seen, the first to build
+# GF(65536), takes about 0.9 s, and the others under 0.1 s; a CPU timer does
+# not count the time that other processes hold the machine.
+BUDGET_S = 5
+
+
+class OverBudget(Exception):
+    """An example used more than BUDGET_S seconds of process time.  No
+    handler of the CLI catches it, so it fails the example."""
+
+
+def within_budget(test):
+    """Run each call of `test` under a SIGPROF timer (process time, as
+    `time.process_time()` counts it) that raises OverBudget after BUDGET_S."""
+
+    def over(signum, frame):
+        raise OverBudget(f"an example took more than {BUDGET_S} s of process time")
+
+    @functools.wraps(test)
+    def run(*args, **kwargs):
+        previous = signal.signal(signal.SIGPROF, over)
+        signal.setitimer(signal.ITIMER_PROF, BUDGET_S)
+        try:
+            return test(*args, **kwargs)
+        finally:
+            signal.setitimer(signal.ITIMER_PROF, 0)
+            signal.signal(signal.SIGPROF, previous)
+
+    return run
 
 
 def check_clean(result, allowed):
@@ -91,6 +127,7 @@ def run_on_file(text, argv):
 
 @settings(max_examples=1000)
 @given(text=generator_texts())
+@within_budget
 def test_generator_files_succeed_or_exit_2(text):
     check_clean(run_on_file(text, ["spectrum", "{file}", "--limit", "4096"]),
                 allowed=(0, 2))
@@ -119,6 +156,7 @@ limit_tokens = (st.sampled_from(["0", "1", *HOSTILE_TOKENS])
     index=st.none() | st.integers(0, 3).map(str) | tokens,
     limit=st.none() | limit_tokens,
 )
+@within_budget
 def test_file_commands_and_limits_succeed_or_exit_cleanly(
     text, command, weight, index, limit
 ):
@@ -144,6 +182,11 @@ def test_file_commands_and_limits_succeed_or_exit_cleanly(
     raw=st.booleans(),
     fmt=st.sampled_from(["text", "md", "csv", "json", "xml"]),
 )
+# [2^31, 2^31, 23]_2: one step past the window, where the Griesmer loop must
+# not step through k - 2 ceiling terms.
+@example(command="exclude", nkdq=("2147483648", "2147483648", "23", "2"),
+         w=None, raw=False, fmt="text")
+@within_budget
 def test_parameter_arguments_succeed_or_exit_2(command, nkdq, w, raw, fmt):
     argv = [command]
     for flag, token in zip(("--n", "--k", "--d", "--q"), nkdq):
@@ -180,6 +223,7 @@ seed_tokens = (st.integers(-(2**80), 2**80).map(str)
     seed=st.none() | seed_tokens,
     fmt=st.none() | st.sampled_from(["text", "md", "csv", "json", "xml"]),
 )
+@within_budget
 def test_tables_and_selftest_arguments_succeed_or_exit_cleanly(
     command, which, trials, seed, fmt
 ):

@@ -1,10 +1,13 @@
 
+import random
+
 import pytest
 from conftest import ratio_rows, run_main
 
 from weightbounds import bounds, codes, selfcheck
 from weightbounds.codes import (
     LinearCode,
+    WeightSpectrum,
     code_params,
     hamming_weight,
     iter_codewords,
@@ -107,8 +110,8 @@ def test_a_degenerate_residual_is_a_violation_in_both_forms(q, rows, message):
 def test_residual_lemma_walk_matches_a_full_codeword_walk(corpus1000, monkeypatch):
     # Walk every codeword in message order, count the window ones and keep
     # the first codeword of each support: the oracle builds the residual at
-    # exactly those, and the suite, walking one codeword per scalar class
-    # once per code, counts the same and reads the same results.
+    # exactly those, and the suite, building one support mask per scalar
+    # class once per code, counts the same and reads the same results.
     sample = corpus1000[:150]
     expected_checked, expected_words = 0, []
     for code in sample:
@@ -124,38 +127,98 @@ def test_residual_lemma_walk_matches_a_full_codeword_walk(corpus1000, monkeypatc
                 seen.add(support)
                 expected_words.append(cw)
 
-    handed, walks = [], []
+    handed, built = [], []
 
     def recording_residual(code, cw):
         handed.append(tuple(cw))
         return residual(code, cw)
 
-    def recording_walk(gf, rows):
-        walks.append(rows)
-        return projective_codewords(gf, rows)
+    def recording_masks(gf, rows):
+        built.append(rows)
+        return support_masks(gf, rows)
 
     def no_full_walk(code):
         raise AssertionError("the residual-lemma suite walked every codeword")
 
-    monkeypatch.setattr(selfcheck, "projective_codewords", recording_walk)
+    support_masks = selfcheck._support_masks
+    monkeypatch.setattr(selfcheck, "_support_masks", recording_masks)
     monkeypatch.setattr(codes, "iter_codewords", no_full_walk)
     result = check_residual_lemma(sample)
-    assert walks == [code.rows for code in sample]
+    assert built == [code.rows for code in sample]
     assert result == residual_oracle(sample, recording_residual)
     assert result.ok
     assert result.checked == expected_checked
     assert handed == expected_words
 
 
+def walked_masks(gf, rows):
+    """The oracle's support masks: one byte per coordinate of each word that
+    `projective_codewords` walks."""
+    return [int.from_bytes(bytes(map(bool, cw)), "little") for cw in projective_codewords(gf, rows)]
+
+
+def coordinate_sets(masks, width):
+    """The coordinates of each mask, one bit per width-bit lane; a set bit off
+    a lane's bit 0 fails."""
+    sets = [frozenset(j for j in range(m.bit_length()) if m >> j * width & 1) for m in masks]
+    assert masks == [sum(1 << j * width for j in s) for s in sets]
+    return sets
+
+
+# (n, k) shapes: a one-coordinate code, then codes whose last column is zero;
+# at most two rows where q^3 words would be many.
+MASK_SHAPES = [(1, 1), (4, 1), (6, 2), (5, 3)]
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 4, 8, 256, 9, 25, 27, 257])
+def test_packed_masks_equal_the_walked_masks(q):
+    gf, rng = make_field(q), random.Random(q)
+    lane = 8 * len(selfcheck._lanes(gf)[1][0])
+    for n, k in MASK_SHAPES:
+        k = min(k, 2) if q > 100 else k
+        for _ in range(4):
+            rows = [[rng.randrange(q) for _ in range(n)] for _ in range(k)]
+            for i, row in enumerate(rows):
+                row[:i + 1] = [0] * i + [1]  # echelon form: the rows are independent
+                if n > k:
+                    row[-1] = 0
+            rows = tuple(map(tuple, rows))
+            walked = coordinate_sets(walked_masks(gf, rows), 8)
+            assert coordinate_sets(selfcheck._support_masks(gf, rows), lane) == walked
+            assert len(walked) == (q**k - 1) // (q - 1)
+
+
+def count_every_class_twice(monkeypatch):
+    support_masks = selfcheck._support_masks
+    monkeypatch.setattr(selfcheck, "_support_masks",
+                        lambda gf, rows: [m for m in support_masks(gf, rows) for _ in range(2)])
+
+
+def test_masks_that_disagree_with_the_spectrum_are_an_internal_error(
+    corpus1000, monkeypatch
+):
+    # Every scalar class counted twice: the popcount histogram times q - 1 is
+    # twice the spectrum, so the suite stops before it reads any support.
+    count_every_class_twice(monkeypatch)
+    with pytest.raises(AssertionError, match="disagree with its spectrum"):
+        check_residual_lemma(corpus1000[:5])
+    status, _, err, _ = run_main(["selftest", "--trials", "5"])
+    assert status == 3
+    assert err.startswith("internal error: ")
+    assert "support masks of [" in err and "disagree with its spectrum" in err
+
+
 def test_a_broken_residual_invariant_is_an_internal_error_not_a_violation(
     corpus1000, monkeypatch
 ):
-    # Every scalar class walked twice: 2(q^t - 1)/(q - 1) classes inside a
-    # support is no count of a subspace's classes, so the suite stops.
-    def doubled_walk(gf, rows):
-        return [cw for cw in projective_codewords(gf, rows) for _ in range(2)]
+    # Every scalar class counted twice, and the spectrum doubled to match:
+    # 2(q^t - 1)/(q - 1) classes inside a support is no count of a
+    # subspace's classes, so the suite stops.
+    def doubled_spectrum(code):
+        return WeightSpectrum(tuple(2 * c for c in spectrum(code).counts))
 
-    monkeypatch.setattr(selfcheck, "projective_codewords", doubled_walk)
+    count_every_class_twice(monkeypatch)
+    monkeypatch.setattr(selfcheck, "spectrum", doubled_spectrum)
     with pytest.raises(AssertionError, match="scalar classes inside a support"):
         check_residual_lemma(corpus1000[:5])
     status, _, err, _ = run_main(["selftest", "--trials", "5"])
