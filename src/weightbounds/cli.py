@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
 import io
 import json
@@ -129,12 +128,12 @@ def render_exclusion_report(report: ExclusionReport, fmt: str) -> str:
     report has one left-endpoint note)."""
     p, sets = report.params, {**report.sets, "union": report.union}
     if fmt == "json":
-        return _json_text({"params": dataclasses.asdict(p), **_json_sets(sets),
+        return _json_text({"params": p._asdict(), **_json_sets(sets),
                            "clamped": report.clamped, "notes": list(report.notes)})
     if fmt == "csv":
         return _csv_text(
             ("n", "k", "d", "q", *(name.replace("-", "_") for name in sets), "clamped"),
-            [(*dataclasses.astuple(p), *sets.values(), report.clamped)],
+            [(*p, *sets.values(), report.clamped)],
         )
     raw = "" if report.clamped else " (raw intervals)"
     title = f"excluded weights for {p}{raw}"
@@ -231,7 +230,7 @@ def render_table_comparison(which: int, comps, fmt: str) -> str:
     if fmt == "json":
         rows = [
             {
-                "params": dataclasses.asdict(comp.row.params),
+                "params": comp.row.params._asdict(),
                 "source": comp.row.source,
                 "verdict": comp.verdict,
                 "flags": list(comp.flags),
@@ -246,7 +245,7 @@ def render_table_comparison(which: int, comps, fmt: str) -> str:
         return _json_text({"table": which, "rows": rows, "tallies": tallies})
     if fmt == "csv":
         rows = [
-            (which, comp.row.source, *dataclasses.astuple(comp.row.params), *columns(c))
+            (which, comp.row.source, *comp.row.params, *columns(c))
             for comp in comps
             for c in comp.cells
         ]
@@ -294,7 +293,7 @@ def render_audit(
     """The code's spectrum and clamped sets next to the audit's violations."""
     if fmt == "json":
         return _json_text({
-            "params": dataclasses.asdict(report.params),
+            "params": report.params._asdict(),
             "counts": {str(w): c for w, c in counts.items()},
             "excluded": _json_sets(report.sets),
             "violations": [v._asdict() for v in violations],

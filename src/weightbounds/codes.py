@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -64,23 +63,21 @@ def hamming_weight(v: Sequence[int]) -> int:
     return len(v) - tuple(v).count(0)
 
 
-@dataclass(frozen=True)
-class CodeParams:
-    """The parameter tuple (n, k, d, q) that the bound formulas operate on."""
+class CodeParams(NamedTuple("CodeParams", [("n", int), ("k", int), ("d", int), ("q", int)])):
+    """The parameter tuple (n, k, d, q) that the bound formulas operate on;
+    built, replaced (`_replace`) and made (`_make`) only through its range check."""
 
-    n: int
-    k: int
-    d: int
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (1 <= self.k <= self.n and 1 <= self.d <= self.n and self.q >= 2):
-            raise ParamRangeError(
-                f"invalid parameters n={self.n} k={self.k} d={self.d} q={self.q}"
-            )
+    def __new__(cls, n: int, k: int, d: int, q: int) -> CodeParams:
+        if not (1 <= k <= n and 1 <= d <= n and q >= 2):
+            raise ParamRangeError(f"invalid parameters n={n} k={k} d={d} q={q}")
+        return super().__new__(cls, n, k, d, q)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __str__(self) -> str:
-        return f"[{self.n},{self.k},{self.d}]_{self.q}"
+        return "[{},{},{}]_{}".format(*self)
 
 
 class WeightSpectrum(NamedTuple):
@@ -100,26 +97,26 @@ class WeightSpectrum(NamedTuple):
         return {w: c for w, c in enumerate(self.counts) if c}
 
 
-@dataclass(frozen=True)
-class LinearCode:
+class LinearCode(NamedTuple("LinearCode", [("gf", GF), ("rows", tuple[Vector, ...])])):
     """A linear [n, k] code given by k independent generator rows over a field.
 
     Rows are stored as a tuple of tuples, whatever sequences they came in.
-    Construction rejects rank-deficient matrices (`code_from_matrix(...,
-    auto_reduce=True)` keeps a row-space basis of any matrix instead).
+    Construction, `_replace` and `_make` reject rank-deficient matrices
+    (`code_from_matrix(..., auto_reduce=True)` keeps a row-space basis of
+    any matrix instead).
     """
 
-    gf: GF
-    rows: tuple[Vector, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))
-        _check_matrix(self.gf, self.rows)
-        rank = row_reduce(self.gf, self.rows)[1]
-        if rank != len(self.rows):
-            raise RankDeficientError(
-                f"supplied {len(self.rows)} rows but rank is {rank}"
-            )
+    def __new__(cls, gf: GF, rows: Iterable[Sequence[int]]) -> LinearCode:
+        rows = tuple(map(tuple, rows))
+        _check_matrix(gf, rows)
+        rank = row_reduce(gf, rows)[1]
+        if rank != len(rows):
+            raise RankDeficientError(f"supplied {len(rows)} rows but rank is {rank}")
+        return super().__new__(cls, gf, rows)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def n(self) -> int:

@@ -68,7 +68,7 @@ class ExclusionReport(NamedTuple):
         Singleton bound fails); else it holds, and the Singleton set contains
         the Chen-Xie set (`compare_methods` checks that, not this text).  Raw
         sets then name their weights past n."""
-        n, k, d, q = self.params.n, self.params.k, self.params.d, self.params.q
+        n, k, d, q = self.params
         notes = []
         if d > 1:
             notes.append(
@@ -116,8 +116,9 @@ class AuditViolation(NamedTuple):
 
 def chen_xie_excluded(params: CodeParams, clamp: bool = True) -> frozenset[int]:
     """The Chen-Xie interval [n-k+2, floor(q*d/(q-1)) - 1] (may be empty)."""
-    lo, hi = params.n - params.k + 2, (params.q * params.d) // (params.q - 1) - 1
-    return _interval(lo, min(hi, params.n) if clamp else hi)
+    n, k, d, q = params
+    lo, hi = n - k + 2, (q * d) // (q - 1) - 1
+    return _interval(lo, min(hi, n) if clamp else hi)
 
 
 def singleton_excluded(params: CodeParams, clamp: bool = True) -> frozenset[int]:
@@ -127,7 +128,7 @@ def singleton_excluded(params: CodeParams, clamp: bool = True) -> frozenset[int]
     k-1, and for k = 1 the claim is simply false (a [5,1,5] binary
     repetition code attains the weight 5 that the formula would rule out).
     """
-    n, k, d, q = params.n, params.k, params.d, params.q
+    n, k, d, q = params
     if k < 2:
         raise ParamRangeError("the Singleton criterion needs k >= 2")
     lo, hi = max(d, q * (n - k - d + 2) + 1), max_window_weight(d, q)
@@ -153,7 +154,7 @@ def griesmer_excluded(params: CodeParams, clamp: bool = True) -> frozenset[int]:
     else r drops by one and f loses one per 1 <= i <= k-2 with q^i | r - 1.
     So f is evaluated once, at w0 = d, and stepped to each next class.
     """
-    n, k, d, q = params.n, params.k, params.d, params.q
+    n, k, d, q = params
     if k < 2:
         raise ParamRangeError("the Griesmer criterion needs k >= 2")
     if n >= d + k - 2 + ceil_div(d + 1, q - 1):
@@ -186,7 +187,7 @@ def compare_methods(params: CodeParams, clamp: bool = True) -> ExclusionReport:
     contain the Chen-Xie set (in the void regime the Chen-Xie set is empty);
     that is checked here, on every report, rather than assumed.
     """
-    n, k, d = params.n, params.k, params.d
+    n, k, d, _ = params
     cx = chen_xie_excluded(params, clamp)
     si = singleton_excluded(params, clamp) if k >= 2 else _EMPTY
     gr = griesmer_excluded(params, clamp) if k >= 2 else _EMPTY

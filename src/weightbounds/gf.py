@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass, field
 from itertools import product, repeat
 from typing import Iterable, Iterator, Sequence
 
@@ -142,7 +141,6 @@ def _smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
     raise AssertionError(f"no irreducible degree-{m} polynomial over GF({p})")
 
 
-@dataclass(frozen=True)
 class GF:
     """Finite field GF(q) operating on integer-encoded elements.
 
@@ -150,24 +148,28 @@ class GF:
     `check_field_order(q)` and `modulus` from `_smallest_irreducible`.
     `modulus` is the monic degree-m reduction polynomial as m+1
     coefficients, low degree first; it is empty for prime fields.
-    Instances are immutable and safe for concurrent use.
+    Equality and hashing go by q.  The fields are set once, in `__init__`,
+    and no code reassigns them, so instances are safe for concurrent use.
     """
 
-    q: int
-    p: int = field(init=False)
-    m: int = field(init=False)
-    modulus: tuple[int, ...] = field(init=False)
-    _exp: tuple[int, ...] = field(default=(), init=False, repr=False, compare=False)
-    _log: tuple[int, ...] = field(default=(), init=False, repr=False, compare=False)
-    _zech: tuple[int, ...] = field(default=(), init=False, repr=False, compare=False)
+    __slots__ = ("q", "p", "m", "modulus", "_exp", "_log", "_zech")
 
-    def __post_init__(self) -> None:
-        p, m = check_field_order(self.q)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "modulus", _smallest_irreducible(p, m) if m > 1 else ())
+    def __init__(self, q: int) -> None:
+        p, m = check_field_order(q)
+        self.q, self.p, self.m = q, p, m
+        self.modulus = _smallest_irreducible(p, m) if m > 1 else ()
+        self._exp = self._log = self._zech = ()
         if m > 1:
             self._build_tables()
+
+    def __eq__(self, other: object) -> bool:
+        return self.q == other.q if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.q)
+
+    def __repr__(self) -> str:
+        return f"GF(q={self.q}, p={self.p}, m={self.m}, modulus={self.modulus})"
 
     # -- encoding ----------------------------------------------------
 
@@ -259,10 +261,9 @@ class GF:
         log = [0] * self.q
         for i, e in enumerate(exp):
             log[e] = i
-        object.__setattr__(self, "_exp", tuple(exp))
-        object.__setattr__(self, "_log", tuple(log))
+        self._exp, self._log = tuple(exp), tuple(log)
         if p > 2:  # Z(t) = log(1 + g^t), 0 where 1 + g^t = 0; adding 1 steps digit 0
-            object.__setattr__(self, "_zech", tuple(log[e - e % p + (e + 1) % p] for e in exp))
+            self._zech = tuple(log[e - e % p + (e + 1) % p] for e in exp)
 
 
 @functools.lru_cache(maxsize=None)

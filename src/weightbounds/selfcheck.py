@@ -80,8 +80,7 @@ def check_residual_lemma(codes: Iterable[LinearCode]) -> CheckResult:
     checked = 0
     violations = []
     for code in codes:
-        params = code_params(code)
-        n, k, d, q = params.n, params.k, params.d, params.q
+        n, k, d, q = params = code_params(code)
         hi = max_window_weight(d, q)
         counts = spectrum(code).counts
         masks = _support_masks(code.gf, code.rows)

@@ -257,13 +257,13 @@ def compare_row(row: TableRow) -> RowComparison:
     """Tri-state comparison of one table row, cell by cell in criterion order."""
     # Read from the module globals on each call, so wrappers put on them are seen.
     functions = (chen_xie_excluded, singleton_excluded, griesmer_excluded)
-    cells = []
+    cells, n = [], row.params.n
     for method, excluded, printed, count in zip(
         CRITERIA, functions, row.printed, row.printed_counts
     ):
         # Each criterion is evaluated once; its clamped set is the raw set cut at n.
         raw = excluded(row.params, clamp=False)
-        clamped = frozenset(w for w in raw if w <= row.params.n)
+        clamped = frozenset(w for w in raw if w <= n)
         cells.append(CellComparison(method, printed, raw, clamped, count))
     return RowComparison(row, tuple(cells))
 

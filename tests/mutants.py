@@ -41,6 +41,7 @@ SELFCHECK_TESTS = "tests/test_selfcheck.py::"
 TESTS = "tests/test_exclusion.py::"
 STRICTER = SELFCHECK_TESTS + "test_the_mask_suite_equals_the_oracle_under_a_stricter_rule"
 PACKED = SELFCHECK_TESTS + "test_packed_masks_equal_the_walked_masks"
+RECORDS = CODES_TESTS + "test_replace_and_make_check_like_the_constructor"
 
 
 class Mutant(NamedTuple):
@@ -82,6 +83,41 @@ MUTANTS = (
         "pow(a, self.p - 1, self.p)",
         (GF_TESTS + "test_field_axioms_exhaustive[3]",),
         "the prime-field inverse by a^(p-1), which is 1, not a^(p-2)",
+    ),
+    Mutant(
+        GF,
+        "return hash(self.q)",
+        "return hash(id(self))",
+        (GF_TESTS + "test_gf_is_built_from_q_alone",),
+        "two equal fields, GF(q) and make_field(q), hash differently",
+    ),
+    Mutant(
+        CODES,
+        "1 <= d <= n and q >= 2",
+        "1 <= d and q >= 2",
+        (RECORDS,),
+        "CodeParams accepts a minimum distance above the length",
+    ),
+    Mutant(
+        CODES,
+        "if rank != len(rows):",
+        "if rank > len(rows):",
+        (RECORDS, CODES_TESTS + "test_code_from_matrix_rejections"),
+        "LinearCode accepts rank-deficient rows",
+    ),
+    Mutant(
+        CODES,
+        "    _make = classmethod(lambda cls, fields: cls(*fields))\n\n    def __str__",
+        "    def __str__",
+        (RECORDS,),
+        "CodeParams._replace and _make build through tuple.__new__, skipping the range check",
+    ),
+    Mutant(
+        CODES,
+        "    _make = classmethod(lambda cls, fields: cls(*fields))\n\n    @property",
+        "    @property",
+        (RECORDS,),
+        "LinearCode._replace and _make build through tuple.__new__, skipping the rank check",
     ),
     Mutant(
         CODES,
@@ -231,8 +267,8 @@ MUTANTS = (
     ),
     Mutant(
         EXCLUSION,
-        "(params.q * params.d) // (params.q - 1) - 1",
-        "(params.q * params.d - 1) // (params.q - 1)",
+        "(q * d) // (q - 1) - 1",
+        "(q * d - 1) // (q - 1)",
         (TESTS + "test_chen_xie_odd_ternary_upper_endpoint",
          TESTS + "test_chen_xie_closed_form_equals_slack_scan"),
         "the Chen-Xie endpoint one too high when q - 1 does not divide q*d",

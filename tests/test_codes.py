@@ -1,5 +1,6 @@
-import dataclasses
+import copy
 import itertools
+import pickle
 import re
 import tracemalloc
 
@@ -587,6 +588,28 @@ def test_code_params_str_is_the_bracket_label():
     assert str(CodeParams(15, 5, 7, 2)) == "[15,5,7]_2"
 
 
+def test_replace_and_make_check_like_the_constructor():
+    # namedtuple's _replace builds through _make, which would skip __new__.
+    params = CodeParams(11, 3, 6, 2)
+    assert params == (11, 3, 6, 2) and params._replace(d=5) == CodeParams(11, 3, 5, 2)
+    for bad in ({"k": 20}, {"d": 12}, {"q": 1}):
+        with pytest.raises(ParamRangeError):
+            params._replace(**bad)
+    with pytest.raises(ParamRangeError):
+        CodeParams._make((3, 1, 4, 2))
+    code = LinearCode(GF2, ((1, 0, 1), (0, 1, 1)))
+    assert code._replace(rows=[[1, 1, 0], [0, 1, 1]]).rows == ((1, 1, 0), (0, 1, 1))
+    with pytest.raises(RankDeficientError):
+        code._replace(rows=((1, 1, 1), (1, 1, 1)))
+    with pytest.raises(RankDeficientError):
+        LinearCode._make((GF2, ((1, 1, 1), (1, 1, 1))))
+    with pytest.raises(EntryOutOfRangeError):
+        code._replace(gf=GF2, rows=((1, 0, 2),))
+    # Copies and pickles rebuild through the same checks and come back equal.
+    for record in (params, code, code.gf):
+        assert copy.deepcopy(record) == record == pickle.loads(pickle.dumps(record))
+
+
 def refuses(code, v):
     """Whether residual refuses v with NotACodewordError; another refusal
     (the zero vector, a degenerate residual) or a residual is not that."""
@@ -642,7 +665,7 @@ def test_a_code_is_its_field_and_rows():
     rows = ((2, 1, 0, 2), (1, 2, 2, 0))
     code = LinearCode(GF3, rows)
     assert code.rows == rows
-    assert [f.name for f in dataclasses.fields(LinearCode)] == ["gf", "rows"]
+    assert LinearCode._fields == ("gf", "rows")
     reduced = code_from_matrix(GF3, rows, auto_reduce=True)
     assert reduced.rows == row_reduce(GF3, rows)[0]
     # Equality, hashing and repr read (gf, rows) only.

@@ -1,7 +1,10 @@
 import dataclasses
 import doctest
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import weightbounds
@@ -23,21 +26,35 @@ def test_every_exported_name_resolves_and_is_listed_once():
         assert hasattr(weightbounds, name), name
 
 
-def test_result_records_are_named_tuples_and_only_checked_records_dataclasses():
-    # A record that checks or derives its fields when built is a frozen
-    # dataclass; every other result record is a NamedTuple.
+def test_records_are_named_tuples_and_none_is_a_dataclass():
+    # Every record is a NamedTuple; CodeParams and LinearCode check their
+    # fields in __new__.  GF is a slotted class.
     for record in (BoundVerdict, ExclusionReport, AuditViolation, WeightSpectrum,
-                   CheckResult, TableRow, CellComparison, RowComparison):
+                   CheckResult, TableRow, CellComparison, RowComparison,
+                   CodeParams, LinearCode):
         assert issubclass(record, tuple) and record._fields, record
     assert AuditViolation("griesmer", 7, 1) == ("griesmer", 7, 1)
     assert ExclusionReport._fields == ("params", "chen_xie", "singleton", "griesmer", "clamped")
+    assert CodeParams._fields == ("n", "k", "d", "q")
     assert isinstance(ExclusionReport.notes, property)
     modules = [importlib.import_module(m.name) for m in
                pkgutil.iter_modules(weightbounds.__path__, "weightbounds.")
                if m.name != "weightbounds.__main__"]  # importing it runs the CLI
     classes = {obj for module in modules for obj in vars(module).values()
                if isinstance(obj, type)}
-    assert set(filter(dataclasses.is_dataclass, classes)) == {CodeParams, LinearCode, GF}
+    assert GF in classes and not any(map(dataclasses.is_dataclass, classes))
+
+
+def test_the_cli_imports_without_dataclasses_or_inspect():
+    # A module set to None in sys.modules fails to import.  The subprocess
+    # imports the copy of the package this test imported: a checkout's src/
+    # or an installed copy in site-packages.
+    code = ("import sys; sys.modules.update(dataclasses=None, inspect=None); "
+            "import weightbounds.cli")
+    env = {**os.environ, "PYTHONPATH": str(Path(weightbounds.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_readme_library_example_runs():
