@@ -30,8 +30,8 @@ has base-q digits d_0 ... d_{k-1} (d_0 least significant), and the
 m-th codeword is sum_i element(d_i) * rows[i].  All "first codeword
 of weight w" semantics refer to this order.  The walk adds whole vectors
 (`GF.add_vec`); `projective_codewords`, one codeword per scalar class in
-this order, feeds the spectrum's high parts.  The residual-lemma suite
-builds the supports of the same classes, in the same order, from packed rows.
+this order, feeds the spectrum's high parts, and `_support_masks` builds
+the supports of the same classes, in the same order, from packed rows.
 """
 
 from __future__ import annotations
@@ -233,7 +233,40 @@ def projective_codewords(gf: GF, rows: Sequence[Vector]) -> Iterator[Vector]:
         yield from _walk(gf, rows[:t], row)
 
 
+def _lanes(gf: GF) -> tuple[int, tuple[bytes, ...]]:
+    """(B, each element's lane as bytes): digit i at bit B*i, with B = 1 for p = 2,
+    else wide enough that a digit sum stays below bit B - 1; the top bit is clear."""
+    p, m = gf.p, gf.m
+    b = 1 if p == 2 else (2 * p - 2).bit_length() + 1
+    lanes = [0]
+    for i in range(m):  # in encoding order: digit 0 least significant
+        lanes = [x + (d << b * i) for d in range(p) for x in lanes]
+    return b, tuple(x.to_bytes(m * b // 8 + 1, "little") for x in lanes)
+
+
+def _support_masks(gf: GF, rows: Sequence[Vector]) -> list[int]:
+    """The supports of `projective_codewords(gf, rows)` in message order, bit W*j for
+    coordinate j: level t adds e * rows[t] to every earlier message (e = 1 alone for
+    the last row), e = 1 giving row t's classes.  A nonzero W-bit lane plus
+    2^(W-1) - 1 sets its top bit."""
+    p, q, k, n = gf.p, gf.q, len(rows), len(rows[0])
+    b, table = _lanes(gf)
+    width = 8 * len(table[0])
+    ones, low = (int.from_bytes(table[e] * n, "little") for e in ((q - 1) // (p - 1), 1))
+    bias, fill = ones * ((1 << b - 1) - p), low * ((1 << width - 1) - 1)
+    level, masks = [0], []
+    for t, row in enumerate(rows):
+        ys = [int.from_bytes(b"".join(map(table.__getitem__, gf.scale_vec(e, row))), "little")
+              for e in range(1, q if t < k - 1 else 2)]
+        new = [x ^ y for y in ys for x in level] if p == 2 else [  # a digit sum >= p sheds p
+            (s := x + y) - ((s + bias) >> b - 1 & ones) * p for y in ys for x in level]
+        masks += [(v + fill) >> width - 1 & low for v in new[:len(level)]]
+        level += new
+    return masks
+
+
 _LOW_BITS = 1 << 22  # cap on D * q^(a+2): the low side holds <= _LOW_BITS / q bitmap bits
+SPECTRUM_CACHE_SIZE = 8192  # codes whose spectra `spectrum` keeps
 
 
 @functools.lru_cache(maxsize=1024)
@@ -263,7 +296,7 @@ def _value_bitmaps(gf: GF, g: Vector) -> dict[int, int]:
     return values
 
 
-@functools.lru_cache(maxsize=8192)
+@functools.lru_cache(maxsize=SPECTRUM_CACHE_SIZE)
 def spectrum(code: LinearCode) -> WeightSpectrum:
     """Exact weight distribution, one shared object per code (an LRU): meet in
     the middle, bit-sliced, each projective high part H against all low L.

@@ -9,15 +9,14 @@ against true spectra.  Used both by the test suite and by the CLI
 
 from __future__ import annotations
 
-import functools
 from collections import Counter
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .bounds import ceil_div, distance_ratio_holds, global_weight_max, max_window_weight
-from .codes import LinearCode, code_params, min_distance, spectrum
+from .codes import (SPECTRUM_CACHE_SIZE, LinearCode, _support_masks, code_params,
+                    min_distance, spectrum)
 from .corpus import random_corpus
 from .exclusion import audit_against_spectrum
-from .gf import GF, Vector
 
 
 class CheckResult(NamedTuple):
@@ -30,39 +29,6 @@ class CheckResult(NamedTuple):
     @property
     def ok(self) -> bool:
         return not self.violations
-
-
-@functools.lru_cache(maxsize=16)
-def _lanes(gf: GF) -> tuple[int, tuple[bytes, ...]]:
-    """(B, each element's lane as bytes): digit i at bit B*i, with B = 1 for p = 2,
-    else wide enough that a digit sum stays below bit B - 1; the top bit is clear."""
-    p, m = gf.p, gf.m
-    b = 1 if p == 2 else (2 * p - 2).bit_length() + 1
-    lanes = [0]
-    for i in range(m):  # in encoding order: digit 0 least significant
-        lanes = [x + (d << b * i) for d in range(p) for x in lanes]
-    return b, tuple(x.to_bytes(m * b // 8 + 1, "little") for x in lanes)
-
-
-def _support_masks(gf: GF, rows: Sequence[Vector]) -> list[int]:
-    """The supports of `projective_codewords(gf, rows)` in its order, bit W*j for
-    coordinate j.  The messages of rows[:t+1] are those of rows[:t], then each
-    plus e * rows[t] for e = 1, 2, ...; the e = 1 block is row t's classes, all
-    the last row needs.  A nonzero W-bit lane plus 2^(W-1) - 1 sets its top bit."""
-    p, q, k, n = gf.p, gf.q, len(rows), len(rows[0])
-    b, table = _lanes(gf)
-    width = 8 * len(table[0])
-    ones, low = (int.from_bytes(table[e] * n, "little") for e in ((q - 1) // (p - 1), 1))
-    bias, fill = ones * ((1 << b - 1) - p), low * ((1 << width - 1) - 1)
-    level, masks = [0], []
-    for t, row in enumerate(rows):
-        ys = [int.from_bytes(b"".join(map(table.__getitem__, gf.scale_vec(e, row))), "little")
-              for e in range(1, q if t < k - 1 else 2)]
-        new = [x ^ y for y in ys for x in level] if p == 2 else [  # a digit sum >= p sheds p
-            (s := x + y) - ((s + bias) >> b - 1 & ones) * p for y in ys for x in level]
-        masks += [(v + fill) >> width - 1 & low for v in new[:len(level)]]
-        level += new
-    return masks
 
 
 def check_residual_lemma(codes: Iterable[LinearCode]) -> CheckResult:
@@ -121,7 +87,7 @@ def check_global_weight(codes: Iterable[LinearCode]) -> CheckResult:
         cap = global_weight_max(code.n, spec.min_distance, code.q)
         checked += 1
         for w, count in spec.nonzero().items():
-            if w and w > cap:
+            if w > cap:
                 violations.append(
                     f"{code_params(code)}: {count} codeword(s) of weight {w} > {cap}"
                 )
@@ -153,11 +119,12 @@ def check_exclusion_soundness(codes: Iterable[LinearCode]) -> CheckResult:
 
 
 def run_selftest(trials: int, seed: int) -> list[CheckResult]:
-    """Run all four suites over the seeded corpus; deterministic in (trials, seed)."""
-    codes = list(random_corpus(trials, seed))
-    return [
-        check_residual_lemma(codes),
-        check_global_weight(codes),
-        check_distance_ratio(codes),
-        check_exclusion_soundness(codes),
-    ]
+    """Run all four suites over the seeded corpus; deterministic in (trials, seed).
+    Slices of SPECTRUM_CACHE_SIZE codes keep each spectrum cached for all four."""
+    codes, step = list(random_corpus(trials, seed)), SPECTRUM_CACHE_SIZE
+    suites = (check_residual_lemma, check_global_weight, check_distance_ratio,
+              check_exclusion_soundness)
+    parts = zip(*([suite(codes[i:i + step]) for suite in suites]
+                  for i in range(0, len(codes) or 1, step)))
+    return [CheckResult(p[0].name, sum(r.checked for r in p), sum((r.violations for r in p), ()))
+            for p in parts]

@@ -190,21 +190,21 @@ MUTANTS = (
         "residual takes any vector as a codeword: the stacked rank never exceeds k + 1",
     ),
     Mutant(
-        SELFCHECK,
+        CODES,
         "ones * ((1 << b - 1) - p)",
         "ones * ((1 << b - 1) - p + 1)",
         (PACKED + "[3]", PACKED + "[9]"),
         "the packed digit-wise add reduces a digit sum of p - 1 as well",
     ),
     Mutant(
-        SELFCHECK,
+        CODES,
         "& ones) * p for y in ys",
         "& ones) * (p - 1) for y in ys",
         (PACKED + "[5]", PACKED + "[25]"),
         "the packed digit-wise add subtracts p - 1, not p, from a digit sum of p or more",
     ),
     Mutant(
-        SELFCHECK,
+        CODES,
         "low * ((1 << width - 1) - 1)",
         "low * ((1 << width - 2) - 1)",
         (PACKED + "[2]", PACKED + "[4]"),
@@ -255,6 +255,13 @@ MUTANTS = (
         "residual dimension {k - t - 1} != {k - 1}",
         (STRICTER + "[max_window_weight]",),
         "the mask suite reports a residual dimension one too low",
+    ),
+    Mutant(
+        SELFCHECK,
+        "codes[i:i + step]",
+        "codes[i:i + step + 1]",
+        (SELFCHECK_TESTS + "test_selftest_shares_spectra_slice_by_slice",),
+        "selftest slices overlap by one code, which the suites then count twice",
     ),
     Mutant(
         EXCLUSION,

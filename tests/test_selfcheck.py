@@ -1,10 +1,11 @@
 
+import functools
 import random
 
 import pytest
 from conftest import ratio_rows, run_main
 
-from weightbounds import bounds, codes, selfcheck
+from weightbounds import bounds, codes, exclusion, selfcheck
 from weightbounds.codes import (
     LinearCode,
     WeightSpectrum,
@@ -173,7 +174,7 @@ MASK_SHAPES = [(1, 1), (4, 1), (6, 2), (5, 3)]
 @pytest.mark.parametrize("q", [2, 3, 5, 7, 4, 8, 256, 9, 25, 27, 257])
 def test_packed_masks_equal_the_walked_masks(q):
     gf, rng = make_field(q), random.Random(q)
-    lane = 8 * len(selfcheck._lanes(gf)[1][0])
+    lane = 8 * len(codes._lanes(gf)[1][0])
     for n, k in MASK_SHAPES:
         k = min(k, 2) if q > 100 else k
         for _ in range(4):
@@ -184,7 +185,7 @@ def test_packed_masks_equal_the_walked_masks(q):
                     row[-1] = 0
             rows = tuple(map(tuple, rows))
             walked = coordinate_sets(walked_masks(gf, rows), 8)
-            assert coordinate_sets(selfcheck._support_masks(gf, rows), lane) == walked
+            assert coordinate_sets(codes._support_masks(gf, rows), lane) == walked
             assert len(walked) == (q**k - 1) // (q - 1)
 
 
@@ -267,6 +268,26 @@ def test_spectrum_cache_holds_a_whole_selftest_run():
     run_selftest(1000, 777)
     info = codes.spectrum.cache_info()
     assert info.misses == info.currsize == len(set(random_corpus(1000, 777)))
+
+
+def test_selftest_shares_spectra_slice_by_slice(monkeypatch):
+    # A corpus of more distinct codes than a 64-code spectrum LRU holds, with
+    # violations in three of its slices from a global weight cap one too low:
+    # slices of 64 codes compute each spectrum once, and their merged results,
+    # in code order, are those of one pass of each suite over the whole corpus.
+    small = functools.lru_cache(maxsize=64)(codes.spectrum.__wrapped__)
+    for module in (codes, selfcheck, exclusion):
+        monkeypatch.setattr(module, "spectrum", small)
+    monkeypatch.setattr(selfcheck, "SPECTRUM_CACHE_SIZE", 64)
+    monkeypatch.setattr(selfcheck, "global_weight_max", STRICTER["global_weight_max"][1])
+    corpus = list(random_corpus(300, 12345))
+    whole = [suite(corpus) for suite in (check_residual_lemma, check_global_weight,
+                                         check_distance_ratio, check_exclusion_soundness)]
+    assert len(whole[1].violations) > 5
+    small.cache_clear()
+    assert run_selftest(300, 12345) == whole
+    assert small.cache_info().misses == len(set(corpus)) > 64
+    assert [r.checked for r in run_selftest(0, 12345)] == [0] * 4
 
 
 # Each home rule made one step too strict: the window claimed for one more
