@@ -158,8 +158,10 @@ def row_reduce(gf: GF, rows: Iterable[Sequence[int]]) -> tuple[tuple[Vector, ...
     ncols = len(mat[0])
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if pivot is None:
+        for pivot in range(r, len(mat)):
+            if mat[pivot][c]:
+                break
+        else:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
         inv = gf.inv(mat[r][c])

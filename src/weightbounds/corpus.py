@@ -55,9 +55,9 @@ class SplitMix64:
 def random_code(seed: int, q: int, n: int, k: int) -> LinearCode:
     """Deterministic pseudo-random full-rank [n, k] code over GF(q).
 
-    Rows are drawn one at a time from SplitMix64(seed) (each row is n
-    draws of below(q)); a row is kept only if it is independent of the
-    rows kept so far, otherwise it is discarded and a fresh row drawn.
+    Rows are drawn one at a time from SplitMix64(seed), n draws of below(q)
+    each.  Each draw is reduced against the RREF of the rows kept so far; it
+    is kept if the rank grows, otherwise it is discarded and a fresh row drawn.
     """
     if q not in (2, 3, 4):
         raise ParamRangeError(f"random codes support q in {{2, 3, 4}}, got {q}")
@@ -66,11 +66,13 @@ def random_code(seed: int, q: int, n: int, k: int) -> LinearCode:
     gf = make_field(q)
     rng = SplitMix64(seed)
     accepted: list[tuple[int, ...]] = []
+    basis: tuple[tuple[int, ...], ...] = ()  # the RREF of the accepted rows
     while len(accepted) < k:
         row = tuple(rng.below(q) for _ in range(n))
-        _, rank = row_reduce(gf, accepted + [row])
+        reduced, rank = row_reduce(gf, basis + (row,))
         if rank == len(accepted) + 1:
             accepted.append(row)
+            basis = reduced
     return LinearCode(gf, tuple(accepted))
 
 

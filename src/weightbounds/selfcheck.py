@@ -9,6 +9,7 @@ against true spectra.  Used both by the test suite and by the CLI
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from typing import Iterable, NamedTuple
 
@@ -41,7 +42,9 @@ def check_residual_lemma(codes: Iterable[LinearCode]) -> CheckResult:
     classes have their mask inside S when the residual has dimension k - t, and
     the least nonzero popcount(m & ~S) is its minimum distance.  The popcount
     histogram times q - 1 must be the spectrum, which counts the window
-    codewords checked.
+    codewords checked.  Only masks lighter than w + max(floor, 1) are scanned
+    (a prefix of the masks sorted by weight): a heavier m keeps |m| - w >=
+    max(floor, 1) coordinates outside S, so it is neither inside S nor below.
     """
     checked = 0
     violations = []
@@ -51,6 +54,7 @@ def check_residual_lemma(codes: Iterable[LinearCode]) -> CheckResult:
         counts = spectrum(code).counts
         masks = _support_masks(code.gf, code.rows)
         histogram = Counter(map(int.bit_count, masks))  # a mask per q - 1 codewords
+        by_weight = sorted(masks, key=int.bit_count)
         if [histogram[w] * (q - 1) for w in range(1, n + 1)] != list(counts[1:]):
             raise AssertionError(f"support masks of {params} disagree with its spectrum")
         checked += sum(counts[1:hi + 1])
@@ -59,8 +63,9 @@ def check_residual_lemma(codes: Iterable[LinearCode]) -> CheckResult:
             if w == n:
                 violations.append(f"{params} w={w}: codeword has full support; nothing remains")
                 continue
-            out = ~s
-            rest = [(m & out).bit_count() for m in masks]
+            out, floor_d = ~s, d - w + ceil_div(w, q)
+            prefix = by_weight[:bisect_left(by_weight, w + max(floor_d, 1), key=int.bit_count)]
+            rest = [(m & out).bit_count() for m in prefix]
             inside = rest.count(0)
             if inside == len(masks):
                 violations.append(f"{params} w={w}: all generator rows vanish after puncturing")
@@ -70,8 +75,7 @@ def check_residual_lemma(codes: Iterable[LinearCode]) -> CheckResult:
                 if t is None:
                     raise AssertionError(f"{inside} scalar classes inside a support of {params}")
                 violations.append(f"{params} w={w}: residual dimension {k - t} != {k - 1}")
-            floor_d = d - w + ceil_div(w, q)
-            if (res_d := min(r for r in rest if r)) < floor_d:
+            if (res_d := min((r for r in rest if r), default=floor_d)) < floor_d:
                 violations.append(f"{params} w={w}: residual distance {res_d} < {floor_d}")
     return CheckResult("residual-lemma", checked, tuple(violations))
 

@@ -228,10 +228,24 @@ MUTANTS = (
     ),
     Mutant(
         SELFCHECK,
-        "min(r for r in rest if r)",
-        "max(r for r in rest if r)",
+        "min((r for r in rest if r), default=floor_d)",
+        "max((r for r in rest if r), default=floor_d)",
         (STRICTER + "[ceil_div]",),
         "the mask suite reads the residual distance as the largest weight",
+    ),
+    Mutant(
+        SELFCHECK,
+        "w + max(floor_d, 1), key",
+        "w + max(floor_d, 1) - 1, key",
+        (SELFCHECK_TESTS + "test_the_mask_suite_equals_the_residual_oracle",),
+        "the residual scan stops one weight short and misses the masks inside a support at floor 1",
+    ),
+    Mutant(
+        SELFCHECK,
+        "w + max(floor_d, 1), key",
+        "w + floor_d, key",
+        (STRICTER + "[max_window_weight]",),
+        "the residual scan skips the masks inside a support when the floor is 0 or less",
     ),
     Mutant(
         SELFCHECK,

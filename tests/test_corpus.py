@@ -1,8 +1,11 @@
+import hashlib
+
 import pytest
 from conftest import dual, fixture_code, ratio_rows, simplex_rows
 
+from weightbounds import corpus
 from weightbounds.bounds import global_weight_max, griesmer_min_n
-from weightbounds.codes import LinearCode, min_distance, spectrum
+from weightbounds.codes import LinearCode, min_distance, row_reduce, spectrum
 from weightbounds.corpus import EXTERNAL_SPECTRA, SplitMix64, random_code, random_corpus
 from weightbounds.errors import ParamRangeError
 from weightbounds.gf import make_field
@@ -85,6 +88,50 @@ def test_random_corpus_is_deterministic_and_in_range():
         assert code.q in (2, 3, 4)
         assert 2 <= code.k <= 5
         assert code.k <= code.n <= 14
+
+
+def test_the_default_corpus_is_pinned(corpus1000):
+    # Every code of the default selftest corpus, rows and field, bit for bit.
+    digest = hashlib.sha256(repr([(c.q, c.rows) for c in corpus1000]).encode()).hexdigest()
+    assert digest == "c19dffef6ec79f16d8e111bbd048c282d9579ba9ad612061f43b044a0c4c85e3"
+
+
+def plain_rank_draws(seed, q, n, k):
+    """The draws of `random_code(seed, q, n, k)` under the plain acceptance
+    rule, each with the number of rows kept before it: a draw is kept when
+    the rank of the kept rows plus the draw is one more than their number."""
+    gf, rng = make_field(q), SplitMix64(seed)
+    accepted, draws = [], []
+    while len(accepted) < k:
+        row = tuple(rng.below(q) for _ in range(n))
+        draws.append((row, len(accepted)))
+        if row_reduce(gf, accepted + [row])[1] == len(accepted) + 1:
+            accepted.append(row)
+    return draws, tuple(accepted)
+
+
+def test_each_draw_is_decided_like_the_plain_rank_test(monkeypatch):
+    # random_code reduces each draw against the kept rows' RREF; the record of
+    # its reductions (the draw and how many rows were kept before it) must be
+    # the oracle's, draw by draw, over a corpus whose draws include rejections.
+    seen, records = [], []
+
+    def recording_reduce(gf, rows):
+        seen.append((tuple(rows[-1]), len(rows) - 1))
+        return row_reduce(gf, rows)
+
+    def checked_code(seed, q, n, k):
+        seen.clear()
+        code = random_code(seed, q, n, k)
+        records.append((list(seen), code.rows, plain_rank_draws(seed, q, n, k)))
+        return code
+
+    monkeypatch.setattr(corpus, "row_reduce", recording_reduce)
+    monkeypatch.setattr(corpus, "random_code", checked_code)
+    assert len(list(random_corpus(1000, 12345))) == 1000
+    for draws, rows, expected in records:
+        assert (draws, rows) == expected
+    assert sum(len(draws) - len(rows) for draws, rows, _ in records) > 0  # rejections
 
 
 def test_external_spectra_are_complete_distributions():
