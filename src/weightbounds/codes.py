@@ -207,8 +207,6 @@ def _walk(gf: GF, rows: Sequence[Vector], start: Vector) -> Iterator[Vector]:
     # diff[i][a] = ((a+1) mod q - a) * rows[i]: digit i stepping a -> (a+1) mod q.
     # The step takes at most m values (one per carry length in base p), so each
     # row is scaled once per distinct step and diff[i] holds q shared pointers.
-    # Lists, not tuples: short tuples freed in bulk stay on CPython's per-size
-    # free lists until a full gc, which raised the suite's peak memory by 8%.
     steps = [gf.add((a + 1) % q, gf.neg(a)) for a in range(q)]
     diff = []
     for row in rows:

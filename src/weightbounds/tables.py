@@ -48,12 +48,9 @@ def parse_weights(text: str) -> frozenset[int]:
         part = part.strip()
         if not part or part == "-":
             continue
-        if "-" in part:
-            a, b = (int(t) for t in part.split("-"))
-            lo, hi = min(a, b), max(a, b)
-            out.update(range(lo, hi + 1))
-        else:
-            out.add(int(part))
+        a, *b = part.split("-")  # a single weight a is the run a-a
+        lo, hi = sorted(map(int, (a, *(b or [a]))))
+        out.update(range(lo, hi + 1))
     return frozenset(out)
 
 
@@ -257,13 +254,11 @@ def compare_row(row: TableRow) -> RowComparison:
     """Tri-state comparison of one table row, cell by cell in criterion order."""
     # Read from the module globals on each call, so wrappers put on them are seen.
     functions = (chen_xie_excluded, singleton_excluded, griesmer_excluded)
-    cells, n = [], row.params.n
+    cells = []
     for method, excluded, printed, count in zip(
         CRITERIA, functions, row.printed, row.printed_counts
     ):
-        # Each criterion is evaluated once; its clamped set is the raw set cut at n.
-        raw = excluded(row.params, clamp=False)
-        clamped = frozenset(w for w in raw if w <= n)
+        raw, clamped = excluded(row.params, clamp=False), excluded(row.params)
         cells.append(CellComparison(method, printed, raw, clamped, count))
     return RowComparison(row, tuple(cells))
 

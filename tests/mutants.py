@@ -31,14 +31,15 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "fixtures", "pyproject.toml", "README.md")
-GF, CODES, BOUNDS, SELFCHECK, EXCLUSION, CLI = (
+GF, CODES, BOUNDS, SELFCHECK, EXCLUSION, TABLES, CLI = (
     f"src/weightbounds/{name}.py"
-    for name in ("gf", "codes", "bounds", "selfcheck", "exclusion", "cli")
+    for name in ("gf", "codes", "bounds", "selfcheck", "exclusion", "tables", "cli")
 )
 GF_TESTS = "tests/test_gf.py::"
 CODES_TESTS = "tests/test_codes.py::"
 SELFCHECK_TESTS = "tests/test_selfcheck.py::"
 TESTS = "tests/test_exclusion.py::"
+TABLES_TESTS = "tests/test_tables.py::"
 STRICTER = SELFCHECK_TESTS + "test_the_mask_suite_equals_the_oracle_under_a_stricter_rule"
 PACKED = SELFCHECK_TESTS + "test_packed_masks_equal_the_walked_masks"
 RECORDS = CODES_TESTS + "test_replace_and_make_check_like_the_constructor"
@@ -352,6 +353,40 @@ MUTANTS = (
         "if d > n - k + 1:",
         (TESTS + "test_every_report_has_one_regime_note_and_the_low_weights_note_past_d_1",),
         "a void or k = 1 report carries a second left-endpoint regime note",
+    ),
+    Mutant(
+        TABLES,
+        "out.update(range(lo, hi + 1))",
+        "out.update(range(lo, hi))",
+        (TABLES_TESTS + "test_parse_and_format_weights",),
+        "parse_weights drops the end of every run, and so every single weight",
+    ),
+    Mutant(
+        TABLES,
+        "        if self.printed == self.computed_raw:\n"
+        "            return EXACT\n"
+        "        if self.printed == self.computed_clamped:\n"
+        "            return CLAMPED\n",
+        "        if self.printed == self.computed_clamped:\n"
+        "            return CLAMPED\n"
+        "        if self.printed == self.computed_raw:\n"
+        "            return EXACT\n",
+        (TABLES_TESTS + "test_verdicts_and_flags_are_derived_from_the_cells",),
+        "a cell whose raw and clamped sets agree reads exact-after-clamp, not exact",
+    ),
+    Mutant(
+        TABLES,
+        "if w == prev - 1:",
+        "if w == prev - 2:",
+        (TABLES_TESTS + "test_parse_and_format_weights",),
+        "format_weights joins weights two apart into a run and splits consecutive ones",
+    ),
+    Mutant(
+        TABLES,
+        "CellComparison(method, printed, raw, clamped, count)",
+        "CellComparison(method, printed, raw, raw, count)",
+        (TABLES_TESTS + "test_table1_clamp_pattern",),
+        "compare_row passes the raw set as the clamped one: cells printed clamped mismatch",
     ),
     Mutant(
         CLI,

@@ -127,17 +127,8 @@ def test_table3_sets_exact_and_annotations_flagged():
     assert all("count annotation" in flag for flag in flags)
 
 
-def test_each_criterion_is_evaluated_once_per_cell(monkeypatch):
-    # Oracle for the derived clamped set: the criterion evaluated with clamp=True.
+def test_each_griesmer_pass_evaluates_f_once(monkeypatch):
     from weightbounds import exclusion
-
-    criteria = {"chen-xie": exclusion.chen_xie_excluded,
-                "singleton": exclusion.singleton_excluded,
-                "griesmer": exclusion.griesmer_excluded}
-    for which in (1, 2, 3):
-        for comp in compare_table(which):
-            for c in comp.cells:
-                assert c.computed_clamped == criteria[c.method](comp.row.params, clamp=True)
 
     calls = []
     original = exclusion.residual_griesmer_min_n
@@ -147,10 +138,10 @@ def test_each_criterion_is_evaluated_once_per_cell(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(exclusion, "residual_griesmer_min_n", counted)
-    comps = compare_table(3)
-    # One raw Griesmer pass per row, which evaluates f once, at w = d, and
-    # steps to the rest of its window.
-    assert len(calls) == len(comps)
+    rows = [comp.row.params for comp in compare_table(3)]
+    # A raw and a clamped Griesmer pass per row, each of which evaluates f
+    # once, at w = d, and steps to the rest of its window.
+    assert calls == [(p.k, p.d, p.q, p.d) for p in rows for _ in range(2)]
 
 
 def test_table_row_counts():
@@ -189,6 +180,11 @@ def test_parse_and_format_weights():
     assert parse_weights("13, 12") == {12, 13}
     assert parse_weights("145-147, 159") == {145, 146, 147, 159}
     assert parse_weights("-") == frozenset()
+    assert parse_weights("13") == {13}
+    assert parse_weights("12-13") == parse_weights("13-12") == {12, 13}
+    for text in ("5-", "5-6-7"):
+        with pytest.raises(ValueError):
+            parse_weights(text)
     assert format_weights({12, 13}) == "13, 12"
     assert format_weights(set()) == "-"
     assert format_weights({145, 146, 147, 159}, ranges=True) == "159, 145-147"
