@@ -7,12 +7,13 @@ are kept here as their published weight enumerators.  The cyclic code's
 generator matrix is `fixtures/cyclic_15_10_4_binary.gen`; no generator
 matrix of the ternary code is shipped.
 
-Random codes use SplitMix64 so the corpus is reproducible bit-for-bit
-across platforms and Python versions.
+Random codes come from a SplitMix64 generator, so the corpus is
+reproducible bit-for-bit across platforms and Python versions.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterator
 
 from .codes import LinearCode, row_reduce
@@ -25,37 +26,26 @@ DEFAULT_SELFTEST_TRIALS = 1000
 _MASK64 = (1 << 64) - 1
 
 
-class SplitMix64:
-    """SplitMix64 PRNG (public-domain constants, 64-bit state).
+def splitmix64(seed: int) -> Iterator[int]:
+    """The SplitMix64 stream: 64-bit outputs of a 64-bit state, with the
+    public-domain reference constants.
 
-    state += 0x9E3779B97F4A7C15; z = state;
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EB;
-    return z ^ (z >> 31).
-
-    `below(bound)` reduces next_u64() modulo bound; for the tiny bounds
-    used here (q <= 4, n <= 14) the modulo bias is irrelevant and the
-    output is identical on every platform.
+    Callers reduce each output modulo a bound; for the tiny bounds used
+    here (q <= 4, n <= 14) the modulo bias is irrelevant and the output is
+    identical on every platform.
     """
-
-    def __init__(self, seed: int):
-        self.state = seed & _MASK64
-
-    def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    state = seed & _MASK64
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & _MASK64
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
-
-    def below(self, bound: int) -> int:
-        return self.next_u64() % bound
+        yield z ^ (z >> 31)
 
 
 def random_code(seed: int, q: int, n: int, k: int) -> LinearCode:
     """Deterministic pseudo-random full-rank [n, k] code over GF(q).
 
-    Rows are drawn one at a time from SplitMix64(seed), n draws of below(q)
+    Rows are drawn one at a time from splitmix64(seed), n outputs modulo q
     each.  Each draw is reduced against the RREF of the rows kept so far; it
     is kept if the rank grows, otherwise it is discarded and a fresh row drawn.
     """
@@ -64,11 +54,11 @@ def random_code(seed: int, q: int, n: int, k: int) -> LinearCode:
     if not (1 <= k <= 5 and k <= n <= 14):
         raise ParamRangeError(f"need 1 <= k <= 5 and k <= n <= 14, got n={n} k={k}")
     gf = make_field(q)
-    rng = SplitMix64(seed)
+    draws = splitmix64(seed)
     accepted: list[tuple[int, ...]] = []
     basis: tuple[tuple[int, ...], ...] = ()  # the RREF of the accepted rows
     while len(accepted) < k:
-        row = tuple(rng.below(q) for _ in range(n))
+        row = tuple(x % q for x in islice(draws, n))
         reduced, rank = row_reduce(gf, basis + (row,))
         if rank == len(accepted) + 1:
             accepted.append(row)
@@ -79,16 +69,16 @@ def random_code(seed: int, q: int, n: int, k: int) -> LinearCode:
 def random_corpus(trials: int, seed: int) -> Iterator[LinearCode]:
     """Yield `trials` random codes with q in {2,3,4}, 2 <= k <= 5, k <= n <= 14.
 
-    One SplitMix64 stream seeded with `seed` drives both the parameter
+    One splitmix64 stream seeded with `seed` drives both the parameter
     draws and the per-code seeds, so the whole corpus is a pure function
     of (trials, seed).
     """
-    stream = SplitMix64(seed)
+    stream = splitmix64(seed)
     for _ in range(trials):
-        q = (2, 3, 4)[stream.below(3)]
-        k = 2 + stream.below(4)
-        n = k + stream.below(14 - k + 1)
-        yield random_code(stream.next_u64(), q, n, k)
+        q = (2, 3, 4)[next(stream) % 3]
+        k = 2 + next(stream) % 4
+        n = k + next(stream) % (14 - k + 1)
+        yield random_code(next(stream), q, n, k)
 
 
 # Published weight enumerators of two codes the paper does not print.

@@ -164,11 +164,7 @@ def griesmer_excluded(params: CodeParams, clamp: bool = True) -> frozenset[int]:
     period = q ** min(k - 1, (stop - d).bit_length())
     f, rest, out = residual_griesmer_min_n(k, d, q, d), ceil_div(d, q), set()
     for w0 in range(d, min(d + period, stop)):
-        # A class with more weights in the window gets a range, one weight a test.
-        if w0 < stop - period:
-            out.update(range(w0 + max(0, n + 1 - f) * period, stop, period))
-        elif n < f:
-            out.add(w0)
+        out.update(range(w0 + max(0, n + 1 - f) * period, stop, period))
         if w0 % q == 0:
             f += 1
         else:

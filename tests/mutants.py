@@ -31,9 +31,9 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "fixtures", "pyproject.toml", "README.md")
-GF, CODES, BOUNDS, SELFCHECK, EXCLUSION, TABLES, CLI = (
+GF, CODES, BOUNDS, SELFCHECK, EXCLUSION, TABLES, CLI, CORPUS = (
     f"src/weightbounds/{name}.py"
-    for name in ("gf", "codes", "bounds", "selfcheck", "exclusion", "tables", "cli")
+    for name in ("gf", "codes", "bounds", "selfcheck", "exclusion", "tables", "cli", "corpus")
 )
 GF_TESTS = "tests/test_gf.py::"
 CODES_TESTS = "tests/test_codes.py::"
@@ -326,18 +326,11 @@ MUTANTS = (
     ),
     Mutant(
         EXCLUSION,
-        "        elif n < f:",
-        "        elif n + 1 < f:",
-        (TESTS + "test_compare_methods_progression_on_the_11_3_6_example",
-         TESTS + "test_griesmer_by_period_equals_the_scan"),
-        "a class with one window weight misses the weight with f(w) = n + 1",
-    ),
-    Mutant(
-        EXCLUSION,
         "range(w0 + max(0, n + 1 - f) * period, stop, period)",
         "range(w0 + max(0, n + 2 - f) * period, stop, period)",
-        (TESTS + "test_griesmer_by_period_equals_the_scan",),
-        "a class with several window weights misses the weight with f(w) = n + 1",
+        (TESTS + "test_compare_methods_progression_on_the_11_3_6_example",
+         TESTS + "test_griesmer_by_period_equals_the_scan"),
+        "every residue class misses the weight with f(w) = n + 1",
     ),
     Mutant(
         EXCLUSION,
@@ -353,6 +346,14 @@ MUTANTS = (
         "if d > n - k + 1:",
         (TESTS + "test_every_report_has_one_regime_note_and_the_low_weights_note_past_d_1",),
         "a void or k = 1 report carries a second left-endpoint regime note",
+    ),
+    Mutant(
+        CORPUS,
+        "yield z ^ (z >> 31)\n",
+        "yield z ^ (z >> 30)\n",
+        ("tests/test_corpus.py::test_splitmix64_reference_vector",
+         "tests/test_corpus.py::test_the_default_corpus_is_pinned"),
+        "the stream's last mixing step shifts by 30, not 31: other draws, another corpus",
     ),
     Mutant(
         TABLES,

@@ -106,6 +106,15 @@ def test_bounds_text_output():
     assert "residual-griesmer  ok    15 >= 15  (tight)" in result.stdout
 
 
+def test_python_m_prints_what_main_prints():
+    # `python -m weightbounds` runs __main__.py, which passes main's status to sys.exit.
+    argv = ("bounds", "--n", "15", "--k", "5", "--d", "7", "--q", "2")
+    result = run_cli(*argv)
+    status, out, err, _ = run_main(argv)
+    assert (result.returncode, result.stdout, result.stderr) == (0, out, err)
+    assert status == 0 and out
+
+
 def test_residual_output_is_parseable_and_correct():
     from weightbounds.codes import parse_generator_text
 

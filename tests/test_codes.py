@@ -27,7 +27,7 @@ from weightbounds.codes import (
     row_reduce,
     spectrum,
 )
-from weightbounds.corpus import EXTERNAL_SPECTRA, SplitMix64
+from weightbounds.corpus import EXTERNAL_SPECTRA, splitmix64
 from weightbounds.errors import (
     DegenerateResidualError,
     EmptyMatrixError,
@@ -101,11 +101,11 @@ def reference_rref(gf, rows):
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
 def test_row_reduce_matches_scalar_reference(q):
     gf = make_field(q)
-    rng = SplitMix64(300 + q)
+    rng = splitmix64(300 + q)
     for _ in range(30):
-        k, n = 1 + rng.below(4), 1 + rng.below(7)
+        k, n = 1 + next(rng) % 4, 1 + next(rng) % 7
         # Sparse entries make dependent rows and zero columns common.
-        rows = [tuple(rng.below(q) if rng.below(3) else 0 for _ in range(n))
+        rows = [tuple(next(rng) % q if next(rng) % 3 else 0 for _ in range(n))
                 for _ in range(k)]
         assert row_reduce(gf, rows) == reference_rref(gf, rows)
 
@@ -170,7 +170,7 @@ def brute_projective_codewords(gf, rows):
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
 def test_projective_codewords_are_one_per_scalar_class(q):
     gf = make_field(q)
-    rng = SplitMix64(500 + q)
+    rng = splitmix64(500 + q)
     for k in (1, 2, 3) if q <= 9 else (1, 2):
         rows = random_full_rank_rows(rng, gf, k + 2, k)
         words = list(projective_codewords(gf, rows))
@@ -211,11 +211,11 @@ def test_spectrum_repetition_code():
 
 def test_spectrum_small_random_codes_match_the_oracle():
     # The whole distribution, so also sum(A_w) = q^k and A_0 = 1.
-    rng = SplitMix64(99)
+    rng = splitmix64(99)
     for _ in range(40):
-        q = (2, 3, 4)[rng.below(3)]
-        k = 1 + rng.below(3)
-        n = k + rng.below(8)
+        q = (2, 3, 4)[next(rng) % 3]
+        k = 1 + next(rng) % 3
+        n = k + next(rng) % 8
         gf = make_field(q)
         rows = random_full_rank_rows(rng, gf, n, k)
         assert spectrum(LinearCode(gf, rows)).counts == oracle_counts(gf, rows)
@@ -233,7 +233,7 @@ def test_list_rows_and_tuple_rows_give_the_same_code():
 def random_full_rank_rows(rng, gf, n, k):
     rows = []
     while len(rows) < k:
-        row = tuple(rng.below(gf.q) for _ in range(n))
+        row = tuple(next(rng) % gf.q for _ in range(n))
         _, rank = row_reduce(gf, rows + [row])
         if rank == len(rows) + 1:
             rows.append(row)
@@ -242,10 +242,10 @@ def random_full_rank_rows(rng, gf, n, k):
 
 def test_spectrum_matches_brute_force_oracle_binary():
     # 200 random binary codes with n <= 20, k <= 10.
-    rng = SplitMix64(7)
+    rng = splitmix64(7)
     for _ in range(200):
-        k = 1 + rng.below(10)
-        n = k + rng.below(21 - k)
+        k = 1 + next(rng) % 10
+        n = k + next(rng) % (21 - k)
         rows = random_full_rank_rows(rng, GF2, n, k)
         assert spectrum(LinearCode(GF2, rows)).counts == oracle_counts(GF2, rows)
 
@@ -254,7 +254,7 @@ def test_spectrum_matches_brute_force_oracle_binary():
 def test_spectrum_matches_brute_force_oracle_other_fields(q):
     # Every q gets n = 1, k = 1 (no high part), and odd and even k.
     gf = make_field(q)
-    rng = SplitMix64(1000 + q)
+    rng = splitmix64(1000 + q)
     shapes = [(1, 1), (4, 1), (3, 2), (5, 2), (4, 3)]
     if q <= 9:
         shapes += [(6, 3), (6, 4)]
@@ -292,7 +292,7 @@ def test_spectrum_with_a_smaller_low_block_matches_oracle(monkeypatch, low_bits)
     # a = 0 (one low combination, every codeword a high part).
     monkeypatch.setattr(codes_module, "_LOW_BITS", low_bits)
     clear_spectrum_caches()
-    rng = SplitMix64(low_bits)
+    rng = splitmix64(low_bits)
     try:
         for q, n, k in [(2, 10, 5), (3, 6, 4), (4, 5, 3), (5, 4, 2), (7, 3, 1)]:
             gf = make_field(q)
@@ -315,7 +315,7 @@ def test_spectrum_at_every_low_block_size_matches_oracle(monkeypatch, q, shapes)
     # weight, so each high part's L + H take one or two weights, and the split
     # drops every other part as soon as it empties.
     gf = make_field(q)
-    rng = SplitMix64(q * 1009)
+    rng = splitmix64(q * 1009)
     matrices = [random_full_rank_rows(rng, gf, n, k) for n, k in shapes]
     clear_spectrum_caches()
     try:
@@ -344,7 +344,7 @@ def test_spectrum_counter_edge_cases_match_oracle(q, n):
     # k = 2 and 3 put several low combinations in each bitmap, and L = 0
     # against the zero high part again has zero count n.
     gf, top = make_field(q), q - 1
-    rng = SplitMix64(100 * q + n)
+    rng = splitmix64(100 * q + n)
     for zeros in range(min(n - 1, 3) + 1):
         rows = ((top,) * (n - zeros) + (0,) * zeros,)
         assert spectrum(LinearCode(gf, rows)).counts == oracle_counts(gf, rows)
@@ -403,7 +403,7 @@ BENCHMARK_LOW_BLOCKS = {
 def test_low_block_of_the_benchmark_shapes(shape):
     q, n, k = shape
     gf = make_field(q)
-    rows = random_full_rank_rows(SplitMix64(q * n * k), gf, n, k)
+    rows = random_full_rank_rows(splitmix64(q * n * k), gf, n, k)
     assert low_block(LinearCode(gf, rows)) == BENCHMARK_LOW_BLOCKS[shape]
 
 
@@ -436,10 +436,10 @@ def test_value_bitmaps_repeat_long_bitmaps_at_zero_entries(q, longest):
     # Random columns whose last 1-3 entries are 0: each zero entry repeats
     # bitmaps of q^i bits, up to q^(longest-1), where columns of length <= 3
     # repeat at most q^2.
-    gf, rng = make_field(q), SplitMix64(q * longest)
+    gf, rng = make_field(q), splitmix64(q * longest)
     for length in range(4, longest + 1):
-        zeros = 1 + rng.below(3)
-        g = tuple(rng.below(q) for _ in range(length - zeros)) + (0,) * zeros
+        zeros = 1 + next(rng) % 3
+        g = tuple(next(rng) % q for _ in range(length - zeros)) + (0,) * zeros
         assert codes_module._value_bitmaps(gf, g) == inner_product_bitmaps(gf, g), g
 
 
@@ -462,7 +462,7 @@ def test_spectrum_of_the_binary_48_21_code_stays_small():
     # planes, and the split's parts of the planes read so far and of the next
     # plane, two lists of at most n + 1 nonempty parts, one per zero count.
     q, n = 2, 48
-    code = LinearCode(GF2, random_full_rank_rows(SplitMix64(4821), GF2, n, 21))
+    code = LinearCode(GF2, random_full_rank_rows(splitmix64(4821), GF2, n, 21))
     counts, peak = traced_spectrum(code)
     assert sum(counts.values()) == 2**21 and counts[0] == 1
     width = q ** low_block(code)
@@ -564,7 +564,7 @@ def test_macwilliams_identity_on_corpus(corpus1000):
 @pytest.mark.parametrize("q, n, k", [(8, 6, 3), (9, 5, 2), (25, 4, 2), (27, 4, 2)])
 def test_macwilliams_identity_over_extension_fields(q, n, k):
     gf = make_field(q)
-    check_macwilliams(LinearCode(gf, random_full_rank_rows(SplitMix64(900 + q), gf, n, k)))
+    check_macwilliams(LinearCode(gf, random_full_rank_rows(splitmix64(900 + q), gf, n, k)))
 
 
 def test_min_distance_examples():
@@ -626,7 +626,7 @@ def field_sample(request, field):
     """Every tenth code of the corpus, or random codes over GF(field)."""
     if field == "corpus":
         return request.getfixturevalue("corpus1000")[::10]
-    gf, rng = make_field(field), SplitMix64(700 + field)
+    gf, rng = make_field(field), splitmix64(700 + field)
     shapes = [(3, 1), (4, 2), (5, 2)] + ([(5, 3)] if field <= 9 else [])
     return [LinearCode(gf, random_full_rank_rows(rng, gf, n, k)) for n, k in shapes]
 
@@ -698,7 +698,7 @@ def test_dual_on_corpus(corpus1000):
 @pytest.mark.parametrize("q", [5, 7, 8, 9, 16, 25, 27])
 def test_dual_over_other_fields(q):
     gf = make_field(q)
-    rng = SplitMix64(800 + q)
+    rng = splitmix64(800 + q)
     for n, k in [(2, 1), (4, 2), (5, 2), (6, 3), (7, 5)]:
         check_dual(LinearCode(gf, random_full_rank_rows(rng, gf, n, k)))
 

@@ -1,4 +1,5 @@
 import hashlib
+from itertools import islice
 
 import pytest
 from conftest import dual, fixture_code, ratio_rows, simplex_rows
@@ -6,15 +7,14 @@ from conftest import dual, fixture_code, ratio_rows, simplex_rows
 from weightbounds import corpus
 from weightbounds.bounds import global_weight_max, griesmer_min_n
 from weightbounds.codes import LinearCode, min_distance, row_reduce, spectrum
-from weightbounds.corpus import EXTERNAL_SPECTRA, SplitMix64, random_code, random_corpus
+from weightbounds.corpus import EXTERNAL_SPECTRA, random_code, random_corpus, splitmix64
 from weightbounds.errors import ParamRangeError
 from weightbounds.gf import make_field
 
 
 def test_splitmix64_reference_vector():
     # First outputs for seed 0, per the reference implementation.
-    rng = SplitMix64(0)
-    assert [rng.next_u64() for _ in range(3)] == [
+    assert list(islice(splitmix64(0), 3)) == [
         0xE220A8397B1DCDAF,
         0x6E789E6AA1B965F4,
         0x06C45D188009454F,
@@ -100,10 +100,10 @@ def plain_rank_draws(seed, q, n, k):
     """The draws of `random_code(seed, q, n, k)` under the plain acceptance
     rule, each with the number of rows kept before it: a draw is kept when
     the rank of the kept rows plus the draw is one more than their number."""
-    gf, rng = make_field(q), SplitMix64(seed)
+    gf, rng = make_field(q), splitmix64(seed)
     accepted, draws = [], []
     while len(accepted) < k:
-        row = tuple(rng.below(q) for _ in range(n))
+        row = tuple(next(rng) % q for _ in range(n))
         draws.append((row, len(accepted)))
         if row_reduce(gf, accepted + [row])[1] == len(accepted) + 1:
             accepted.append(row)
