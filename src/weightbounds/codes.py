@@ -1,6 +1,6 @@
 """Linear codes as generator matrices over GF(q).
 
-Provides rank-checked construction, deterministic row reduction,
+Provides rank-checked construction (`echelon_insert`), row reduction,
 exhaustive weight spectra, minimum distance, and the residual-code
 construction (puncture a code at the support of one of its codewords),
 which checks membership by stacked rank.
@@ -111,7 +111,8 @@ class LinearCode(NamedTuple("LinearCode", [("gf", GF), ("rows", tuple[Vector, ..
     def __new__(cls, gf: GF, rows: Iterable[Sequence[int]]) -> LinearCode:
         rows = tuple(map(tuple, rows))
         _check_matrix(gf, rows)
-        rank = row_reduce(gf, rows)[1]
+        basis: list[tuple[int, list[int]]] = []
+        rank = sum(echelon_insert(gf, basis, row) for row in rows)
         if rank != len(rows):
             raise RankDeficientError(f"supplied {len(rows)} rows but rank is {rank}")
         return super().__new__(cls, gf, rows)
@@ -176,6 +177,21 @@ def row_reduce(gf: GF, rows: Iterable[Sequence[int]]) -> tuple[tuple[Vector, ...
     # Each row of mat[:r] keeps the 1 at its pivot: later eliminations subtract
     # rows that are 0 in that column.
     return tuple(tuple(row) for row in mat[:r]), r
+
+
+def echelon_insert(gf: GF, basis: list[tuple[int, list[int]]], row: Sequence[int]) -> bool:
+    """Reduce row against basis, (pivot, row) pairs in insertion order with a 1
+    at their pivot and 0 at the pivots stored before them; append a nonzero
+    remainder, scaled to a leading 1, and return whether the rank grew."""
+    row = list(row)  # lists: freed tuples would stay in CPython's free lists
+    for pivot, b in basis:
+        if row[pivot]:
+            row = list(gf.add_vec(row, gf.scale_vec(gf.neg(row[pivot]), b)))
+    for pivot, x in enumerate(row):
+        if x:
+            basis.append((pivot, row if x == 1 else list(gf.scale_vec(gf.inv(x), row))))
+            return True
+    return False
 
 
 def code_from_matrix(
@@ -406,7 +422,8 @@ def residual(code: LinearCode, codeword: Sequence[int]) -> LinearCode:
     w = hamming_weight(vec)
     if w == 0:
         raise ZeroCodewordError("the residual is taken at a nonzero codeword")
-    if row_reduce(code.gf, code.rows + (vec,))[1] != code.k:
+    basis: list[tuple[int, list[int]]] = []
+    if sum(echelon_insert(code.gf, basis, row) for row in code.rows + (vec,)) != code.k:
         raise NotACodewordError("vector is not in the code")
     keep = [j for j, x in enumerate(vec) if x == 0]
     if not keep:

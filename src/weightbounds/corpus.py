@@ -16,7 +16,7 @@ from __future__ import annotations
 from itertools import islice
 from typing import Iterator
 
-from .codes import LinearCode, row_reduce
+from .codes import LinearCode, echelon_insert
 from .errors import ParamRangeError
 from .gf import make_field
 
@@ -46,8 +46,8 @@ def random_code(seed: int, q: int, n: int, k: int) -> LinearCode:
     """Deterministic pseudo-random full-rank [n, k] code over GF(q).
 
     Rows are drawn one at a time from splitmix64(seed), n outputs modulo q
-    each.  Each draw is reduced against the RREF of the rows kept so far; it
-    is kept if the rank grows, otherwise it is discarded and a fresh row drawn.
+    each.  `echelon_insert` reduces each draw against the basis of the rows
+    kept so far; it is kept if the rank grows, otherwise a fresh row is drawn.
     """
     if q not in (2, 3, 4):
         raise ParamRangeError(f"random codes support q in {{2, 3, 4}}, got {q}")
@@ -56,13 +56,11 @@ def random_code(seed: int, q: int, n: int, k: int) -> LinearCode:
     gf = make_field(q)
     draws = splitmix64(seed)
     accepted: list[tuple[int, ...]] = []
-    basis: tuple[tuple[int, ...], ...] = ()  # the RREF of the accepted rows
+    basis: list[tuple[int, list[int]]] = []  # spans the accepted rows
     while len(accepted) < k:
         row = tuple(x % q for x in islice(draws, n))
-        reduced, rank = row_reduce(gf, basis + (row,))
-        if rank == len(accepted) + 1:
+        if echelon_insert(gf, basis, row):
             accepted.append(row)
-            basis = reduced
     return LinearCode(gf, tuple(accepted))
 
 

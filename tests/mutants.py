@@ -5,12 +5,13 @@ project, and names the tests that must then fail.
 
 For each entry the script copies src/, tests/, fixtures/, pyproject.toml and
 README.md into a temporary directory, requires the entry's old text to occur
-exactly once in its file, writes the new text in its place, and runs
-`pytest -x` on the named tests there.  Two mutants run at a time, or one on
-a one-core machine.  The mutant is killed when pytest
-reports a failed test (exit 1); it survives when the tests pass, and any
-other exit (a test id that is not found, a collection error) is an error.
-The script exits 1 if a mutant survives or an entry errs.
+exactly once in its file, writes the new text in its place, and runs pytest
+on all the named tests there (no `-x`, so each one runs).  Two mutants run at
+a time, or one on a one-core machine.  The mutant is killed when every named
+test fails or errs (a parametrized name counts when one of its cases does);
+it survives when any named test passes, and any other pytest exit (a test id
+that is not found, a collection error) is an error.  The script exits 1 if a
+mutant survives or an entry errs.
 
 List only mutants that change behaviour: a surviving mutant is a missing
 test, and an entry is dropped only once it is shown equivalent.  pytest does
@@ -43,6 +44,7 @@ TABLES_TESTS = "tests/test_tables.py::"
 STRICTER = SELFCHECK_TESTS + "test_the_mask_suite_equals_the_oracle_under_a_stricter_rule"
 PACKED = SELFCHECK_TESTS + "test_packed_masks_equal_the_walked_masks"
 RECORDS = CODES_TESTS + "test_replace_and_make_check_like_the_constructor"
+INSERT = CODES_TESTS + "test_echelon_insert_matches_row_reduce"
 
 
 class Mutant(NamedTuple):
@@ -184,11 +186,34 @@ MUTANTS = (
     ),
     Mutant(
         CODES,
-        "row_reduce(code.gf, code.rows + (vec,))[1] != code.k:",
-        "row_reduce(code.gf, code.rows + (vec,))[1] > code.k + 1:",
+        "row in code.rows + (vec,)) != code.k:",
+        "row in code.rows + (vec,)) > code.k + 1:",
         (CODES_TESTS + "test_residual_rejections",
          CODES_TESTS + "test_residual_refuses_exactly_the_non_codewords[5]"),
         "residual takes any vector as a codeword: the stacked rank never exceeds k + 1",
+    ),
+    Mutant(
+        CODES,
+        "gf.scale_vec(gf.neg(row[pivot]), b)",
+        "gf.scale_vec(row[pivot], b)",
+        (INSERT + "[3]", INSERT + "[25]",
+         "tests/test_corpus.py::test_the_default_corpus_is_pinned"),
+        "echelon_insert adds, not subtracts, the stored rows (the same only in characteristic 2)",
+    ),
+    Mutant(
+        CODES,
+        "row if x == 1 else list(gf.scale_vec(gf.inv(x), row))",
+        "row",
+        (INSERT + "[4]", INSERT + "[7]"),
+        "echelon_insert stores a row without scaling it to a leading 1",
+    ),
+    Mutant(
+        CODES,
+        "for pivot, x in enumerate(row):",
+        "for pivot, x in reversed(list(enumerate(row))):",
+        (INSERT + "[2]", INSERT + "[9]"),
+        "echelon_insert takes the last nonzero column as the pivot: the rank holds, the pivots"
+        " are not the RREF's",
     ),
     Mutant(
         CODES,
@@ -418,14 +443,18 @@ def run(mutant: Mutant, tmp: Path) -> tuple[str, str]:
     target.write_text(text.replace(mutant.old, mutant.new))
     env = {**os.environ, "PYTHONPATH": str(tmp / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *mutant.tests],
+        [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", *mutant.tests],
         cwd=tmp, env=env, capture_output=True, text=True,
     )
-    if proc.returncode == 1:
-        return "killed", ""
-    if proc.returncode == 0:
-        return "survived", ""
-    return "error", f"pytest exited {proc.returncode}\n{proc.stdout}{proc.stderr}"
+    if proc.returncode not in (0, 1):
+        return "error", f"pytest exited {proc.returncode}\n{proc.stdout}{proc.stderr}"
+    failed = [line.split()[1] for line in proc.stdout.splitlines()
+              if line.startswith(("FAILED ", "ERROR "))]
+    passed = [t for t in mutant.tests
+              if not any(f == t or f.startswith(t + "[") for f in failed)]
+    if passed:
+        return "survived", "named tests that pass: " + ", ".join(passed)
+    return "killed", ""
 
 
 def timed(mutant: Mutant) -> tuple[str, str, float]:

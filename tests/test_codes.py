@@ -15,6 +15,7 @@ from weightbounds.codes import (
     WeightSpectrum,
     code_from_matrix,
     code_params,
+    echelon_insert,
     find_codeword_of_weight,
     generator_text,
     hamming_weight,
@@ -108,6 +109,35 @@ def test_row_reduce_matches_scalar_reference(q):
         rows = [tuple(next(rng) % q if next(rng) % 3 else 0 for _ in range(n))
                 for _ in range(k)]
         assert row_reduce(gf, rows) == reference_rref(gf, rows)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
+def test_echelon_insert_matches_row_reduce(q):
+    # Inserting every row gives row_reduce's rank and the RREF's pivots, and
+    # keeps each stored row 1 at its pivot and 0 at the pivots stored before it.
+    gf = make_field(q)
+    rng = splitmix64(500 + q)
+    dependent = 0
+    for _ in range(60):
+        k, n = 1 + next(rng) % 5, 1 + next(rng) % 7
+        # Sparse entries make dependent rows and zero columns common.
+        rows = [tuple(next(rng) % q if next(rng) % 3 else 0 for _ in range(n))
+                for _ in range(k)]
+        basis = []
+        grew = [echelon_insert(gf, basis, row) for row in rows]
+        rref, rank = row_reduce(gf, rows)
+        assert sum(grew) == len(basis) == rank
+        assert sorted(p for p, _ in basis) == [next(j for j, x in enumerate(r) if x)
+                                               for r in rref]
+        for t, (pivot, row) in enumerate(basis):
+            assert row[pivot] == 1 and all(row[p] == 0 for p, _ in basis[:t])
+        if rank < k:
+            dependent += 1
+            with pytest.raises(RankDeficientError):
+                LinearCode(gf, rows)
+        else:
+            assert LinearCode(gf, rows).rows == tuple(rows)
+    assert dependent > 0
 
 
 def test_code_from_matrix_accepts_full_rank():
@@ -650,10 +680,11 @@ def test_residual_refuses_exactly_the_non_codewords(request, field):
 def test_residual_checks_length_and_entries_before_reducing(monkeypatch):
     code = LinearCode(GF3, ((1, 0, 2, 1), (0, 1, 1, 2)))
 
-    def no_reduction(gf, rows):
+    def no_reduction(*args):
         raise AssertionError("row-reduced an unchecked vector")
 
-    monkeypatch.setattr(codes_module, "row_reduce", no_reduction)
+    for name in ("row_reduce", "echelon_insert"):
+        monkeypatch.setattr(codes_module, name, no_reduction)
     for v in [(1, 0, 2), (1, 0, 2, 1, 0)]:
         with pytest.raises(LengthMismatchError):
             residual(code, v)

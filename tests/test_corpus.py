@@ -6,7 +6,7 @@ from conftest import dual, fixture_code, ratio_rows, simplex_rows
 
 from weightbounds import corpus
 from weightbounds.bounds import global_weight_max, griesmer_min_n
-from weightbounds.codes import LinearCode, min_distance, row_reduce, spectrum
+from weightbounds.codes import LinearCode, echelon_insert, min_distance, row_reduce, spectrum
 from weightbounds.corpus import EXTERNAL_SPECTRA, random_code, random_corpus, splitmix64
 from weightbounds.errors import ParamRangeError
 from weightbounds.gf import make_field
@@ -111,14 +111,15 @@ def plain_rank_draws(seed, q, n, k):
 
 
 def test_each_draw_is_decided_like_the_plain_rank_test(monkeypatch):
-    # random_code reduces each draw against the kept rows' RREF; the record of
-    # its reductions (the draw and how many rows were kept before it) must be
-    # the oracle's, draw by draw, over a corpus whose draws include rejections.
+    # random_code inserts each draw into the echelon basis of the kept rows;
+    # the record of its inserts (the draw and how many rows were kept before
+    # it) must be the oracle's, draw by draw, over a corpus whose draws
+    # include rejections.
     seen, records = [], []
 
-    def recording_reduce(gf, rows):
-        seen.append((tuple(rows[-1]), len(rows) - 1))
-        return row_reduce(gf, rows)
+    def recording_insert(gf, basis, row):
+        seen.append((tuple(row), len(basis)))
+        return echelon_insert(gf, basis, row)
 
     def checked_code(seed, q, n, k):
         seen.clear()
@@ -126,7 +127,7 @@ def test_each_draw_is_decided_like_the_plain_rank_test(monkeypatch):
         records.append((list(seen), code.rows, plain_rank_draws(seed, q, n, k)))
         return code
 
-    monkeypatch.setattr(corpus, "row_reduce", recording_reduce)
+    monkeypatch.setattr(corpus, "echelon_insert", recording_insert)
     monkeypatch.setattr(corpus, "random_code", checked_code)
     assert len(list(random_corpus(1000, 12345))) == 1000
     for draws, rows, expected in records:

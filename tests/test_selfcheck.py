@@ -234,7 +234,7 @@ def test_the_suite_builds_no_residual(corpus1000, monkeypatch):
 
     sample = corpus1000[:100]
     expected = check_residual_lemma(sample)
-    for name in ("residual", "row_reduce"):  # row_reduce: every LinearCode
+    for name in ("residual", "row_reduce", "echelon_insert"):  # every LinearCode inserts
         monkeypatch.setattr(codes, name, refused)
     assert check_residual_lemma(sample) == expected
 
