@@ -1,9 +1,10 @@
 """Linear codes as generator matrices over GF(q).
 
-Provides rank-checked construction (`echelon_insert`), row reduction,
-exhaustive weight spectra, minimum distance, and the residual-code
-construction (puncture a code at the support of one of its codewords),
-which checks membership by stacked rank.
+Provides one elimination loop (`echelon_insert`), which decides rank and,
+run twice, gives the RREF (`row_reduce`), exhaustive weight spectra,
+minimum distance, and the residual-code construction (puncture a code at
+the support of one of its codewords), which checks membership by stacked
+rank.
 
 The spectrum kernel meets in the middle, the same way for every q, and is
 bit-sliced: bit m of an integer stands for the m-th combination L of the
@@ -147,36 +148,21 @@ def _check_matrix(gf: GF, rows: Sequence[Sequence[int]]) -> None:
 
 
 def row_reduce(gf: GF, rows: Iterable[Sequence[int]]) -> tuple[tuple[Vector, ...], int]:
-    """Reduced row-echelon form over GF(q).
+    """Reduced row-echelon form over GF(q): (nonzero rows of the RREF, rank).
 
-    Pivot choice is deterministic: leftmost column first, then the topmost
-    row with a nonzero entry there.  Returns (nonzero rows of the RREF,
-    rank).
+    A row space has exactly one RREF, so the result does not depend on the
+    order of the rows.  The first pass of `echelon_insert` leaves each stored
+    row 0 at the pivots stored before it; the second inserts those rows last
+    to first, clearing each at the pivots stored after it, whose rows are 0 at
+    its pivot, so its leading 1 stays.
     """
-    mat = [list(r) for r in rows]
-    if not mat:
-        return (), 0
-    ncols = len(mat[0])
-    r = 0
-    for c in range(ncols):
-        for pivot in range(r, len(mat)):
-            if mat[pivot][c]:
-                break
-        else:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = gf.inv(mat[r][c])
-        if inv != 1:
-            mat[r] = list(gf.scale_vec(inv, mat[r]))
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                mat[i] = list(gf.add_vec(mat[i], gf.scale_vec(gf.neg(mat[i][c]), mat[r])))
-        r += 1
-        if r == len(mat):
-            break
-    # Each row of mat[:r] keeps the 1 at its pivot: later eliminations subtract
-    # rows that are 0 in that column.
-    return tuple(tuple(row) for row in mat[:r]), r
+    basis: list[tuple[int, list[int]]] = []
+    for row in rows:
+        echelon_insert(gf, basis, row)
+    reduced: list[tuple[int, list[int]]] = []
+    for _, row in reversed(basis):
+        echelon_insert(gf, reduced, row)
+    return tuple(tuple(r) for _, r in sorted(reduced)), len(reduced)
 
 
 def echelon_insert(gf: GF, basis: list[tuple[int, list[int]]], row: Sequence[int]) -> bool:

@@ -80,6 +80,28 @@ def oracle_counts(gf, rows):
     return tuple(counts)
 
 
+def reference_rref(gf, rows):
+    """Independent RREF oracle: (nonzero rows, rank) by Gauss-Jordan one
+    scalar at a time, leftmost column first, then the topmost row with a
+    nonzero entry there.  A row space has one RREF, so any pivot rule agrees."""
+    mat = [list(r) for r in rows]
+    r = 0
+    for c in range(len(mat[0]) if mat else 0):
+        pivot = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv = gf.inv(mat[r][c])
+        mat[r] = [gf.mul(inv, x) for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r:
+                f = mat[i][c]
+                mat[i] = [gf.add(x, gf.neg(gf.mul(f, y))) for x, y in zip(mat[i], mat[r])]
+        r += 1
+    basis = tuple(tuple(row) for row in mat[:r])
+    return basis, len(basis)
+
+
 def dual(code):
     """The dual code, [-A^T | I] from the RREF [I | A] (up to column order):
     one row per non-pivot column f, with 1 at f and -rref_i[f] at the pivot

@@ -10,8 +10,9 @@ on all the named tests there (no `-x`, so each one runs).  Two mutants run at
 a time, or one on a one-core machine.  The mutant is killed when every named
 test fails or errs (a parametrized name counts when one of its cases does);
 it survives when any named test passes, and any other pytest exit (a test id
-that is not found, a collection error) is an error.  The script exits 1 if a
-mutant survives or an entry errs.
+that is not found, a collection error) is an error.  The script prints one
+line per mutant, then the count killed and the total wall time, and exits 1
+if a mutant survives or an entry errs.
 
 List only mutants that change behaviour: a surviving mutant is a missing
 test, and an entry is dropped only once it is shown equivalent.  pytest does
@@ -44,7 +45,8 @@ TABLES_TESTS = "tests/test_tables.py::"
 STRICTER = SELFCHECK_TESTS + "test_the_mask_suite_equals_the_oracle_under_a_stricter_rule"
 PACKED = SELFCHECK_TESTS + "test_packed_masks_equal_the_walked_masks"
 RECORDS = CODES_TESTS + "test_replace_and_make_check_like_the_constructor"
-INSERT = CODES_TESTS + "test_echelon_insert_matches_row_reduce"
+INSERT = CODES_TESTS + "test_echelon_insert_matches_the_scalar_reference"
+RREF = CODES_TESTS + "test_row_reduce_matches_scalar_reference"
 
 
 class Mutant(NamedTuple):
@@ -197,7 +199,8 @@ MUTANTS = (
         "gf.scale_vec(gf.neg(row[pivot]), b)",
         "gf.scale_vec(row[pivot], b)",
         (INSERT + "[3]", INSERT + "[25]",
-         "tests/test_corpus.py::test_the_default_corpus_is_pinned"),
+         "tests/test_corpus.py::test_the_default_corpus_is_pinned",
+         "tests/test_corpus.py::test_each_draw_is_decided_like_the_plain_rank_test"),
         "echelon_insert adds, not subtracts, the stored rows (the same only in characteristic 2)",
     ),
     Mutant(
@@ -214,6 +217,20 @@ MUTANTS = (
         (INSERT + "[2]", INSERT + "[9]"),
         "echelon_insert takes the last nonzero column as the pivot: the rank holds, the pivots"
         " are not the RREF's",
+    ),
+    Mutant(
+        CODES,
+        "for _, row in reversed(basis):",
+        "for _, row in basis:",
+        (RREF + "[3]", RREF + "[4]"),
+        "row_reduce's second pass runs first to last: entries above later pivots stay",
+    ),
+    Mutant(
+        CODES,
+        "for _, r in sorted(reduced)",
+        "for _, r in reduced",
+        (RREF + "[2]", RREF + "[5]", CODES_TESTS + "test_a_code_is_its_field_and_rows"),
+        "row_reduce returns the RREF rows last pivot first, not sorted by pivot",
     ),
     Mutant(
         CODES,
@@ -465,14 +482,15 @@ def timed(mutant: Mutant) -> tuple[str, str, float]:
 
 
 def main() -> int:
-    bad = 0
+    bad, start = 0, time.perf_counter()
     with ThreadPoolExecutor(max_workers=min(2, os.cpu_count() or 1)) as pool:
         for mutant, (outcome, detail, seconds) in zip(MUTANTS, pool.map(timed, MUTANTS)):
             bad += outcome != "killed"
             print(f"{outcome:<9} {seconds:5.1f} s  {mutant.path}: {mutant.why}", flush=True)
             if detail:
                 print(detail, file=sys.stderr)
-    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants killed")
+    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants killed"
+          f" in {time.perf_counter() - start:.1f} s")
     return 1 if bad else 0
 
 

@@ -2,11 +2,11 @@ import hashlib
 from itertools import islice
 
 import pytest
-from conftest import dual, fixture_code, ratio_rows, simplex_rows
+from conftest import dual, fixture_code, ratio_rows, reference_rref, simplex_rows
 
 from weightbounds import corpus
 from weightbounds.bounds import global_weight_max, griesmer_min_n
-from weightbounds.codes import LinearCode, echelon_insert, min_distance, row_reduce, spectrum
+from weightbounds.codes import LinearCode, echelon_insert, min_distance, spectrum
 from weightbounds.corpus import EXTERNAL_SPECTRA, random_code, random_corpus, splitmix64
 from weightbounds.errors import ParamRangeError
 from weightbounds.gf import make_field
@@ -105,7 +105,7 @@ def plain_rank_draws(seed, q, n, k):
     while len(accepted) < k:
         row = tuple(next(rng) % q for _ in range(n))
         draws.append((row, len(accepted)))
-        if row_reduce(gf, accepted + [row])[1] == len(accepted) + 1:
+        if reference_rref(gf, accepted + [row])[1] == len(accepted) + 1:
             accepted.append(row)
     return draws, tuple(accepted)
 
