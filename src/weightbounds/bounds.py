@@ -9,6 +9,7 @@ assumes a code exists.
 
 from __future__ import annotations
 
+import functools
 import operator
 from typing import NamedTuple
 
@@ -122,6 +123,19 @@ def distance_ratio_holds(n: int, d: int, q: int) -> BoundVerdict:
     return BoundVerdict("distance-ratio", (q + 1) * d, "<=", q * n)
 
 
+@functools.lru_cache(maxsize=256, typed=True)
+def _classical_verdicts(n: int, k: int, d: int, q: int) -> tuple[BoundVerdict, ...]:
+    """The verdicts of (n, k, d, q) that no weight changes, built once per
+    tuple (an LRU; typed, so 7 and 7.0 or 1 and True get their own entries)."""
+    if not (1 <= k <= n and 1 <= d <= n and q >= 2):
+        raise ParamRangeError(f"bad parameters n={n} k={k} d={d} q={q}")
+    singleton = BoundVerdict("singleton", d, "<=", singleton_max_d(n, k))
+    griesmer = BoundVerdict("griesmer", n, ">=", griesmer_min_n(k, d, q))
+    if k < 2:
+        return singleton, griesmer
+    return singleton, griesmer, distance_ratio_holds(n, d, q)
+
+
 def parameter_verdicts(
     n: int, k: int, d: int, q: int, w: int | None = None
 ) -> list[BoundVerdict]:
@@ -129,16 +143,11 @@ def parameter_verdicts(
 
     The ratio bound, the weight cap and all residual-based bounds hold
     only for k >= 2 and are omitted for one-dimensional parameters.
+    Each call returns a fresh list; the verdicts that do not depend on w
+    (singleton, griesmer, distance-ratio) are immutable records shared by
+    every call with the same (n, k, d, q).
     """
-    if not (1 <= k <= n and 1 <= d <= n and q >= 2):
-        raise ParamRangeError(f"bad parameters n={n} k={k} d={d} q={q}")
-    d_max = singleton_max_d(n, k)
-    out = [
-        BoundVerdict("singleton", d, "<=", d_max),
-        BoundVerdict("griesmer", n, ">=", griesmer_min_n(k, d, q)),
-    ]
-    if k >= 2:
-        out.append(distance_ratio_holds(n, d, q))
+    out = list(_classical_verdicts(n, k, d, q))
     if w is None:
         return out
     if w < 1:
@@ -154,6 +163,6 @@ def parameter_verdicts(
         out.append(BoundVerdict("residual-griesmer", n, ">=",
                                 residual_griesmer_min_n(k, d, q, w)))
         # MDS weight rule: with d = n-k+1 and k >= 2, an in-window w >= d needs w <= q.
-        if d == d_max and d <= w:
+        if d == n - k + 1 and d <= w:
             out.append(BoundVerdict("mds-weight", w, "<=", q))
     return out

@@ -39,6 +39,7 @@ GF, CODES, BOUNDS, SELFCHECK, EXCLUSION, TABLES, CLI, CORPUS = (
 )
 GF_TESTS = "tests/test_gf.py::"
 CODES_TESTS = "tests/test_codes.py::"
+BOUNDS_TESTS = "tests/test_bounds.py::"
 SELFCHECK_TESTS = "tests/test_selfcheck.py::"
 TESTS = "tests/test_exclusion.py::"
 TABLES_TESTS = "tests/test_tables.py::"
@@ -182,9 +183,34 @@ MUTANTS = (
         BOUNDS,
         "return total + terms - i",
         "return total + terms - i - 1",
-        ("tests/test_bounds.py::test_ceil_div_sum_matches_naive_sum",
-         "tests/test_bounds.py::test_griesmer_min_n"),
+        (BOUNDS_TESTS + "test_ceil_div_sum_matches_naive_sum",
+         BOUNDS_TESTS + "test_griesmer_min_n"),
         "ceil_div_sum's early return counts one term of 1 too few",
+    ),
+    Mutant(
+        BOUNDS,
+        "out = list(_classical_verdicts(n, k, d, q))",
+        "out = list(_classical_verdicts.__dict__.setdefault("
+        "(n, k, d), _classical_verdicts(n, k, d, q)))",
+        (BOUNDS_TESTS + "test_tuples_that_differ_in_one_parameter_get_their_own_verdicts",),
+        "the verdict cache is keyed on (n, k, d): a tuple that differs only in q gets the"
+        " first one's verdicts",
+    ),
+    Mutant(
+        BOUNDS,
+        "out = list(_classical_verdicts(n, k, d, q))",
+        "out = _classical_verdicts.__dict__.setdefault("
+        "(n, k, d, q), list(_classical_verdicts(n, k, d, q)))",
+        (BOUNDS_TESTS + "test_each_call_returns_a_fresh_list",),
+        "the verdict cache hands out its stored list uncopied: one caller's append reaches"
+        " the next",
+    ),
+    Mutant(
+        BOUNDS,
+        "@functools.lru_cache(maxsize=256, typed=True)",
+        "@functools.lru_cache(maxsize=256)",
+        (BOUNDS_TESTS + "test_the_cache_keeps_equal_arguments_of_other_types_apart",),
+        "the verdict cache is untyped: 15.0 reads the verdicts of 15, True those of 1",
     ),
     Mutant(
         CODES,

@@ -292,3 +292,90 @@ def test_every_guard_names_the_bad_parameters(call, message):
     with pytest.raises(ParamRangeError) as caught:
         call()
     assert str(caught.value) == message
+
+
+def classical_oracle(n, k, d, q):
+    """The verdicts that no weight changes, as (name, lhs, relation, rhs),
+    written from the formulas: the Singleton cap n - k + 1, the Griesmer sum
+    of ceil(d/q^i) over i < k, and for k >= 2 the ratio (q+1)d <= qn."""
+    out = [("singleton", d, "<=", n - k + 1),
+           ("griesmer", n, ">=", sum(-(-d // q**i) for i in range(k)))]
+    if k >= 2:
+        out.append(("distance-ratio", (q + 1) * d, "<=", q * n))
+    return out
+
+
+CLASSICAL = {"singleton", "griesmer", "distance-ratio"}
+
+
+@st.composite
+def parameter_tuples(draw):
+    n = draw(st.integers(min_value=1, max_value=300))
+    k = draw(st.integers(min_value=1, max_value=min(n, 12)))
+    d = draw(st.integers(min_value=1, max_value=n))
+    return n, k, d, draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 16, 27]))
+
+
+@given(parameter_tuples(), st.lists(st.integers(min_value=1, max_value=600), max_size=4))
+def test_the_verdicts_without_w_match_their_formulas_at_every_weight(params, weights):
+    # The first call fills the cache; the later ones, at weights and again
+    # without one, read the same tuple back from it.
+    expected = classical_oracle(*params)
+    for w in (None, *weights, None):
+        verdicts = parameter_verdicts(*params, w)
+        assert [tuple(v) for v in verdicts[:len(expected)]] == expected
+        assert not CLASSICAL & {v.name for v in verdicts[len(expected):]}
+
+
+def test_each_call_returns_a_fresh_list():
+    expected = [tuple(v) for v in parameter_verdicts(15, 5, 7, 2)]
+    parameter_verdicts(15, 5, 7, 2).append(BoundVerdict("extra", 0, "<=", 0))
+    assert [tuple(v) for v in parameter_verdicts(15, 5, 7, 2)] == expected
+    parameter_verdicts(15, 5, 7, 2, 7).clear()
+    assert [tuple(v) for v in parameter_verdicts(15, 5, 7, 2)] == expected
+    assert [tuple(v) for v in parameter_verdicts(15, 5, 7, 2, 7)[:3]] == expected
+
+
+def test_tuples_that_differ_in_one_parameter_get_their_own_verdicts():
+    # One after another, so a cache key that drops a parameter would hand the
+    # first tuple's verdicts to the next.
+    tuples = [(15, 5, 7, 2), (15, 5, 7, 3), (16, 5, 7, 3), (16, 4, 7, 3), (16, 4, 6, 3)]
+    for params in tuples + tuples[::-1]:
+        assert [tuple(v) for v in parameter_verdicts(*params)] == classical_oracle(*params)
+    assert len({tuple(map(tuple, parameter_verdicts(*p))) for p in tuples}) == len(tuples)
+
+
+def test_the_cache_keeps_equal_arguments_of_other_types_apart():
+    # 7 == 7.0 == ... and 1 == True, with equal hashes: an untyped key would
+    # return the verdicts of whichever came first.
+    assert type(parameter_verdicts(15, 5, 7, 2)[1].lhs) is int
+    assert type(parameter_verdicts(15.0, 5, 7, 2)[1].lhs) is float
+    assert type(parameter_verdicts(15, 5, 7, 2)[1].lhs) is int
+    assert type(parameter_verdicts(4, 1, 1, 2)[0].lhs) is int
+    assert type(parameter_verdicts(4, 1, True, 2)[0].lhs) is bool
+    assert repr(parameter_verdicts(4, 1, 1, 2)[0]) == (
+        "BoundVerdict(name='singleton', lhs=1, relation='<=', rhs=4)"
+    )
+
+
+def test_the_cache_neither_stores_errors_nor_skips_the_guard():
+    parameter_verdicts(5, 2, 2, 2)
+    for _ in range(2):
+        for call, message in [
+            (lambda: parameter_verdicts(5, 6, 2, 2), "bad parameters n=5 k=6 d=2 q=2"),
+            (lambda: parameter_verdicts(5, 2, 2, 1), "bad parameters n=5 k=2 d=2 q=1"),
+            (lambda: parameter_verdicts(5, 2, 6, 2, 3), "bad parameters n=5 k=2 d=6 q=2"),
+            (lambda: parameter_verdicts(5, 2, 2, 2, 0), "bad weight w=0"),
+        ]:
+            with pytest.raises(ParamRangeError) as caught:
+                call()
+            assert str(caught.value) == message
+
+
+def test_the_verdicts_without_w_are_shared_between_calls():
+    lists = [parameter_verdicts(15, 5, 7, 2, w) for w in (None, 7, 12, None)]
+    first = lists[0]
+    assert len(first) == 3
+    for other in lists[1:]:
+        assert other is not first
+        assert all(a is b for a, b in zip(first, other[:3]))
