@@ -250,16 +250,22 @@ def _support_masks(gf: GF, rows: Sequence[Vector]) -> list[int]:
     """The supports of `projective_codewords(gf, rows)` in message order, bit W*j for
     coordinate j: level t adds e * rows[t] to every earlier message (e = 1 alone for
     the last row), e = 1 giving row t's classes.  A nonzero W-bit lane plus
-    2^(W-1) - 1 sets its top bit."""
+    2^(W-1) - 1 sets its top bit.  e * rows[t] is packed from one lookup per scalar
+    e >= 2, x -> lane of e * x, keyed by the distinct entries x of all rows but the
+    last: at most (q - 2) * n * (k - 1) products, never one per element of a large
+    field."""
     p, q, k, n = gf.p, gf.q, len(rows), len(rows[0])
     b, table = _lanes(gf)
     width = 8 * len(table[0])
     ones, low = (int.from_bytes(table[e] * n, "little") for e in ((q - 1) // (p - 1), 1))
     bias, fill = ones * ((1 << b - 1) - p), low * ((1 << width - 1) - 1)
+    entries = list({x for row in rows[:-1] for x in row})
+    scaled = [table] + [dict(zip(entries, map(table.__getitem__, gf.scale_vec(e, entries))))
+                        for e in range(2, q)]  # scaled[e - 1][x]: the lane of e * x
     level, masks = [0], []
     for t, row in enumerate(rows):
-        ys = [int.from_bytes(b"".join(map(table.__getitem__, gf.scale_vec(e, row))), "little")
-              for e in range(1, q if t < k - 1 else 2)]
+        ys = [int.from_bytes(b"".join(map(lanes.__getitem__, row)), "little")
+              for lanes in scaled[:q - 1 if t < k - 1 else 1]]
         new = [x ^ y for y in ys for x in level] if p == 2 else [  # a digit sum >= p sheds p
             (s := x + y) - ((s + bias) >> b - 1 & ones) * p for y in ys for x in level]
         masks += [(v + fill) >> width - 1 & low for v in new[:len(level)]]

@@ -42,26 +42,37 @@ def splitmix64(seed: int) -> Iterator[int]:
         yield z ^ (z >> 31)
 
 
+def _check_seed(seed: int) -> int:
+    """A corpus seed is a SplitMix64 state: one in [0, 2**64), not masked into it."""
+    if not 0 <= seed <= _MASK64:
+        raise ParamRangeError(f"seed must be in [0, 2**64), got {seed}")
+    return seed
+
+
 def random_code(seed: int, q: int, n: int, k: int) -> LinearCode:
     """Deterministic pseudo-random full-rank [n, k] code over GF(q).
 
     Rows are drawn one at a time from splitmix64(seed), n outputs modulo q
     each.  `echelon_insert` reduces each draw against the basis of the rows
     kept so far; it is kept if the rank grows, otherwise a fresh row is drawn.
+    That loop has already proved everything `LinearCode` checks, so the code
+    is built without its checks.  The seed must lie in [0, 2**64).
     """
     if q not in (2, 3, 4):
         raise ParamRangeError(f"random codes support q in {{2, 3, 4}}, got {q}")
     if not (1 <= k <= 5 and k <= n <= 14):
         raise ParamRangeError(f"need 1 <= k <= 5 and k <= n <= 14, got n={n} k={k}")
     gf = make_field(q)
-    draws = splitmix64(seed)
+    draws = splitmix64(_check_seed(seed))
     accepted: list[tuple[int, ...]] = []
     basis: list[tuple[int, list[int]]] = []  # spans the accepted rows
     while len(accepted) < k:
         row = tuple(x % q for x in islice(draws, n))
         if echelon_insert(gf, basis, row):
             accepted.append(row)
-    return LinearCode(gf, tuple(accepted))
+    # Every entry is x % q and the basis took all k rows: LinearCode would check
+    # the same entries and insert the same rows again, and find nothing new.
+    return tuple.__new__(LinearCode, (gf, tuple(accepted)))
 
 
 def random_corpus(trials: int, seed: int) -> Iterator[LinearCode]:
@@ -69,9 +80,10 @@ def random_corpus(trials: int, seed: int) -> Iterator[LinearCode]:
 
     One splitmix64 stream seeded with `seed` drives both the parameter
     draws and the per-code seeds, so the whole corpus is a pure function
-    of (trials, seed).
+    of (trials, seed).  The seed must lie in [0, 2**64); the check runs at
+    the first draw.
     """
-    stream = splitmix64(seed)
+    stream = splitmix64(_check_seed(seed))
     for _ in range(trials):
         q = (2, 3, 4)[next(stream) % 3]
         k = 2 + next(stream) % 4

@@ -48,6 +48,8 @@ PACKED = SELFCHECK_TESTS + "test_packed_masks_equal_the_walked_masks"
 RECORDS = CODES_TESTS + "test_replace_and_make_check_like_the_constructor"
 INSERT = CODES_TESTS + "test_echelon_insert_matches_the_scalar_reference"
 RREF = CODES_TESTS + "test_row_reduce_matches_scalar_reference"
+PRODUCTS = SELFCHECK_TESTS + "test_packed_masks_take_no_more_products_than_scaling_each_row"
+TRUSTED = "tests/test_corpus.py::test_corpus_codes_are_what_linear_code_would_build"
 
 
 class Mutant(NamedTuple):
@@ -211,6 +213,27 @@ MUTANTS = (
         "@functools.lru_cache(maxsize=256)",
         (BOUNDS_TESTS + "test_the_cache_keeps_equal_arguments_of_other_types_apart",),
         "the verdict cache is untyped: 15.0 reads the verdicts of 15, True those of 1",
+    ),
+    Mutant(
+        CODES,
+        "for lanes in scaled[:q - 1 if t < k - 1 else 1]]",
+        "for lanes in scaled]",
+        (PACKED,),
+        "the last row takes every scalar, not just 1: each of its classes is counted q - 1 times",
+    ),
+    Mutant(
+        CODES,
+        "dict(zip(entries, map(table.__getitem__, gf.scale_vec(e, entries))))",
+        "dict(zip(gf.scale_vec(e, entries), map(table.__getitem__, entries)))",
+        (PACKED,),
+        "the scalar lookup is keyed by the product e * x, not by the entry x",
+    ),
+    Mutant(
+        CODES,
+        "entries = list({x for row in rows[:-1] for x in row})",
+        "entries = list(range(q))",
+        (PRODUCTS + "[256]", PRODUCTS + "[65536]"),
+        "the scalar lookups cover the whole field: (q - 2) * q products, 4.3e9 for GF(65536)",
     ),
     Mutant(
         CODES,
@@ -422,6 +445,23 @@ MUTANTS = (
         ("tests/test_corpus.py::test_splitmix64_reference_vector",
          "tests/test_corpus.py::test_the_default_corpus_is_pinned"),
         "the stream's last mixing step shifts by 30, not 31: other draws, another corpus",
+    ),
+    Mutant(
+        CORPUS,
+        "if echelon_insert(gf, basis, row):",
+        "if echelon_insert(gf, basis, row) or len(accepted) == k - 1:",
+        (TRUSTED + "[12345]", TRUSTED + "[7]",
+         "tests/test_corpus.py::test_the_default_corpus_is_pinned"),
+        "random_code keeps its last draw even when the basis rejects it: a code of rank k - 1"
+        " built without LinearCode's rank check",
+    ),
+    Mutant(
+        CORPUS,
+        "if not 0 <= seed <= _MASK64:",
+        "if not seed <= _MASK64:",
+        ("tests/test_corpus.py::test_seeds_outside_64_bits_are_refused[-1]",
+         "tests/test_cli.py::test_selftest_refuses_a_seed_outside_64_bits[-5]"),
+        "a negative seed is masked into 64 bits: -5 runs the corpus of 2^64 - 5",
     ),
     Mutant(
         TABLES,

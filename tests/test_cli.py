@@ -189,6 +189,23 @@ def test_selftest_deterministic():
     assert "violations=0" in first.stdout
 
 
+@pytest.mark.parametrize("seed", ["-1", "-5", "18446744073709551616", "18446744073709551617"])
+def test_selftest_refuses_a_seed_outside_64_bits(seed):
+    # A seed names its corpus: one outside [0, 2^64) is refused, not masked
+    # into the range, where -5 would run the corpus of 2^64 - 5.
+    status, out, err, _ = run_main(["selftest", "--trials", "2", "--seed", seed])
+    assert (status, out) == (2, "")
+    assert err == f"error: seed must be in [0, 2**64), got {seed}\n"
+
+
+@pytest.mark.parametrize("seed", ["0", "18446744073709551615"])
+def test_selftest_runs_the_end_seeds_of_the_range(seed):
+    status, out, _, _ = run_main(["selftest", "--trials", "3", "--seed", seed])
+    assert status == 0
+    assert out.startswith(f"selftest: trials=3 seed={seed}\n")
+    assert out.endswith("PASS\n")
+
+
 def test_exclude_notes_trivially_absent_weights():
     result = run_cli("exclude", "--n", "11", "--k", "3", "--d", "6", "--q", "2")
     assert "weights 1..5 are trivially absent" in result.stdout

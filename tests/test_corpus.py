@@ -79,6 +79,22 @@ def test_random_code_rejects_out_of_range_parameters():
             random_code(0, q, n, k)
 
 
+@pytest.mark.parametrize("seed", [-1, 1 << 64, -(1 << 64) + 1, (1 << 65) + 1])
+def test_seeds_outside_64_bits_are_refused(seed):
+    # SplitMix64 masks its state to 64 bits; a corpus seed outside them would
+    # name another seed's codes.
+    with pytest.raises(ParamRangeError, match=r"seed must be in \[0, 2\*\*64\)"):
+        random_code(seed, 2, 5, 2)
+    with pytest.raises(ParamRangeError, match=r"seed must be in \[0, 2\*\*64\)"):
+        next(random_corpus(1, seed))
+
+
+def test_the_end_seeds_of_the_range_are_taken():
+    for seed in (0, (1 << 64) - 1):
+        assert random_code(seed, 3, 6, 3).k == 3
+        assert len(list(random_corpus(5, seed))) == 5
+
+
 def test_random_corpus_is_deterministic_and_in_range():
     first = list(random_corpus(50, 3))
     second = list(random_corpus(50, 3))
@@ -94,6 +110,24 @@ def test_the_default_corpus_is_pinned(corpus1000):
     # Every code of the default selftest corpus, rows and field, bit for bit.
     digest = hashlib.sha256(repr([(c.q, c.rows) for c in corpus1000]).encode()).hexdigest()
     assert digest == "c19dffef6ec79f16d8e111bbd048c282d9579ba9ad612061f43b044a0c4c85e3"
+
+
+@pytest.mark.parametrize("seed", [12345, 7])
+def test_corpus_codes_are_what_linear_code_would_build(corpus1000, seed):
+    # random_code builds its result without LinearCode's checks; each code must
+    # be one that the checked constructor accepts and builds equal, with
+    # entries in the field and full rank by the scalar reference RREF.
+    codes = corpus1000 if seed == 12345 else list(random_corpus(1000, seed))
+    assert len(codes) == 1000
+    for code in codes:
+        gf, rows = code
+        assert type(code) is LinearCode
+        assert LinearCode(gf, rows) == code
+        assert type(rows) is tuple
+        for row in rows:
+            assert type(row) is tuple and len(row) == code.n
+            assert all(type(x) is int and 0 <= x < gf.q for x in row)
+        assert reference_rref(gf, rows)[1] == code.k
 
 
 def plain_rank_draws(seed, q, n, k):

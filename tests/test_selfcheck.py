@@ -19,7 +19,7 @@ from weightbounds.codes import (
 )
 from weightbounds.errors import DegenerateResidualError
 from weightbounds.corpus import random_corpus
-from weightbounds.gf import make_field
+from weightbounds.gf import GF, make_field
 from weightbounds.selfcheck import (
     CheckResult,
     check_distance_ratio,
@@ -187,6 +187,28 @@ def test_packed_masks_equal_the_walked_masks(q):
             walked = coordinate_sets(walked_masks(gf, rows), 8)
             assert coordinate_sets(codes._support_masks(gf, rows), lane) == walked
             assert len(walked) == (q**k - 1) // (q - 1)
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 256, 65536])
+def test_packed_masks_take_no_more_products_than_scaling_each_row(q, monkeypatch):
+    # Scaling row t by each of its scalars takes one product per entry: n for
+    # the last row, (q - 1) * n for every other.  The masks may take no more,
+    # so no field size makes them cost one product per field element.
+    # The count stops at the first product over budget, so a lookup over all of
+    # GF(65536) fails at once instead of running its 4.3e9 products.
+    gf, rng, mul, left = make_field(q), random.Random(q), GF.mul, [0]
+
+    def counted(self, a, b):
+        left[0] -= 1
+        assert left[0] >= 0, "more products than scaling each row"
+        return mul(self, a, b)
+
+    monkeypatch.setattr(GF, "mul", counted)
+    for n, k in [(1, 1), (4, 1), (4, 2), (6, 3)] if q < 1000 else [(4, 1), (4, 2)]:
+        rows = tuple(tuple([0] * i + [1] + [rng.randrange(q) for _ in range(n - i - 1)])
+                     for i in range(k))
+        left[0] = ((k - 1) * (q - 1) + 1) * n
+        assert len(codes._support_masks(gf, rows)) == (q**k - 1) // (q - 1)
 
 
 def count_every_class_twice(monkeypatch):
