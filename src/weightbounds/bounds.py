@@ -4,7 +4,8 @@ Every comparison is exact integer arithmetic; the non-integer threshold
 q*d/(q-1) is never materialized (a weight w is in the window when
 w <= max_window_weight(d, q), the integer form of w*(q-1) < q*d).  These
 functions are arithmetic contracts on parameter tuples; nothing here
-assumes a code exists.
+assumes a code exists.  A public function checks its arguments, then returns
+its rule's unchecked core, which `parameter_verdicts` calls directly.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from typing import NamedTuple
 from .errors import ParamRangeError, WindowViolatedError
 
 _RELATIONS = {"<=": operator.le, ">=": operator.ge, "<": operator.lt}
+_new = tuple.__new__  # builds a BoundVerdict from its fields, skipping NamedTuple's __new__
 
 
 def ceil_div(a: int, b: int) -> int:
@@ -59,11 +61,15 @@ class BoundVerdict(NamedTuple):
         return self.lhs == self.rhs
 
 
+def _singleton_max_d(n: int, k: int) -> int:
+    return n - k + 1
+
+
 def singleton_max_d(n: int, k: int) -> int:
     """Largest distance allowed by the Singleton bound: n - k + 1."""
     if not (1 <= k <= n):
         raise ParamRangeError(f"need 1 <= k <= n, got n={n} k={k}")
-    return n - k + 1
+    return _singleton_max_d(n, k)
 
 
 def griesmer_min_n(k: int, d: int, q: int) -> int:
@@ -73,11 +79,19 @@ def griesmer_min_n(k: int, d: int, q: int) -> int:
     return ceil_div_sum(d, q, k)
 
 
+def _max_window_weight(d: int, q: int) -> int:
+    return (q * d - 1) // (q - 1)
+
+
 def max_window_weight(d: int, q: int) -> int:
     """Largest integer weight inside the window, i.e. strictly below q*d/(q-1)."""
     if not (d >= 1 and q >= 2):
         raise ParamRangeError(f"bad parameters d={d} q={q}")
-    return (q * d - 1) // (q - 1)
+    return _max_window_weight(d, q)
+
+
+def _residual_singleton_max_d(n: int, k: int, q: int, w: int) -> int:
+    return n - k - ceil_div(w, q) + 2
 
 
 def residual_singleton_max_d(n: int, k: int, q: int, w: int) -> int:
@@ -90,7 +104,13 @@ def residual_singleton_max_d(n: int, k: int, q: int, w: int) -> int:
     """
     if not (1 <= k <= n and 1 <= w and q >= 2):
         raise ParamRangeError(f"bad parameters n={n} k={k} q={q} w={w}")
-    return n - k - ceil_div(w, q) + 2
+    return _residual_singleton_max_d(n, k, q, w)
+
+
+def _residual_griesmer_min_n(k: int, d: int, q: int, w: int) -> int:
+    lead = ceil_div(w, q)
+    rest = d - w + lead
+    return d + lead + ceil_div_sum(rest, q, k - 1) - rest
 
 
 def residual_griesmer_min_n(k: int, d: int, q: int, w: int) -> int:
@@ -102,25 +122,31 @@ def residual_griesmer_min_n(k: int, d: int, q: int, w: int) -> int:
     """
     if not (k >= 2 and d >= 1 and q >= 2 and w >= 1):
         raise ParamRangeError(f"bad parameters k={k} d={d} q={q} w={w}")
-    if w > max_window_weight(d, q):
+    if w > _max_window_weight(d, q):
         raise WindowViolatedError(f"w={w} is not below q*d/(q-1) = {q}*{d}/{q - 1}")
-    lead = ceil_div(w, q)
-    rest = d - w + lead
-    return d + lead + ceil_div_sum(rest, q, k - 1) - rest
+    return _residual_griesmer_min_n(k, d, q, w)
+
+
+def _global_weight_max(n: int, d: int, q: int) -> int:
+    return q * (n - d)
 
 
 def global_weight_max(n: int, d: int, q: int) -> int:
     """Weight cap q*(n - d) satisfied by every nonzero codeword when k > 1."""
     if not (1 <= d <= n and q >= 2):
         raise ParamRangeError(f"bad parameters n={n} d={d} q={q}")
-    return q * (n - d)
+    return _global_weight_max(n, d, q)
+
+
+def _distance_ratio_holds(n: int, d: int, q: int) -> BoundVerdict:
+    return _new(BoundVerdict, ("distance-ratio", (q + 1) * d, "<=", q * n))
 
 
 def distance_ratio_holds(n: int, d: int, q: int) -> BoundVerdict:
     """The ratio bound (q+1)*d <= q*n, equivalent to d <= q*n/(q+1)."""
     if not (1 <= d <= n and q >= 2):
         raise ParamRangeError(f"bad parameters n={n} d={d} q={q}")
-    return BoundVerdict("distance-ratio", (q + 1) * d, "<=", q * n)
+    return _distance_ratio_holds(n, d, q)
 
 
 @functools.lru_cache(maxsize=256, typed=True)
@@ -129,11 +155,9 @@ def _classical_verdicts(n: int, k: int, d: int, q: int) -> tuple[BoundVerdict, .
     tuple (an LRU; typed, so 7 and 7.0 or 1 and True get their own entries)."""
     if not (1 <= k <= n and 1 <= d <= n and q >= 2):
         raise ParamRangeError(f"bad parameters n={n} k={k} d={d} q={q}")
-    singleton = BoundVerdict("singleton", d, "<=", singleton_max_d(n, k))
-    griesmer = BoundVerdict("griesmer", n, ">=", griesmer_min_n(k, d, q))
-    if k < 2:
-        return singleton, griesmer
-    return singleton, griesmer, distance_ratio_holds(n, d, q)
+    out = (_new(BoundVerdict, ("singleton", d, "<=", _singleton_max_d(n, k))),
+           _new(BoundVerdict, ("griesmer", n, ">=", ceil_div_sum(d, q, k))))
+    return out if k < 2 else (*out, _distance_ratio_holds(n, d, q))
 
 
 def parameter_verdicts(
@@ -152,17 +176,17 @@ def parameter_verdicts(
         return out
     if w < 1:
         raise ParamRangeError(f"bad weight w={w}")
-    window = BoundVerdict("weight-window", w * (q - 1), "<", q * d)
-    out.append(window)
+    lhs, rhs = w * (q - 1), q * d
+    out.append(_new(BoundVerdict, ("weight-window", lhs, "<", rhs)))
     if k < 2:
         return out
-    out.append(BoundVerdict("global-weight", w, "<=", global_weight_max(n, d, q)))
-    if window.holds:
-        out.append(BoundVerdict("residual-singleton", d, "<=",
-                                residual_singleton_max_d(n, k, q, w)))
-        out.append(BoundVerdict("residual-griesmer", n, ">=",
-                                residual_griesmer_min_n(k, d, q, w)))
+    out.append(_new(BoundVerdict, ("global-weight", w, "<=", _global_weight_max(n, d, q))))
+    if lhs < rhs:  # w is in the window
+        out.append(_new(BoundVerdict, ("residual-singleton", d, "<=",
+                                       _residual_singleton_max_d(n, k, q, w))))
+        out.append(_new(BoundVerdict, ("residual-griesmer", n, ">=",
+                                       _residual_griesmer_min_n(k, d, q, w))))
         # MDS weight rule: with d = n-k+1 and k >= 2, an in-window w >= d needs w <= q.
-        if d == n - k + 1 and d <= w:
-            out.append(BoundVerdict("mds-weight", w, "<=", q))
+        if d == _singleton_max_d(n, k) and d <= w:
+            out.append(_new(BoundVerdict, ("mds-weight", w, "<=", q)))
     return out

@@ -14,6 +14,7 @@ rather than silently reconciled.
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 from .codes import CodeParams
@@ -176,11 +177,16 @@ _TABLE3 = (
 
 
 def table_rows(which: int) -> list[TableRow]:
-    """The embedded rows of comparison table 1, 2, or 3."""
+    """The embedded rows of table 1, 2, or 3: a fresh list, parsed once per process."""
     if which not in (1, 2, 3):
         raise ParamRangeError(f"table index must be 1, 2 or 3, got {which}")
+    return list(_parsed_rows(which))
+
+
+@functools.lru_cache(maxsize=None, typed=True)
+def _parsed_rows(which: int) -> tuple[TableRow, ...]:
     raw, q = ((_TABLE1, 2), (_TABLE2, 3), (_TABLE3, 2))[which - 1]
-    return [
+    return tuple(
         TableRow(
             params=CodeParams(n=n, k=k, d=d, q=q),
             printed=tuple(parse_weights(cell) for cell in cells[::2]),
@@ -188,7 +194,7 @@ def table_rows(which: int) -> list[TableRow]:
             source=f"table{which}:{i:02d}",
         )
         for i, (n, k, d, *cells) in enumerate(raw)
-    ]
+    )
 
 
 class CellComparison(NamedTuple):

@@ -50,6 +50,8 @@ INSERT = CODES_TESTS + "test_echelon_insert_matches_the_scalar_reference"
 RREF = CODES_TESTS + "test_row_reduce_matches_scalar_reference"
 PRODUCTS = SELFCHECK_TESTS + "test_packed_masks_take_no_more_products_than_scaling_each_row"
 TRUSTED = "tests/test_corpus.py::test_corpus_codes_are_what_linear_code_would_build"
+CACHE_KEY = BOUNDS_TESTS + "test_tuples_that_differ_in_one_parameter_get_their_own_verdicts"
+WEIGHTED = BOUNDS_TESTS + "test_the_verdicts_with_w_match_their_formulas_at_every_weight"
 
 
 class Mutant(NamedTuple):
@@ -194,7 +196,7 @@ MUTANTS = (
         "out = list(_classical_verdicts(n, k, d, q))",
         "out = list(_classical_verdicts.__dict__.setdefault("
         "(n, k, d), _classical_verdicts(n, k, d, q)))",
-        (BOUNDS_TESTS + "test_tuples_that_differ_in_one_parameter_get_their_own_verdicts",),
+        (CACHE_KEY,),
         "the verdict cache is keyed on (n, k, d): a tuple that differs only in q gets the"
         " first one's verdicts",
     ),
@@ -213,6 +215,56 @@ MUTANTS = (
         "@functools.lru_cache(maxsize=256)",
         (BOUNDS_TESTS + "test_the_cache_keeps_equal_arguments_of_other_types_apart",),
         "the verdict cache is untyped: 15.0 reads the verdicts of 15, True those of 1",
+    ),
+    Mutant(
+        BOUNDS,
+        "    return n - k + 1\n",
+        "    return n - k + 2\n",
+        (BOUNDS_TESTS + "test_singleton_max_d", CACHE_KEY),
+        "the Singleton core allows one more distance, in the public function and the verdicts",
+    ),
+    Mutant(
+        BOUNDS,
+        "return (q * d - 1) // (q - 1)",
+        "return q * d // (q - 1)",
+        (BOUNDS_TESTS + "test_weight_window_examples",
+         BOUNDS_TESTS + "test_residual_griesmer_window_enforcement"),
+        "the window core takes its open end w = q*d/(q-1) in when q - 1 divides q*d",
+    ),
+    Mutant(
+        BOUNDS,
+        "return n - k - ceil_div(w, q) + 2",
+        "return n - k - ceil_div(w, q) + 1",
+        (BOUNDS_TESTS + "test_residual_singleton_examples", WEIGHTED),
+        "the residual Singleton core caps the distance one lower",
+    ),
+    Mutant(
+        BOUNDS,
+        "ceil_div_sum(rest, q, k - 1) - rest",
+        "ceil_div_sum(rest, q, k - 2) - rest",
+        (BOUNDS_TESTS + "test_residual_griesmer_examples", WEIGHTED),
+        "the residual Griesmer core drops the last term of the residual code's sum",
+    ),
+    Mutant(
+        BOUNDS,
+        "return q * (n - d)",
+        "return q * (n - d) - 1",
+        (BOUNDS_TESTS + "test_global_weight_max", WEIGHTED),
+        "the weight-cap core is one too low",
+    ),
+    Mutant(
+        BOUNDS,
+        '("distance-ratio", (q + 1) * d, "<=", q * n)',
+        '("distance-ratio", (q + 1) * d, "<", q * n)',
+        (BOUNDS_TESTS + "test_distance_ratio", CACHE_KEY),
+        "the ratio core is strict: codes meeting (q+1)*d = q*n fail it",
+    ),
+    Mutant(
+        BOUNDS,
+        "if lhs < rhs:  # w is in the window",
+        "if lhs <= rhs:  # w is in the window",
+        (WEIGHTED,),
+        "parameter_verdicts takes the window's open end w = q*d/(q-1) as in the window",
     ),
     Mutant(
         CODES,
@@ -364,6 +416,20 @@ MUTANTS = (
     ),
     Mutant(
         SELFCHECK,
+        "            continue\n        spec = spectrum(code)",
+        "            pass\n        spec = spectrum(code)",
+        (SELFCHECK_TESTS + "test_the_cap_and_ratio_suites_skip_one_dimensional_codes",),
+        "the weight-cap suite checks k = 1 codes, whose weight n exceeds q*(n - d) = 0",
+    ),
+    Mutant(
+        SELFCHECK,
+        "            continue\n        checked += 1\n        if not distance_ratio_holds",
+        "            pass\n        checked += 1\n        if not distance_ratio_holds",
+        (SELFCHECK_TESTS + "test_the_cap_and_ratio_suites_skip_one_dimensional_codes",),
+        "the ratio suite checks k = 1 codes, which fail (q+1)*d <= q*n",
+    ),
+    Mutant(
+        SELFCHECK,
         "codes[i:i + step]",
         "codes[i:i + step + 1]",
         (SELFCHECK_TESTS + "test_selftest_shares_spectra_slice_by_slice",),
@@ -485,6 +551,20 @@ MUTANTS = (
     ),
     Mutant(
         TABLES,
+        "@functools.lru_cache(maxsize=None, typed=True)\n",
+        "",
+        (TABLES_TESTS + "test_rows_are_parsed_once_and_returned_in_a_fresh_list",),
+        "table_rows parses every printed cell again on each call",
+    ),
+    Mutant(
+        TABLES,
+        "return list(_parsed_rows(which))",
+        "return _parsed_rows.__dict__.setdefault(which, list(_parsed_rows(which)))",
+        (TABLES_TESTS + "test_rows_are_parsed_once_and_returned_in_a_fresh_list",),
+        "table_rows hands out one stored list: a caller's clear() empties the next call's rows",
+    ),
+    Mutant(
+        TABLES,
         "if w == prev - 1:",
         "if w == prev - 2:",
         (TABLES_TESTS + "test_parse_and_format_weights",),
@@ -499,6 +579,14 @@ MUTANTS = (
     ),
     Mutant(
         CLI,
+        "            print(f\"  - {violation}\")\n    ok = all(res.ok for res in results)\n"
+        "    print(\"PASS\" if ok else \"FAIL\")\n    return 0 if ok else 1",
+        "            pass\n    print(\"PASS\")\n    return 0",
+        (SELFCHECK_TESTS + "test_a_failing_selftest_prints_each_violation_and_fail",),
+        "selftest prints PASS and exits 0 whatever the suites found, with no violation lines",
+    ),
+    Mutant(
+        CLI,
         "size, limit = (hi if args.raw else min(hi, args.n)) - lo + 1, _limit(args)\n"
         "    if size > limit:",
         "size, limit = (hi if args.raw else min(hi, args.n)) - lo + 1, _limit(args)\n"
@@ -510,21 +598,27 @@ MUTANTS = (
 )
 
 
-def run(mutant: Mutant, tmp: Path) -> tuple[str, str]:
-    """('killed' | 'survived' | 'error', what went wrong) for one mutant in a
-    copy of the project under tmp."""
+def copy_project(tmp: Path) -> dict[str, str]:
+    """Copy the COPIED parts of the project into tmp; return the environment
+    that runs pytest there on the copy's sources."""
     for name in COPIED:
         src, dst = ROOT / name, tmp / name
         if src.is_dir():
             shutil.copytree(src, dst, ignore=shutil.ignore_patterns("__pycache__"))
         else:
             shutil.copy2(src, dst)
+    return {**os.environ, "PYTHONPATH": str(tmp / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+
+
+def run(mutant: Mutant, tmp: Path) -> tuple[str, str]:
+    """('killed' | 'survived' | 'error', what went wrong) for one mutant in a
+    copy of the project under tmp."""
+    env = copy_project(tmp)
     target = tmp / mutant.path
     text = target.read_text()
     if text.count(mutant.old) != 1:
         return "error", f"the old text occurs {text.count(mutant.old)} times in {mutant.path}"
     target.write_text(text.replace(mutant.old, mutant.new))
-    env = {**os.environ, "PYTHONPATH": str(tmp / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", *mutant.tests],
         cwd=tmp, env=env, capture_output=True, text=True,

@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import ceil
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from weightbounds.bounds import (
@@ -144,8 +144,10 @@ def test_residual_griesmer_examples():
 
 
 def test_residual_griesmer_window_enforcement():
-    with pytest.raises(WindowViolatedError):
+    with pytest.raises(WindowViolatedError, match=r"^w=12 is not below q\*d/\(q-1\) = 2\*6/1$"):
         residual_griesmer_min_n(3, 6, 2, 12)
+    with pytest.raises(WindowViolatedError, match=r"^w=14 is not below q\*d/\(q-1\) = 3\*9/2$"):
+        residual_griesmer_min_n(3, 9, 3, 14)
     with pytest.raises(ParamRangeError):
         residual_griesmer_min_n(1, 6, 2, 5)
 
@@ -294,6 +296,29 @@ def test_every_guard_names_the_bad_parameters(call, message):
     assert str(caught.value) == message
 
 
+@pytest.mark.parametrize("call, value", [
+    (lambda: singleton_max_d(1, 1), 1),
+    (lambda: singleton_max_d(5, 1), 5),  # the [5,1,5] repetition code
+    (lambda: singleton_max_d(5, 5), 1),
+    (lambda: griesmer_min_n(1, 1, 2), 1),
+    (lambda: max_window_weight(1, 2), 1),
+    (lambda: residual_singleton_max_d(1, 1, 2, 1), 1),
+    (lambda: residual_singleton_max_d(4, 4, 2, 1), 1),
+    (lambda: residual_griesmer_min_n(2, 1, 2, 1), 2),
+    (lambda: global_weight_max(1, 1, 2), 0),
+    (lambda: global_weight_max(4, 1, 2), 6),
+    (lambda: distance_ratio_holds(1, 1, 2), BoundVerdict("distance-ratio", 3, "<=", 2)),
+    (lambda: distance_ratio_holds(4, 1, 2), BoundVerdict("distance-ratio", 3, "<=", 8)),
+], ids=["singleton_max_d", "singleton_max_d_k1", "singleton_max_d_kn", "griesmer_min_n",
+        "max_window_weight", "residual_singleton_max_d", "residual_singleton_max_d_kn",
+        "residual_griesmer_min_n", "global_weight_max", "global_weight_max_d1",
+        "distance_ratio_holds", "distance_ratio_holds_d1"])
+def test_every_guard_admits_the_edges_of_its_range(call, value):
+    # The least arguments each check allows (k, d, w = 1 and q = 2) and its
+    # upper edges (k = n, d = n) are evaluated, not refused.
+    assert call() == value
+
+
 def classical_oracle(n, k, d, q):
     """The verdicts that no weight changes, as (name, lhs, relation, rhs),
     written from the formulas: the Singleton cap n - k + 1, the Griesmer sum
@@ -325,6 +350,40 @@ def test_the_verdicts_without_w_match_their_formulas_at_every_weight(params, wei
         verdicts = parameter_verdicts(*params, w)
         assert [tuple(v) for v in verdicts[:len(expected)]] == expected
         assert not CLASSICAL & {v.name for v in verdicts[len(expected):]}
+
+
+def weighted_oracle(n, k, d, q, w):
+    """The verdicts a weight w adds, as (name, lhs, relation, rhs), written from
+    the formulas: the window w(q-1) < qd; for k >= 2 the cap q(n-d), and for w
+    in the window the residual Singleton cap n - k - ceil(w/q) + 2, the residual
+    Griesmer floor d + ceil(w/q) + sum of ceil(r/q^i) for 1 <= i <= k-2 with
+    r = d - w + ceil(w/q), and for MDS parameters (d = n-k+1 <= w) w <= q."""
+    out = [("weight-window", w * (q - 1), "<", q * d)]
+    if k < 2:
+        return out
+    out.append(("global-weight", w, "<=", q * (n - d)))
+    if w * (q - 1) < q * d:
+        lead = -(-w // q)
+        r = d - w + lead
+        out.append(("residual-singleton", d, "<=", n - k - lead + 2))
+        out.append(("residual-griesmer", n, ">=",
+                    d + lead + sum(-(-r // q**i) for i in range(1, k - 1))))
+        if d == n - k + 1 and d <= w:
+            out.append(("mds-weight", w, "<=", q))
+    return out
+
+
+@example((5, 1, 5, 2))  # a repetition code: only the window applies
+@example((5, 2, 4, 4))  # MDS: the weight rule holds at w = 4 and fails at w = 5
+@example((12, 3, 6, 2))  # w = 12 is the window's open end, 12 * 1 = 2 * 6
+@given(parameter_tuples())
+def test_the_verdicts_with_w_match_their_formulas_at_every_weight(params):
+    # Every weight from 1 to past both the window (below 2d for every q) and n.
+    n, k, d, q = params
+    expected = classical_oracle(*params)
+    for w in range(1, max(n, 2 * d) + 2):
+        verdicts = [tuple(v) for v in parameter_verdicts(n, k, d, q, w)]
+        assert verdicts == expected + weighted_oracle(n, k, d, q, w)
 
 
 def test_each_call_returns_a_fresh_list():

@@ -18,7 +18,7 @@ from weightbounds.codes import (
     spectrum,
 )
 from weightbounds.errors import DegenerateResidualError
-from weightbounds.corpus import random_corpus
+from weightbounds.corpus import random_corpus, splitmix64
 from weightbounds.gf import GF, make_field
 from weightbounds.selfcheck import (
     CheckResult,
@@ -352,3 +352,59 @@ def test_the_mask_suite_equals_the_oracle_under_a_stricter_rule(name, corpus1000
     result = check_residual_lemma(corpus1000)
     assert result == residual_oracle(corpus1000)
     assert any(f"residual {kind}" in v for v in result.violations)
+
+
+def test_a_failing_selftest_prints_each_violation_and_fail(monkeypatch):
+    # The real corpus has no violation, so the CLI's failure path is run with
+    # the weight cap one too low: at 40 trials one code then breaks it.
+    args = ["selftest", "--trials", "40", "--seed", "12345"]
+    status, out, _, _ = run_main(args)
+    assert status == 0 and out.splitlines()[-1] == "PASS"
+    monkeypatch.setattr(selfcheck, "global_weight_max", STRICTER["global_weight_max"][1])
+    status, out, err, _ = run_main(args)
+    lines = out.splitlines()
+    assert status == 1 and err == ""
+    assert lines[-1] == "FAIL"
+    cap = next(i for i, line in enumerate(lines) if line.startswith("global-weight "))
+    assert lines[cap].split()[1:] == ["checked=40", "violations=1"]
+    assert [line for line in lines if line.startswith("  - ")] == [lines[cap + 1]] == [
+        "  - [4,3,2]_2: 1 codeword(s) of weight 4 > 3"
+    ]
+
+
+def test_the_cap_and_ratio_suites_skip_one_dimensional_codes():
+    # Repetition codes [n,1,n]: weight n exceeds the cap q(n - d) = 0, and
+    # (q+1)n > qn, but both rules need k >= 2, so neither suite counts them.
+    repetitions = [LinearCode(make_field(q), ((1,) * n,)) for q, n in [(2, 5), (3, 4), (7, 1)]]
+    ratio_code = LinearCode(make_field(2), ratio_rows(2))
+    for suite, name in [(check_global_weight, "global-weight"),
+                        (check_distance_ratio, "distance-ratio")]:
+        assert suite(repetitions) == CheckResult(name, 0, ())
+        assert suite(repetitions + [ratio_code]) == CheckResult(name, 1, ())
+
+
+def random_codes(q, count, seed):
+    """`count` seeded full-rank codes over GF(q) with 2 <= k <= 3 and k <= n <= 9,
+    drawn like `corpus.random_code`, for fields the corpus does not reach."""
+    gf, draws = make_field(q), splitmix64(seed)
+    for _ in range(count):
+        k = 2 + next(draws) % 2
+        n = k + next(draws) % (10 - k)
+        rows, basis = [], []
+        while len(rows) < k:
+            row = tuple(next(draws) % q for _ in range(n))
+            if codes.echelon_insert(gf, basis, row):
+                rows.append(row)
+        yield LinearCode(gf, tuple(rows))
+
+
+@pytest.mark.parametrize("q", [5, 7, 8, 9, 11, 13, 16, 25, 27])
+def test_the_suites_hold_over_larger_fields(q):
+    # The corpus has q <= 4; 60 codes per field of every other class.
+    sample = list(random_codes(q, 60, 1000 + q))
+    result = check_residual_lemma(sample)
+    assert result == residual_oracle(sample)
+    assert result.ok and result.checked > 0
+    for suite in (check_global_weight, check_distance_ratio, check_exclusion_soundness):
+        result = suite(sample)
+        assert (result.checked, result.violations) == (60, ())

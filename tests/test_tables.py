@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from weightbounds import tables
 from weightbounds.codes import CodeParams
 from weightbounds.errors import ParamRangeError
 from weightbounds.tables import (
@@ -150,6 +151,31 @@ def test_table_row_counts():
     assert len(table_rows(3)) == 7
     with pytest.raises(ParamRangeError):
         table_rows(4)
+
+
+def test_rows_are_parsed_once_and_returned_in_a_fresh_list(monkeypatch):
+    # Every printed cell is parsed on the first call for its table and never
+    # again, however often the tables are compared; each call still gets a
+    # list of its own, so a caller that clears it leaves the next call alone.
+    parsed = []
+
+    def counted(text):
+        parsed.append(text)
+        return parse_weights(text)
+
+    monkeypatch.setattr(tables, "parse_weights", counted)
+    tables._parsed_rows.cache_clear()
+    try:
+        for _ in range(3):
+            for which in (1, 2, 3):
+                compare_table(which)
+                first = table_rows(which)
+                assert first is not table_rows(which)
+                first.clear()
+        assert len(parsed) == 2 * 35 + 2 * 24 + 3 * 7
+        assert [len(table_rows(which)) for which in (1, 2, 3)] == [35, 24, 7]
+    finally:
+        tables._parsed_rows.cache_clear()
 
 
 def test_table1_first_row():
