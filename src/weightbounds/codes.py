@@ -23,7 +23,8 @@ halves are nonempty, so it follows the number of distinct zero counts,
 not 2^bit_length(n), and stays under 5n operations.  So a spectrum costs
 under q^(k-a)/(q-1) * 10n Python-level operations on q^a-bit integers.
 a is k - 1, lowered (down to 0) until D * q^(a+2) <= _LOW_BITS = 2^22 for D
-distinct low columns: a large field pays for q^2 build steps per low digit,
+distinct low columns (settled without building the column set when n * q^(a+2)
+<= _LOW_BITS, as D <= n): a large field pays for q^2 build steps per low digit,
 and the low side holds at most _LOW_BITS / q bits (256 KiB over GF(2)).
 
 Codeword enumeration order is fixed: message integer m in [0, q^k)
@@ -203,7 +204,11 @@ def iter_codewords(code: LinearCode) -> Iterator[Vector]:
 
 
 def _walk(gf: GF, rows: Sequence[Vector], start: Vector) -> Iterator[Vector]:
-    """Yield start + every combination of rows, in message order."""
+    """Yield start + every combination of rows, in message order; with no
+    rows, start alone, before the step table is built."""
+    if not rows:
+        yield tuple(start)
+        return
     q, k = gf.q, len(rows)
     add_vec = gf.add_vec
     # diff[i][a] = ((a+1) mod q - a) * rows[i]: digit i stepping a -> (a+1) mod q.
@@ -327,7 +332,8 @@ def spectrum(code: LinearCode) -> WeightSpectrum:
     # Not a = k: a last low row costs q^2 bitmap steps per low column, more
     # than the one projective high row it replaces.
     a = code.k - 1
-    while a and len({c[:a] for c in cols}) * q ** (a + 2) > _LOW_BITS:
+    while a and n * q ** (a + 2) > _LOW_BITS and (  # D <= n: no column set needed
+            len({c[:a] for c in cols}) * q ** (a + 2) > _LOW_BITS):
         a -= 1
     lows = [_value_bitmaps(gf, c[:a]) for c in cols]
     every = (1 << q**a) - 1

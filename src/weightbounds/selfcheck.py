@@ -9,8 +9,7 @@ against true spectra.  Used both by the test suite and by the CLI
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from collections import Counter
+from itertools import accumulate
 from typing import Iterable, NamedTuple
 
 from .bounds import ceil_div, distance_ratio_holds, global_weight_max, max_window_weight
@@ -40,11 +39,13 @@ def check_residual_lemma(codes: Iterable[LinearCode]) -> CheckResult:
     the support masks of one codeword per scalar class (`_support_masks`), and
     no residual is built.  For each distinct window support S, (q^t - 1)/(q - 1)
     classes have their mask inside S when the residual has dimension k - t, and
-    the least nonzero popcount(m & ~S) is its minimum distance.  The popcount
-    histogram times q - 1 must be the spectrum, which counts the window
-    codewords checked.  Only masks lighter than w + max(floor, 1) are scanned
-    (a prefix of the masks sorted by weight): a heavier m keeps |m| - w >=
-    max(floor, 1) coordinates outside S, so it is neither inside S nor below.
+    the least nonzero popcount(m & ~S) is its minimum distance.  The masks go
+    into per-weight buckets in one pass; the bucket sizes times q - 1 must be
+    the spectrum, which counts the window codewords checked.  Supports are
+    taken in message order.  Only masks lighter than B = w + max(floor, 1) are
+    scanned, the first lighter[min(B, n + 1)] in bucket order: a heavier m
+    keeps |m| - w >= max(floor, 1) coordinates outside S, so it is neither
+    inside S nor below.
     """
     checked = 0
     violations = []
@@ -53,10 +54,13 @@ def check_residual_lemma(codes: Iterable[LinearCode]) -> CheckResult:
         hi = max_window_weight(d, q)
         counts = spectrum(code).counts
         masks = _support_masks(code.gf, code.rows)
-        histogram = Counter(map(int.bit_count, masks))  # a mask per q - 1 codewords
-        by_weight = sorted(masks, key=int.bit_count)
-        if [histogram[w] * (q - 1) for w in range(1, n + 1)] != list(counts[1:]):
+        buckets: list[list[int]] = [[] for _ in range(n + 1)]  # a mask per q - 1 codewords
+        for m in masks:
+            buckets[m.bit_count()].append(m)
+        if [len(b) * (q - 1) for b in buckets[1:]] != list(counts[1:]):
             raise AssertionError(f"support masks of {params} disagree with its spectrum")
+        by_weight = [m for b in buckets for m in b]
+        lighter = list(accumulate(map(len, buckets), initial=0))  # lighter[w]: masks below w
         checked += sum(counts[1:hi + 1])
         for s in dict.fromkeys(m for m in masks if m.bit_count() <= hi):
             w = s.bit_count()
@@ -64,7 +68,7 @@ def check_residual_lemma(codes: Iterable[LinearCode]) -> CheckResult:
                 violations.append(f"{params} w={w}: codeword has full support; nothing remains")
                 continue
             out, floor_d = ~s, d - w + ceil_div(w, q)
-            prefix = by_weight[:bisect_left(by_weight, w + max(floor_d, 1), key=int.bit_count)]
+            prefix = by_weight[:lighter[min(w + max(floor_d, 1), n + 1)]]
             rest = [(m & out).bit_count() for m in prefix]
             inside = rest.count(0)
             if inside == len(masks):

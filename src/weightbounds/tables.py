@@ -177,13 +177,14 @@ _TABLE3 = (
 
 
 def table_rows(which: int) -> list[TableRow]:
-    """The embedded rows of table 1, 2, or 3: a fresh list, parsed once per process."""
-    if which not in (1, 2, 3):
+    """The embedded rows of table 1, 2, or 3 (the int only, not True or 1.0): a
+    fresh list, parsed once per process."""
+    if type(which) is not int or which not in (1, 2, 3):
         raise ParamRangeError(f"table index must be 1, 2 or 3, got {which}")
     return list(_parsed_rows(which))
 
 
-@functools.lru_cache(maxsize=None, typed=True)
+@functools.lru_cache(maxsize=None)
 def _parsed_rows(which: int) -> tuple[TableRow, ...]:
     raw, q = ((_TABLE1, 2), (_TABLE2, 3), (_TABLE3, 2))[which - 1]
     return tuple(

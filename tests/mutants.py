@@ -6,8 +6,11 @@ project, and names the tests that must then fail.
 For each entry the script copies src/, tests/, fixtures/, pyproject.toml and
 README.md into a temporary directory, requires the entry's old text to occur
 exactly once in its file, writes the new text in its place, and runs pytest
-on all the named tests there (no `-x`, so each one runs).  Two mutants run at
-a time, or one on a one-core machine.  The mutant is killed when every named
+on all the named tests there (no `-x`, so each one runs).  pytest runs with
+`--assert=plain`: a failing assert still fails its test, and no run rewrites
+the asserts of the plugins' modules (Hypothesis's among them) from source
+again, as the copy writes no bytecode.  Two mutants run at a time, or one on
+a one-core machine.  The mutant is killed when every named
 test fails or errs (a parametrized name counts when one of its cases does);
 it survives when any named test passes, and any other pytest exit (a test id
 that is not found, a collection error) is an error.  The script prints one
@@ -49,6 +52,7 @@ RECORDS = CODES_TESTS + "test_replace_and_make_check_like_the_constructor"
 INSERT = CODES_TESTS + "test_echelon_insert_matches_the_scalar_reference"
 RREF = CODES_TESTS + "test_row_reduce_matches_scalar_reference"
 PRODUCTS = SELFCHECK_TESTS + "test_packed_masks_take_no_more_products_than_scaling_each_row"
+SCAN = SELFCHECK_TESTS + "test_the_scan_reads_exactly_the_masks_lighter_than_its_bound"
 TRUSTED = "tests/test_corpus.py::test_corpus_codes_are_what_linear_code_would_build"
 CACHE_KEY = BOUNDS_TESTS + "test_tuples_that_differ_in_one_parameter_get_their_own_verdicts"
 WEIGHTED = BOUNDS_TESTS + "test_the_verdicts_with_w_match_their_formulas_at_every_weight"
@@ -335,6 +339,23 @@ MUTANTS = (
     ),
     Mutant(
         CODES,
+        "        yield tuple(start)\n        return\n",
+        "        return\n",
+        (CODES_TESTS + "test_a_walk_over_no_rows_yields_its_start_and_builds_no_step_table",
+         CODES_TESTS + "test_projective_codewords_are_one_per_scalar_class[3]",
+         CODES_TESTS + "test_spectrum_of_the_11_3_6_code"),
+        "a walk over no rows yields nothing: each level's first class and the one-row high"
+        " side are lost",
+    ),
+    Mutant(
+        CODES,
+        "n * q ** (a + 2) > _LOW_BITS and",
+        "n * q ** (a + 2) >= _LOW_BITS and",
+        (CODES_TESTS + "test_the_budget_settles_on_n_columns_without_the_column_set",),
+        "the budget builds the set of low columns when n * q^(a+2) meets _LOW_BITS exactly",
+    ),
+    Mutant(
+        CODES,
         "ones * ((1 << b - 1) - p)",
         "ones * ((1 << b - 1) - p + 1)",
         (PACKED + "[3]", PACKED + "[9]"),
@@ -356,10 +377,10 @@ MUTANTS = (
     ),
     Mutant(
         SELFCHECK,
-        "histogram[w] * (q - 1) for w",
-        "histogram[w] for w",
+        "len(b) * (q - 1) for b in buckets[1:]",
+        "len(b) for b in buckets[1:]",
         (SELFCHECK_TESTS + "test_the_mask_suite_equals_the_residual_oracle",),
-        "the mask histogram is read as the spectrum without its q - 1 codewords per mask",
+        "the bucket sizes are read as the spectrum without its q - 1 codewords per mask",
     ),
     Mutant(
         SELFCHECK,
@@ -379,15 +400,24 @@ MUTANTS = (
     ),
     Mutant(
         SELFCHECK,
-        "w + max(floor_d, 1), key",
-        "w + max(floor_d, 1) - 1, key",
-        (SELFCHECK_TESTS + "test_the_mask_suite_equals_the_residual_oracle",),
-        "the residual scan stops one weight short and misses the masks inside a support at floor 1",
+        "lighter[min(w + max(floor_d, 1), n + 1)]",
+        "lighter[min(w + max(floor_d, 1), n + 1) - 1]",
+        (SELFCHECK_TESTS + "test_the_mask_suite_equals_the_residual_oracle", SCAN),
+        "the residual scan reads lighter one bucket short and misses the masks inside a support"
+        " at floor 1",
     ),
     Mutant(
         SELFCHECK,
-        "w + max(floor_d, 1), key",
-        "w + floor_d, key",
+        "lighter[min(w + max(floor_d, 1), n + 1)]",
+        "lighter[min(w + max(floor_d, 1) + 1, n + 1)]",
+        (SCAN,),
+        "the residual scan reads lighter one bucket long: the same results from masks it need"
+        " not read",
+    ),
+    Mutant(
+        SELFCHECK,
+        "lighter[min(w + max(floor_d, 1), n + 1)]",
+        "lighter[min(w + floor_d, n + 1)]",
         (STRICTER + "[max_window_weight]",),
         "the residual scan skips the masks inside a support when the floor is 0 or less",
     ),
@@ -551,7 +581,7 @@ MUTANTS = (
     ),
     Mutant(
         TABLES,
-        "@functools.lru_cache(maxsize=None, typed=True)\n",
+        "@functools.lru_cache(maxsize=None)\n",
         "",
         (TABLES_TESTS + "test_rows_are_parsed_once_and_returned_in_a_fresh_list",),
         "table_rows parses every printed cell again on each call",
@@ -620,7 +650,8 @@ def run(mutant: Mutant, tmp: Path) -> tuple[str, str]:
         return "error", f"the old text occurs {text.count(mutant.old)} times in {mutant.path}"
     target.write_text(text.replace(mutant.old, mutant.new))
     proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", *mutant.tests],
+        [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", "--assert=plain",
+         *mutant.tests],
         cwd=tmp, env=env, capture_output=True, text=True,
     )
     if proc.returncode not in (0, 1):

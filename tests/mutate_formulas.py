@@ -1,5 +1,5 @@
-"""Generated mutants of the bound formulas: one per comparison, binary
-operation and integer constant in src/weightbounds/bounds.py.
+"""Generated mutants of the formulas: one per comparison, binary operation and
+integer constant in each module of TARGETS (bounds.py and selfcheck.py).
 
     python tests/mutate_formulas.py [--workers N] [--list]
 
@@ -8,9 +8,10 @@ and `in`/`not in`; a binary or augmented operation turns `+` into `-`, `-`
 into `+`, `*` into `+`, `//` into `*`, `**` into `*` and `%` into `//`; an
 integer constant grows by one.  The module is parsed with `ast`, one site is
 changed, and `ast.unparse` writes the whole module into a copy of the project
-(made as `tests/mutants.py` makes it), where `pytest -x tests/test_bounds.py`
-runs.  The unchanged module goes through the same round trip first and must
-pass, so a failure is the mutant's, not the unparse's.
+(made as `tests/mutants.py` makes it), where `pytest -x --assert=plain` runs
+the module's tests (plain asserts, as in `tests/mutants.py`).  Each
+unchanged module goes through the same round trip first and must pass, so a
+failure is the mutant's, not the unparse's.
 
 A mutant is killed when pytest fails.  A survivor is either a missing test,
 or an equivalent mutant listed in EQUIVALENT with the reason no test can
@@ -36,8 +37,11 @@ from typing import NamedTuple
 
 from mutants import ROOT, copy_project
 
-TARGET = "src/weightbounds/bounds.py"
-TESTS = ("tests/test_bounds.py",)
+# Each mutated module with the tests run on its mutants.
+TARGETS = (
+    ("src/weightbounds/bounds.py", ("tests/test_bounds.py",)),
+    ("src/weightbounds/selfcheck.py", ("tests/test_selfcheck.py",)),
+)
 SWAPS = {
     ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
     ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.In: ast.NotIn, ast.NotIn: ast.In,
@@ -45,17 +49,21 @@ SWAPS = {
     ast.Pow: ast.Mult, ast.Mod: ast.FloorDiv,
 }
 
-# (function, code before, code after) of each mutant no test can tell apart
-# from the module, with the reason.
+# (module, function, code before, code after) of each mutant no test can tell
+# apart from the module, with the reason.
 EQUIVALENT = {
-    ("ceil_div_sum", "power >= a", "power > a"):
+    ("src/weightbounds/bounds.py", "ceil_div_sum", "power >= a", "power > a"):
         "at power == a the term ceil(a/power) is 1, the same whether divided out or counted",
-    ("_classical_verdicts", "maxsize=256", "maxsize=257"):
+    ("src/weightbounds/bounds.py", "_classical_verdicts", "maxsize=256", "maxsize=257"):
         "the LRU's size changes which tuples are rebuilt, not what any call returns",
+    ("src/weightbounds/selfcheck.py", "run_selftest", "len(codes) or 1", "len(codes) or 2"):
+        "the stop matters only for an empty corpus, whose slices are all empty and merge to"
+        " the same zero records however many there are",
 }
 
 
 class Site(NamedTuple):
+    path: str
     index: int  # the site's place in source order
     function: str
     line: int
@@ -63,8 +71,11 @@ class Site(NamedTuple):
     after: str
 
     @property
-    def key(self) -> tuple[str, str, str]:
-        return self.function, self.before, self.after
+    def key(self) -> tuple[str, str, str, str]:
+        return self.path, self.function, self.before, self.after
+
+    def __str__(self) -> str:
+        return f"{self.path}:{self.line} {self.function}: {self.before} -> {self.after}"
 
 
 def sites(tree: ast.Module) -> list[tuple[ast.AST, str, int, object]]:
@@ -94,8 +105,8 @@ def parents(tree: ast.Module) -> dict[ast.AST, ast.AST]:
     return {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
 
 
-def mutate(source: str, index: int) -> tuple[str, Site]:
-    """The module with site `index` changed, and that site."""
+def mutate(path: str, source: str, index: int) -> tuple[str, Site]:
+    """The module at `path` with site `index` changed, and that site."""
     tree = ast.parse(source)
     node, function, line, what = sites(tree)[index]
     shown = parents(tree)[node] if what is None else node  # a constant is shown in context
@@ -106,17 +117,18 @@ def mutate(source: str, index: int) -> tuple[str, Site]:
         node.ops[what] = SWAPS[type(node.ops[what])]()
     else:
         node.op = SWAPS[type(node.op)]()
-    return ast.unparse(tree), Site(index, function, line, before, ast.unparse(shown))
+    return ast.unparse(tree), Site(path, index, function, line, before, ast.unparse(shown))
 
 
-def run(module: str) -> tuple[str, str]:
-    """('killed' | 'survived' | 'error', pytest's output) with the target
-    module replaced by `module` in a copy of the project."""
+def run(path: str, module: str) -> tuple[str, str]:
+    """('killed' | 'survived' | 'error', pytest's output) with the module at
+    `path` replaced by `module` in a copy of the project."""
     with tempfile.TemporaryDirectory() as tmp:
         env = copy_project(Path(tmp))
-        (Path(tmp) / TARGET).write_text(module)
+        (Path(tmp) / path).write_text(module)
         proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *TESTS],
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+             "--assert=plain", *dict(TARGETS)[path]],
             cwd=tmp, env=env, capture_output=True, text=True,
         )
     outcome = {0: "survived", 1: "killed"}.get(proc.returncode, "error")
@@ -128,22 +140,24 @@ def main() -> int:
     parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--list", action="store_true")
     args = parser.parse_args()
-    source = (ROOT / TARGET).read_text()
-    mutants = [mutate(source, i) for i in range(len(sites(ast.parse(source))))]
+    sources = {path: (ROOT / path).read_text() for path, _ in TARGETS}
+    mutants = [mutate(path, source, i) for path, source in sources.items()
+               for i in range(len(sites(ast.parse(source))))]
     if args.list:
         for _, site in mutants:
-            print(f"{TARGET}:{site.line} {site.function}: {site.before} -> {site.after}")
+            print(site)
         return 0
     start, bad = time.perf_counter(), 0
-    outcome, output = run(ast.unparse(ast.parse(source)))
-    if outcome != "survived":
-        print(f"the unmutated module fails after the ast round trip:\n{output}")
-        return 1
+    for path, source in sources.items():
+        outcome, output = run(path, ast.unparse(ast.parse(source)))
+        if outcome != "survived":
+            print(f"unmutated {path} fails after the ast round trip:\n{output}")
+            return 1
     workers = max(1, min(args.workers, 2, os.cpu_count() or 1))
     seen = set()
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for (_, site), (outcome, output) in zip(
-            mutants, pool.map(lambda m: run(m[0]), mutants)
+            mutants, pool.map(lambda m: run(m[1].path, m[0]), mutants)
         ):
             seen.add(site.key)
             listed = site.key in EQUIVALENT
@@ -152,8 +166,7 @@ def main() -> int:
             ok = outcome in ("killed", "equivalent") and not (listed and outcome == "killed")
             bad += not ok
             note = "" if ok else "  <- " + ("listed as equivalent" if listed else "unlisted")
-            print(f"{outcome:<10} {TARGET}:{site.line} {site.function}: "
-                  f"{site.before} -> {site.after}{note}", flush=True)
+            print(f"{outcome:<10} {site}{note}", flush=True)
             if outcome == "error":
                 print(output, file=sys.stderr)
     for key in EQUIVALENT.keys() - seen:

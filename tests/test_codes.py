@@ -46,7 +46,7 @@ from weightbounds.errors import (
     RankDeficientError,
     ZeroCodewordError,
 )
-from weightbounds.gf import make_field
+from weightbounds.gf import GF, make_field
 
 GF2 = make_field(2)
 GF3 = make_field(3)
@@ -197,6 +197,18 @@ def test_projective_codewords_are_one_per_scalar_class(q):
         classes = {frozenset(tuple(gf.mul(c, x) for x in w) for c in range(1, q)) for w in words}
         assert len(classes) == len(words)
         assert set().union(*classes) == set(brute_codewords(gf, rows)[1:])
+
+
+def test_a_walk_over_no_rows_yields_its_start_and_builds_no_step_table(monkeypatch):
+    # projective_codewords walks rows[:t] from row t: at t = 0, and for the
+    # spectrum's one high row when a = k - 1, there are no rows to step.
+    def refused(*args):
+        raise AssertionError("a walk over no rows built its step table")
+
+    for name in ("add", "neg", "scale_vec"):
+        monkeypatch.setattr(GF, name, refused)
+    for q in (2, 3, 4):
+        assert list(codes_module._walk(make_field(q), (), [1, 0, q - 1])) == [(1, 0, q - 1)]
 
 
 def test_iter_codewords_message_order():
@@ -396,6 +408,29 @@ def low_block(code):
         codes_module._value_bitmaps = cached
     (a,) = lengths
     return a
+
+
+class Unhashable(int):
+    """A field entry the kernel may compute with but not hash."""
+
+    __hash__ = None
+
+
+@pytest.mark.parametrize("q, n, k", [(2, 6, 3), (3, 5, 2), (4, 4, 3)])
+def test_the_budget_settles_on_n_columns_without_the_column_set(monkeypatch, q, n, k):
+    # D <= n, so n * q^(a+2) <= _LOW_BITS keeps a = k - 1, even at equality,
+    # without the set of distinct low columns: the only place outside the
+    # caches, bypassed here, that would hash an entry of the low rows.
+    gf = make_field(q)
+    rows = random_full_rank_rows(splitmix64(q * n), gf, n, k)
+    code = tuple.__new__(LinearCode, (gf, tuple(tuple(map(Unhashable, row)) for row in rows[:-1])
+                                      + rows[-1:]))
+    lengths, build = set(), codes_module._value_bitmaps.__wrapped__
+    monkeypatch.setattr(codes_module, "_value_bitmaps",
+                        lambda gf, g: lengths.add(len(g)) or build(gf, g))
+    monkeypatch.setattr(codes_module, "_LOW_BITS", n * q ** (k + 1))
+    assert codes_module.spectrum.__wrapped__(code).counts == oracle_counts(gf, rows)
+    assert lengths == {k - 1}
 
 
 def test_every_selftest_code_keeps_the_full_low_block(corpus1000):
@@ -927,3 +962,9 @@ def test_weight_spectrum_properties():
     assert max(spec.nonzero()) == 5
     assert sum(spec.counts) == 8
     assert spec.nonzero() == {0: 1, 3: 4, 5: 3}
+
+
+def test_a_spectrum_of_the_zero_word_alone_has_no_minimum_distance():
+    # No code has it (every LinearCode has a nonzero row), but the record may.
+    with pytest.raises(ValueError, match="spectrum has no nonzero weight"):
+        WeightSpectrum((1,)).min_distance

@@ -9,7 +9,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from weightbounds import exclusion
-from weightbounds.bounds import griesmer_min_n, max_window_weight, residual_griesmer_min_n
+from weightbounds.bounds import (
+    griesmer_min_n,
+    max_window_weight,
+    residual_griesmer_min_n,
+    residual_singleton_max_d,
+    singleton_max_d,
+)
 from weightbounds.cli import render_audit
 from weightbounds.codes import CodeParams, LinearCode, code_params, spectrum
 from weightbounds.corpus import EXTERNAL_SPECTRA
@@ -288,6 +294,35 @@ def test_every_report_has_one_regime_note_and_the_low_weights_note_past_d_1(para
     assert sum(note in REGIME_NOTES for note in notes) == 1
     low = f"weights 1..{params.d - 1} are trivially absent (below the minimum distance)"
     assert (low in notes) == (params.d > 1)
+
+
+def test_the_inline_singleton_forms_are_the_bounds_rules(monkeypatch):
+    # exclusion.py writes the Singleton cap n - k + 1 (in the notes' regime and
+    # in compare_methods' containment check) and the residual Singleton rule
+    # solved for w (the start of singleton_excluded) beside their homes in
+    # bounds.py: over a grid they must decide as singleton_max_d and
+    # residual_singleton_max_d do.  With the Singleton set emptied, the
+    # containment check fails wherever it runs on a nonempty Chen-Xie set.
+    grid = [CodeParams(n, k, d, q) for q in (2, 3, 4, 5, 7, 9) for n in range(2, 13)
+            for k in range(2, n + 1) for d in range(1, n + 1)]
+    for params in grid:
+        n, k, d, q = params
+        window = range(d, max_window_weight(d, q) + 1)
+        assert singleton_excluded(params, clamp=False) == {
+            w for w in window if residual_singleton_max_d(n, k, q, w) < d}
+        if n - k + 2 <= max_window_weight(d, q):  # not the void regime
+            no_code = REGIME_NOTES[2] in compare_methods(params).notes
+            assert no_code == (d > singleton_max_d(n, k))
+    monkeypatch.setattr(exclusion, "singleton_excluded", lambda params, clamp=True: frozenset())
+    for params in grid:
+        n, k, d, _ = params
+        checked = bool(chen_xie_excluded(params)) and d <= singleton_max_d(n, k)
+        try:
+            compare_methods(params)
+        except AssertionError:
+            assert checked, params
+        else:
+            assert not checked, params
 
 
 def _drop_the_top_singleton_weight(monkeypatch):

@@ -125,6 +125,12 @@ def test_irreducibility_check_known_cases():
     assert _smallest_irreducible(2, 3) == (1, 0, 1, 1)  # x^3 + x^2 + 1
 
 
+def test_poly_mul_by_the_zero_polynomial_is_zero():
+    # The zero polynomial is the empty tuple, as _poly_trim leaves it.
+    assert _poly_mul((), (1, 2), 3) == _poly_mul((0, 1), (), 3) == ()
+    assert _poly_mul((0, 1), (1, 1), 2) == (0, 1, 1)
+
+
 def add_definition(gf, a, b):
     """Addition digit by digit mod p, without the Zech table."""
     return gf._undigits([(x + y) % gf.p for x, y in zip(gf._digits(a), gf._digits(b))])

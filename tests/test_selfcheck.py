@@ -95,10 +95,42 @@ def test_the_mask_suite_equals_the_residual_oracle(corpus1000):
     assert result.ok and result.checked > 0
 
 
+class CountedMask(int):
+    """A support mask that counts the ANDs the residual scan takes with it."""
+
+    ands = 0
+
+    def __and__(self, other):
+        CountedMask.ands += 1
+        return int(self) & other
+
+
+def test_the_scan_reads_exactly_the_masks_lighter_than_its_bound(corpus1000, monkeypatch):
+    # At a window support S of weight w < n the suite ANDs each mask m with ~S
+    # iff |m| < w + max(floor, 1): a heavier m is neither inside S nor below
+    # the floor, and every lighter one may be.
+    sample, expected = corpus1000[:200], 0
+    for code in sample:
+        n, _, d, q = code_params(code)
+        masks = codes._support_masks(code.gf, code.rows)
+        for s in {m for m in masks if m.bit_count() <= bounds.max_window_weight(d, q)}:
+            w = s.bit_count()
+            bound = w + max(d - w + bounds.ceil_div(w, q), 1)
+            expected += sum(m.bit_count() < bound for m in masks) if w < n else 0
+    support_masks = selfcheck._support_masks
+    monkeypatch.setattr(selfcheck, "_support_masks",
+                        lambda gf, rows: list(map(CountedMask, support_masks(gf, rows))))
+    CountedMask.ands = 0
+    assert check_residual_lemma(sample).ok
+    assert CountedMask.ands == expected > 0
+
+
 @pytest.mark.parametrize("q, rows, message", [
     (2, ((1, 1, 1),), "[3,1,3]_2 w=3: codeword has full support; nothing remains"),
     (2, ((1, 1, 0),), "[3,1,2]_2 w=2: all generator rows vanish after puncturing"),
     (3, ((1, 2, 0, 0),), "[4,1,2]_3 w=2: all generator rows vanish after puncturing"),
+    # The scan bound d + ceil(w/q) = 9 passes the last bucket, n + 1 = 8.
+    (2, ((1, 1, 1, 1, 1, 1, 0),), "[7,1,6]_2 w=6: all generator rows vanish after puncturing"),
 ])
 def test_a_degenerate_residual_is_a_violation_in_both_forms(q, rows, message):
     # k = 1 leaves a residual of dimension 0; the random corpus has k >= 2.

@@ -153,6 +153,13 @@ def test_table_row_counts():
         table_rows(4)
 
 
+@pytest.mark.parametrize("which", [True, False, 1.0, 0, 4, "1"])
+def test_table_rows_takes_only_the_ints_1_2_and_3(which):
+    # True equals 1 and 1.0 hashes like it: neither may stand for table 1.
+    with pytest.raises(ParamRangeError, match=f"table index must be 1, 2 or 3, got {which}$"):
+        table_rows(which)
+
+
 def test_rows_are_parsed_once_and_returned_in_a_fresh_list(monkeypatch):
     # Every printed cell is parsed on the first call for its table and never
     # again, however often the tables are compared; each call still gets a
